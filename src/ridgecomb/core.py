@@ -10,6 +10,15 @@ with outer = v/m for s = 2 and v/(2m) for s = 3, where m is the number of
 stored terms.  Term coefficients b_k always lie in [-1, 1]; the sampled sign
 of each atom is kept on the atom itself but the coefficient carries it at
 evaluation time.
+
+The term sum is evaluated one of two ways, chosen from the combination
+itself.  When the terms share few directions (terms >= 8 x distinct
+directions, as for atoms drawn from a finite spectrum, whose inner vectors are
++-omega/||omega||_1), each direction's thresholds are sorted once and prefix
+sums of b, b t and b t^2 are kept; at a projection p the direction contributes
+p S0 - S1 (s = 2) or p^2 S0 - 2 p S1 + S2 (s = 3) over its terms with t < p,
+found by one binary search.  Otherwise the points are taken in blocks of about
+2^16 points x terms, so memory stays bounded whatever the term count.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ import numpy as np
 from .errors import UsageError
 
 _L1_TOL = 1e-12
+_DENSE_BLOCK_ELEMS = 1 << 16  # points x terms per block of the dense term sum
+_GROUPED_MIN_REPEAT = 8  # grouped term sum when terms >= this x distinct directions
 
 
 def _as_vector(a, d: int | None = None) -> np.ndarray:
@@ -185,19 +196,76 @@ class RidgeCombination:
         T = np.array([atom.t for _, atom in self.terms])
         return B, A, T
 
+    @cached_property
+    def _directions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct inner vectors (rows) and each term's row index among them."""
+        _, A, _ = self._stacked
+        dirs, inverse = np.unique(A, axis=0, return_inverse=True)
+        return dirs, inverse.ravel()
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per distinct direction a: (a, its sorted thresholds ts, prefix sums S).
+
+        S[j, i] is the sum of b t^j over the group's i smallest thresholds, j < s.
+        """
+        B, _, T = self._stacked
+        dirs, inverse = self._directions
+        order = np.lexsort((T, inverse))
+        ends = np.cumsum(np.bincount(inverse, minlength=dirs.shape[0]))
+        groups = []
+        for a, idx in zip(dirs, np.split(order, ends[:-1])):
+            ts, b = T[idx], B[idx]
+            S = np.zeros((self.s, ts.size + 1))
+            np.cumsum(b, out=S[0, 1:])
+            np.cumsum(b * ts, out=S[1, 1:])
+            if self.s == 3:
+                np.cumsum(b * ts * ts, out=S[2, 1:])
+            groups.append((a, ts, S))
+        return tuple(groups)
+
+    def _grouped_term_sum(self, points: np.ndarray) -> np.ndarray:
+        """sum_k b_k (a_k . x - t_k)_+^(s-1) by direction groups, O(n D log m)."""
+        acc = np.zeros(points.shape[0])
+        for a, ts, S in self._groups:
+            p = points @ a
+            i = np.searchsorted(ts, p)  # the group's terms with t < p are the active ones
+            if self.s == 2:
+                acc += p * S[0, i] - S[1, i]
+            else:
+                acc += (p * S[0, i] - 2.0 * S[1, i]) * p + S[2, i]
+        return acc
+
+    def _dense_term_sum(self, points: np.ndarray) -> np.ndarray:
+        """sum_k b_k (a_k . x - t_k)_+^(s-1) over blocks of points, O(n m) time, bounded memory."""
+        B, A, T = self._stacked
+        n = points.shape[0]
+        step = max(1, _DENSE_BLOCK_ELEMS // B.size)
+        buf = np.empty((min(step, n), B.size))
+        acc = np.empty(n)
+        for lo in range(0, n, step):
+            blk = points[lo:lo + step]
+            Z = np.matmul(blk, A.T, out=buf[:blk.shape[0]])
+            Z -= T
+            np.maximum(Z, 0.0, out=Z)
+            if self.s == 3:
+                Z *= Z
+            np.matmul(Z, B, out=acc[lo:lo + blk.shape[0]])
+        return acc
+
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.d:
             raise UsageError(f"points must have shape (n, {self.d})")
         out = self.b0 + points @ self.a0
         if self.s == 3 and self.A0 is not None:
-            out = out + 0.5 * np.einsum("ni,ij,nj->n", points, self.A0, points)
+            out += 0.5 * ((points @ self.A0) * points).sum(axis=1)
         if self.terms:
-            B, A, T = self._stacked
-            Z = np.maximum(points @ A.T - T, 0.0)
-            if self.s == 3:
-                Z = Z * Z
-            out = out + self.outer_scale * (Z @ B)
+            dirs, _ = self._directions
+            if self.term_count >= _GROUPED_MIN_REPEAT * dirs.shape[0]:
+                out += self.outer_scale * self._grouped_term_sum(points)
+            else:
+                out += self.outer_scale * self._dense_term_sum(points)
         return out
 
     def evaluate(self, x) -> float:
@@ -249,10 +317,6 @@ class RidgeCombination:
     @classmethod
     def load(cls, path) -> "RidgeCombination":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def eval_combination(comb: RidgeCombination, x) -> float:
-    return comb.evaluate(x)
 
 
 def make_affine(d: int, s: int, b0: float, a0, A0=None, v: float = 0.0) -> RidgeCombination:

@@ -231,7 +231,7 @@ class TargetFunction:
         points = np.asarray(points, dtype=float)
         out = self.evaluate_batch(points) - self.b0 - points @ self.a0
         if s == 3:
-            out = out - 0.5 * np.einsum("ni,ij,nj->n", points, self.A0, points)
+            out = out - 0.5 * ((points @ self.A0) * points).sum(axis=1)
         return out
 
 

@@ -78,6 +78,12 @@ class TestBuild:
         doc = json.loads((out / "combination.json").read_text())
         assert len(doc["terms"]) == 64
 
+    def test_largest_guarded_build_at_d3(self, tmp_path):
+        # l2 over 64^3 nodes and 4096 terms once needed an 8 GiB matrix
+        out = tmp_path / "o"
+        assert main(["build", "--target", "sine-ridge:1,1,1", "--m", "4096",
+                     "--out", str(out)]) == 0
+
 
 class TestExitCodes:
     def test_unknown_target_kind(self, tmp_path):

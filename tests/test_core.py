@@ -1,12 +1,14 @@
 """Atoms, combinations, and their evaluation semantics."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ridgecomb import core
 from ridgecomb import (
     CubeDomain,
     RidgeAtom,
@@ -203,3 +205,66 @@ class TestCombination:
         c = RidgeCombination(d=3, s=2, b0=0.0, a0=np.zeros(3), A0=None, v=1.0,
                              terms=terms)
         assert c.inner_sparsity_max == 2
+
+
+def dyadic_combination(s: int, d: int, m: int, layout: str, seed: int) -> RidgeCombination:
+    """m terms whose directions, thresholds and grid projections are all exact dyadics.
+
+    layout "equal": one shared direction; "few": a pool of three; "distinct":
+    a fresh direction per term.  Atoms carry sign +1 (the coefficient carries
+    the sign), and the thresholds include the endpoints 0 and 1 (t = 1 alone
+    when m = 1).
+    """
+    gen = np.random.default_rng(seed)
+
+    def direction():
+        counts = gen.multinomial(gen.integers(1, 17), np.full(d, 1.0 / d))
+        return counts * gen.choice([-1.0, 1.0], size=d) / 16.0
+
+    pool = [direction() for _ in range({"equal": 1, "few": 3, "distinct": m}[layout])]
+    t = gen.integers(0, 129, size=m) / 128.0
+    t[0], t[-1] = 0.0, 1.0
+    b = gen.uniform(-1.0, 1.0, size=m)
+    terms = tuple(
+        (float(b[k]), RidgeAtom(sign=1, a=pool[k % len(pool)], t=float(t[k]), s=s))
+        for k in range(m)
+    )
+    return RidgeCombination(d=d, s=s, b0=0.0, a0=np.zeros(d), A0=None, v=1.5, terms=terms)
+
+
+class TestEvaluationPaths:
+    """The grouped (prefix-sum) and blocked dense term sums against the per-atom sum."""
+
+    @given(
+        s=st.sampled_from([2, 3]),
+        d=st.integers(min_value=1, max_value=4),
+        m=st.integers(min_value=1, max_value=40),
+        layout=st.sampled_from(["equal", "few", "distinct"]),
+        block=st.sampled_from([1, 7, 1 << 16]),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    def test_grouped_and_dense_match_the_per_atom_sum(self, s, d, m, layout, block, seed):
+        c = dyadic_combination(s, d, m, layout, seed)
+        # a dyadic grid (spacing 1/8 or 1/2) keeps every projection a.x exact, so many points sit
+        # exactly on a threshold; the random points add generic positions
+        grid = CubeDomain(d).grid(17 if d <= 2 else 5)
+        rand = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(50, d))
+        pts = np.vstack([grid, rand])
+        outer = c.outer_scale
+        naive = sum(b * outer * atom.evaluate_batch(pts) for b, atom in c.terms)
+        with mock.patch.object(core, "_DENSE_BLOCK_ELEMS", block):
+            dense = outer * c._dense_term_sum(pts)
+        grouped = outer * c._grouped_term_sum(pts)
+        assert np.max(np.abs(dense - naive)) <= 1e-12
+        assert np.max(np.abs(grouped - naive)) <= 1e-12
+        assert np.max(np.abs(c.evaluate_batch(pts) - naive)) <= 1e-12
+
+    def test_path_follows_direction_repetition(self):
+        pts = CubeDomain(2).grid(9)
+        shared = dyadic_combination(3, 2, 32, "equal", seed=1)
+        with mock.patch.object(RidgeCombination, "_dense_term_sum", side_effect=AssertionError):
+            shared.evaluate_batch(pts)
+        distinct = dyadic_combination(3, 2, 32, "distinct", seed=1)
+        with mock.patch.object(RidgeCombination, "_grouped_term_sum", side_effect=AssertionError):
+            distinct.evaluate_batch(pts)

@@ -1,6 +1,7 @@
 """Error norms, rate fits, and the sanity floor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ class TestL2Error:
         tgt = target_of(exact_sine_representation((1,)))
         with pytest.raises(UsageError):
             l2_error(tgt, make_affine(2, 2, 0.0, np.zeros(2)))
+
+    def test_distinct_directions_stay_in_bounded_memory(self):
+        # 64^3 nodes x 4096 terms would be an 8 GiB matrix if formed at once
+        gen = np.random.default_rng(0)
+        A = gen.standard_normal((4096, 3))
+        A /= np.abs(A).sum(axis=1, keepdims=True)
+        terms = tuple((float(b), RidgeAtom(sign=1, a=a, t=float(t), s=2))
+                      for b, a, t in zip(gen.uniform(-1, 1, 4096), A, gen.uniform(0, 1, 4096)))
+        comb = RidgeCombination(d=3, s=2, b0=0.0, a0=np.zeros(3), A0=None, v=1.0,
+                                terms=terms)
+        tgt = target_of(exact_sine_representation((1, 1, 1)))
+        tracemalloc.start()
+        try:
+            err = l2_error(tgt, comb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(err) and err > 0.0
+        assert peak < 64 * 2**20
 
 
 class TestLinfError:
