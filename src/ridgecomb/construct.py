@@ -4,9 +4,11 @@ The i.i.d. builder is plain Monte Carlo over the representation's atom
 measure.  The stratified builder partitions atom parameter space into cells of
 small sup-distance diameter, allocates the term budget proportionally to cell
 masses, and samples each cell's conditional measure, which trades the
-m^(-1/2) rate for a better exponent.  The sparsifier rewrites each inner
-weight vector as an average of m0 signed basis vectors, bounding coordinate
-count by m0 without touching any other field.
+m^(-1/2) rate for a better exponent.  Both the masses and the conditional
+draws are closed form, and only the cells the measure reaches are built.
+The sparsifier rewrites each inner weight vector as an average of m0 signed
+basis vectors, bounding coordinate count by m0 without touching any other
+field.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from . import rng as _rng
 from .core import RidgeAtom, RidgeCombination
 from .errors import BuilderError, UsageError
 from .spectral import (
+    THRESHOLD_ZERO_OFFSET,
     IntegralRepresentation,
     TargetFunction,
     _draw_arrays,
     _force_unit_l1,
-    abs_sin_integral,
-    abs_sin_integral_inv,
     sample_atom_simplified,
+    threshold_law,
 )
 
 __all__ = [
@@ -44,10 +46,6 @@ __all__ = [
     "default_epsilon",
     "build_from_config",
 ]
-
-# a cell straddling a starved region aborts after this many pooled draws
-REJECTION_DRAW_BUDGET = 10**6
-REJECTION_TOTAL_CAP = 2 * 10**8
 
 
 def _check_build_args(rep: IntegralRepresentation, m, target: TargetFunction):
@@ -98,14 +96,20 @@ def build_simplified(meas, s: int, m: int, target: TargetFunction,
 
 # --- stratified partition ---
 
+# cap on the cells of a full partition, and on the cells a builder reaches
+MAX_CELLS = 5 * 10**6
+
+
 @dataclass(frozen=True, eq=False)
 class StratifiedPlan:
-    """A partition of (sign, threshold, direction) space with optional allocation.
+    """Cells of (sign, threshold, direction) space with optional allocation.
 
     Cells are products of an atom sign, a direction sign-orthant, magnitude
-    bins for the first d-1 direction coordinates, and a threshold bin.  The
-    arrays are parallel, one row per cell, sorted by the integer cell code
-    used for membership lookup.
+    bins for the first d-1 direction coordinates, and a threshold bin.  A
+    plan holds either the full partition (partition_parameters) or only the
+    cells a representation reaches (build_stratified).  The arrays are
+    parallel, one row per cell, sorted by the integer cell code used for
+    membership lookup.
     """
 
     epsilon: float
@@ -172,23 +176,13 @@ class StratifiedPlan:
             a_rep = self.sigma * np.column_stack([mags, last])
         return self.eta.copy(), t_rep, _force_unit_l1(a_rep)
 
-    @property
-    def strata(self):
-        """List of (representative RidgeAtom, mass) pairs; mass None before estimation."""
-        eta, t, a = self.representatives()
-        L = self.L if self.L is not None else [None] * self.M
-        return [
-            (RidgeAtom(sign=int(eta[k]), a=a[k], t=float(t[k]), s=self.s), L[k])
-            for k in range(self.M)
-        ]
-
     def _label(self, row: int) -> str:
         return (f"cell(eta={int(self.eta[row])}, sigma={self.sigma[row].tolist()}, "
                 f"kmag={self.kmag[row].tolist()}, tbin={int(self.tbin[row])})")
 
 
-def partition_parameters(d: int, s: int, epsilon: float) -> StratifiedPlan:
-    """Enumerate the cell partition for diameter target epsilon (no masses yet)."""
+def _empty_plan(d: int, s: int, epsilon) -> StratifiedPlan:
+    """A plan with the cell geometry for diameter target epsilon and no cells."""
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise UsageError(f"dimension must be a positive integer, got {d}")
     if s not in (2, 3):
@@ -202,44 +196,50 @@ def partition_parameters(d: int, s: int, epsilon: float) -> StratifiedPlan:
     delta_a = delta_t if d == 1 else min(delta_t, 5.0 * epsilon / (16.0 * lip * (d - 1)))
     n_t = max(1, math.ceil(1.0 / delta_t - 1e-12))
     n_a = max(1, math.ceil(1.0 / delta_a - 1e-12))
-
-    if d == 1:
-        kmag1 = np.zeros((1, 0), dtype=np.int64)
-    else:
-        grids = np.meshgrid(*([np.arange(n_a, dtype=np.int64)] * (d - 1)), indexing="ij")
-        kmag1 = np.stack([g.ravel() for g in grids], axis=1)
-        kmag1 = kmag1[kmag1.sum(axis=1) * delta_a <= 1.0 + 1e-9]
-
-    n_k = kmag1.shape[0]
-    n_sig = 1 << d
-    M = 2 * n_sig * n_k * n_t
-    if M > 5 * 10**6:
-        raise UsageError(f"partition would have {M} cells; choose a larger epsilon")
-
-    eta_i, sig_i, k_i, t_i = np.meshgrid(
-        np.arange(2, dtype=np.int64), np.arange(n_sig, dtype=np.int64),
-        np.arange(n_k, dtype=np.int64), np.arange(n_t, dtype=np.int64),
-        indexing="ij",
-    )
-    eta_i, sig_i, k_i, t_i = (v.ravel() for v in (eta_i, sig_i, k_i, t_i))
-    eta = 2 * eta_i - 1
-    sigma = np.empty((M, d), dtype=np.int64)
-    for i in range(d):
-        sigma[:, i] = 2 * ((sig_i >> (d - 1 - i)) & 1) - 1
-    kmag = kmag1[k_i]
-    kcode = np.zeros(M, dtype=np.int64)
-    for i in range(d - 1):
-        kcode = kcode * n_a + kmag[:, i]
-    code = ((eta_i * n_sig + sig_i) * n_a ** (d - 1) + kcode) * n_t + t_i
-
-    order = np.argsort(code)
+    if math.log2(2.0 * (1 << d) * n_t) + (d - 1) * math.log2(n_a) > 62:
+        raise UsageError(f"epsilon {epsilon} is too small to index the cells")
+    none = np.zeros(0, dtype=np.int64)
     plan = StratifiedPlan(
         epsilon=epsilon, d=int(d), s=int(s), delta_t=delta_t, delta_a=delta_a,
-        n_t=n_t, n_a=n_a, eta=eta[order], sigma=sigma[order], kmag=kmag[order],
-        tbin=t_i[order], code=code[order],
+        n_t=n_t, n_a=n_a, eta=none, sigma=none.reshape(0, d), kmag=none.reshape(0, d - 1),
+        tbin=none, code=none,
     )
     assert plan.diameter_bound < epsilon
     return plan
+
+
+def _with_cells(plan: StratifiedPlan, codes: np.ndarray) -> StratifiedPlan:
+    """The plan whose cells are the given codes, each decoded into its fields."""
+    code = np.unique(codes)
+    d, n_a = plan.d, plan.n_a
+    tbin = code % plan.n_t
+    rest = code // plan.n_t
+    kcode = rest % n_a ** (d - 1)
+    rest = rest // n_a ** (d - 1)
+    sigbits = rest % (1 << d)
+    sigma = 2 * ((sigbits[:, None] >> np.arange(d - 1, -1, -1)) & 1) - 1
+    kmag = (kcode[:, None] // n_a ** np.arange(d - 2, -1, -1, dtype=np.int64)) % n_a
+    return replace(plan, eta=2 * (rest >> d) - 1, sigma=sigma, kmag=kmag, tbin=tbin, code=code)
+
+
+def partition_parameters(d: int, s: int, epsilon: float) -> StratifiedPlan:
+    """Enumerate the full cell partition for diameter target epsilon (no masses yet)."""
+    plan = _empty_plan(d, s, epsilon)
+    n_t, n_a = plan.n_t, plan.n_a
+    if d == 1:
+        kcode = np.zeros(1, dtype=np.int64)
+    else:
+        grids = np.meshgrid(*([np.arange(n_a, dtype=np.int64)] * (d - 1)), indexing="ij")
+        kmag1 = np.stack([g.ravel() for g in grids], axis=1)
+        kmag1 = kmag1[kmag1.sum(axis=1) * plan.delta_a <= 1.0 + 1e-9]
+        kcode = kmag1 @ (n_a ** np.arange(d - 2, -1, -1, dtype=np.int64))
+    n_sig = 1 << d
+    M = 2 * n_sig * kcode.size * n_t
+    if M > MAX_CELLS:
+        raise UsageError(f"partition would have {M} cells; choose a larger epsilon")
+    prefix = np.arange(2 * n_sig, dtype=np.int64)[:, None] * n_a ** (d - 1) + kcode
+    codes = prefix.reshape(-1, 1) * n_t + np.arange(n_t, dtype=np.int64)
+    return _with_cells(plan, codes.ravel())
 
 
 def _check_plan_compat(plan: StratifiedPlan, rep: IntegralRepresentation):
@@ -247,9 +247,73 @@ def _check_plan_compat(plan: StratifiedPlan, rep: IntegralRepresentation):
         raise UsageError("plan and representation disagree on (d, s)")
 
 
+def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
+    """Every (cell, component, arc) piece of the representation that carries mass.
+
+    Component e has direction dirs[e] and threshold density proportional to
+    |trig(u)|, u = c_e t + ph_e, on t in [0, 1].  The zeros of trig split its
+    u-range into arcs of constant atom sign eta = (-1)^k on arc k, and the
+    threshold-bin edges split it further; each resulting piece lies in one
+    cell, found through plan.membership_codes on the component's direction.
+    Returns (row, comp, ua, ub, mass): the piece's u-interval and its
+    probability p_e (F(ub) - F(ua)) / (F(ph_e + c_e) - F(ph_e)).  Raises
+    BuilderError when a piece with mass has no cell in the plan.
+    """
+    tab = rep._tables
+    F, _ = threshold_law(rep.s)
+    off = THRESHOLD_ZERO_OFFSET[rep.s]
+    probs = tab["probs"] / tab["probs"].sum()
+    t_edges = np.minimum(np.arange(plan.n_t + 1) * plan.delta_t, 1.0)
+    parts = []
+    for e in range(probs.size):
+        c, ph = tab["c"][e], tab["ph"][e]
+        u_edges = c * t_edges + ph
+        u_lo, u_hi = u_edges[0], u_edges[-1]
+        k = np.arange(math.floor((u_lo - off) / np.pi) - 1,
+                      math.floor((u_hi - off) / np.pi) + 3)
+        zeros = off + k * np.pi
+        k_first = int(k[np.argmax(zeros > u_lo)])  # the arc just above u_lo is k_first - 1
+        inside = (zeros > u_lo) & (zeros < u_hi)
+        zeros = zeros[inside]
+        # breakpoints in u order, each labelled with the bin it starts; an
+        # edge sorts before a zero it ties with
+        pts = np.concatenate([u_edges, zeros])
+        label = np.concatenate([np.arange(u_edges.size),
+                                np.searchsorted(u_edges, zeros, side="right") - 1])
+        order = np.argsort(pts, kind="stable")
+        pts = pts[order]
+        is_zero = order >= u_edges.size
+        ua, ub = pts[:-1], pts[1:]
+        tbin = np.minimum(label[order][:-1], plan.n_t - 1)
+        arc = k_first - 1 + np.cumsum(is_zero)[:-1]
+        eta = np.where(arc % 2 == 0, 1, -1)
+        mass = np.where(ub > ua, np.maximum(F(ub) - F(ua), 0.0), 0.0)
+        mass *= probs[e] / (F(u_hi) - F(u_lo))
+        base = plan.membership_codes(np.array([-1, 1]), np.zeros(2),
+                                     np.repeat(tab["dirs"][e][None], 2, axis=0))
+        row = plan.rows_of_codes(base[(eta + 1) // 2] + tbin)
+        keep = mass > 0
+        if np.any(row[keep] < 0):
+            raise BuilderError("a component's threshold mass fell outside the partition")
+        parts.append((row[keep], np.full(keep.sum(), e), ua[keep], ub[keep], mass[keep]))
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def _reachable_plan(rep: IntegralRepresentation, epsilon: float) -> StratifiedPlan:
+    """The cells the representation's components reach: at most 2 x 2J x n_t."""
+    plan = _empty_plan(rep.d, rep.s, epsilon)
+    dirs = rep._tables["dirs"]
+    if 2 * dirs.shape[0] * plan.n_t > MAX_CELLS:
+        raise UsageError(f"partition would have more than {MAX_CELLS} reachable cells; "
+                         "choose a larger epsilon")
+    eta = np.repeat(np.array([-1, 1]), dirs.shape[0])
+    base = plan.membership_codes(eta, np.zeros(eta.size), np.vstack([dirs, dirs]))
+    return _with_cells(plan, (base[:, None] + np.arange(plan.n_t)).ravel())
+
+
 def estimate_masses(plan: StratifiedPlan, rep: IntegralRepresentation,
                     seed: int | None = None, n: int | None = None) -> StratifiedPlan:
-    """Estimate cell masses by binning i.i.d. draws from the representation."""
+    """Monte Carlo cell masses from binned i.i.d. draws: a check on exact_sine_masses."""
     _check_plan_compat(plan, rep)
     if n is None:
         n = max(10**4, 100 * plan.M)
@@ -268,40 +332,18 @@ def estimate_masses(plan: StratifiedPlan, rep: IntegralRepresentation,
 
 
 def exact_sine_masses(plan: StratifiedPlan, rep: IntegralRepresentation) -> StratifiedPlan:
-    """Closed-form cell masses for the exact sine-ridge representation.
+    """Closed-form cell masses of any representation, sine ridges included.
 
-    The threshold density is (pi/2)|sin(pi K t)| and the sign rule fixes eta
-    on each arc [j/K, (j+1)/K], so each cell mass is a sum of antiderivative
-    differences over the arcs of matching parity inside its threshold bin.
+    Each cell's mass sums, over the components whose direction falls in it,
+    the component weight times the |trig| antiderivative difference over the
+    arcs of the cell's sign inside its threshold bin.  Components sharing a
+    direction add into the same cells.
     """
     _check_plan_compat(plan, rep)
-    if rep.kind != "exact-sine":
-        raise UsageError("exact masses are only available for exact-sine representations")
-    theta = rep.theta
-    K = int(theta.sum())
-    L = np.zeros(plan.M)
-    for z in (1, -1):
-        a_z = _force_unit_l1((z * theta / float(K))[None, :].copy())[0]
-        sig_ok = np.all(plan.sigma == np.where(a_z >= 0.0, 1, -1), axis=1)
-        k_ok = np.ones(plan.M, dtype=bool)
-        for i in range(plan.d - 1):
-            digit = min(int(abs(a_z[i]) // plan.delta_a), plan.n_a - 1)
-            k_ok &= plan.kmag[:, i] == digit
-        rows = np.nonzero(sig_ok & k_ok)[0]
-        if rows.size == 0:
-            continue
-        lo = plan.tbin[rows] * plan.delta_t
-        hi = np.minimum((plan.tbin[rows] + 1) * plan.delta_t, 1.0)
-        # arc parity j even <-> sin >= 0 <-> eta = -z
-        parity = np.where(plan.eta[rows] == -z, 0, 1)
-        mass = np.zeros(rows.size)
-        for j in range(K):
-            a_arc = np.maximum(lo, j / K)
-            b_arc = np.minimum(hi, (j + 1) / K)
-            width_ok = (b_arc > a_arc) & (parity == j % 2)
-            seg = abs_sin_integral(np.pi * K * b_arc) - abs_sin_integral(np.pi * K * a_arc)
-            mass += np.where(width_ok, seg / (4.0 * K), 0.0)
-        L[rows] += mass
+    if rep.v == 0.0:
+        raise UsageError("representation has zero spectral mass; no cell carries any")
+    row, _, _, _, mass = _threshold_pieces(plan, rep)
+    L = np.bincount(row, weights=mass, minlength=plan.M)
     total = L.sum()
     assert abs(total - 1.0) <= 1e-9
     return replace(plan, L=L / total)
@@ -348,91 +390,51 @@ def allocate(plan: StratifiedPlan, m: int, mode: str, seed: int = 0) -> Stratifi
 
 # --- conditional sampling within cells ---
 
-def _conditional_exact_sine(gen, rep, plan: StratifiedPlan, need: np.ndarray):
-    """Direct inverse-CDF draws from each cell's conditional threshold law."""
-    theta, K = rep.theta, int(rep.theta.sum())
+def _conditional_draws(gen, rep, plan: StratifiedPlan, need: np.ndarray):
+    """need[k] inverse-CDF draws from each cell's conditional law.
+
+    A draw picks one of its cell's pieces by mass (so a component by its
+    mass in the cell, then an arc), then u by F^-1 within the piece.
+    """
+    row, comp, ua, ub, mass = _threshold_pieces(plan, rep)
+    order = np.argsort(row, kind="stable")
+    row, comp, ua, ub = row[order], comp[order], ua[order], ub[order]
+    cum = np.cumsum(mass[order])
+    first = np.searchsorted(row, np.arange(plan.M))
+    last = np.searchsorted(row, np.arange(plan.M), side="right") - 1
+    below = np.where(first > 0, cum[np.maximum(first - 1, 0)], 0.0)
+
     rows = np.repeat(np.arange(plan.M), need)
     R = rows.size
-    lo = plan.tbin[rows] * plan.delta_t
-    hi = np.minimum((plan.tbin[rows] + 1) * plan.delta_t, 1.0)
-    z = plan.sigma[rows, 0]
-    parity = np.where(plan.eta[rows] == -z, 0, 1)
-    piece_lo = np.empty((R, K))
-    piece_hi = np.empty((R, K))
-    pm = np.zeros((R, K))
-    for j in range(K):
-        a_arc = np.maximum(lo, j / K)
-        b_arc = np.minimum(hi, (j + 1) / K)
-        ok = (b_arc > a_arc) & (parity == j % 2)
-        piece_lo[:, j] = a_arc
-        piece_hi[:, j] = np.maximum(b_arc, a_arc)
-        pm[:, j] = np.where(
-            ok,
-            abs_sin_integral(np.pi * K * piece_hi[:, j]) - abs_sin_integral(np.pi * K * a_arc),
-            0.0,
-        )
-    cum = np.cumsum(pm, axis=1)
-    W = cum[:, -1]
-    if np.any(W <= 0):
-        bad = int(rows[np.argmax(W <= 0)])
-        raise BuilderError(f"{plan._label(bad)} carries mass but admits no draws")
-    pick = (cum < (gen.random(R) * W)[:, None]).sum(axis=1)
-    pick = np.minimum(pick, K - 1)
-    lo_p = piece_lo[np.arange(R), pick]
-    hi_p = piece_hi[np.arange(R), pick]
-    s_lo = abs_sin_integral(np.pi * K * lo_p)
-    s_hi = abs_sin_integral(np.pi * K * hi_p)
-    t = abs_sin_integral_inv(s_lo + gen.random(R) * (s_hi - s_lo)) / (np.pi * K)
-    t = np.clip(t, lo_p, hi_p)
-    # keep boundary draws inside the half-open bin
-    edge = (t >= hi) & (hi < 1.0)
-    t[edge] = np.nextafter(hi[edge], 0.0)
-    a = _force_unit_l1(z[:, None] * (theta / float(K)))
-    return rows, plan.eta[rows].copy(), t, a
+    goal = below[rows] + gen.random(R) * (cum[last[rows]] - below[rows])
+    pick = np.clip(np.searchsorted(cum, goal, side="right"), first[rows], last[rows])
+    F, Finv = threshold_law(rep.s)
+    lo_u, hi_u = ua[pick], ub[pick]
+    f_lo = F(lo_u)
+    u = np.clip(Finv(f_lo + gen.random(R) * (F(hi_u) - f_lo)), lo_u, hi_u)
+    tab = rep._tables
+    e = comp[pick]
+    t = _into_bins(np.clip((u - tab["ph"][e]) / tab["c"][e], 0.0, 1.0), plan, rows)
+    return rows, plan.eta[rows].copy(), t, tab["dirs"][e]
 
 
-def _conditional_rejection(gen, rep, plan: StratifiedPlan, need: np.ndarray):
-    """Fill per-cell quotas by routing pooled i.i.d. draws to their cells."""
-    total = int(need.sum())
-    offsets = np.concatenate([[0], np.cumsum(need)])
-    out_eta = np.empty(total, dtype=np.int64)
-    out_t = np.empty(total)
-    out_a = np.empty((total, rep.d))
-    filled = np.zeros(plan.M, dtype=np.int64)
-    drawn = 0
-    batch = 1 << 14
-    while np.any(filled < need):
-        eta, t, a = _draw_arrays(gen, rep, batch)
-        drawn += batch
-        rows = plan.rows_of_codes(plan.membership_codes(eta, t, a))
-        ok = rows >= 0
-        if np.any(ok):
-            order = np.argsort(rows[ok], kind="stable")
-            srows = rows[ok][order]
-            src = np.nonzero(ok)[0][order]
-            rank = np.arange(srows.size) - np.searchsorted(srows, srows)
-            sel = rank < (need - filled)[srows]
-            dest = offsets[srows[sel]] + filled[srows[sel]] + rank[sel]
-            out_eta[dest] = eta[src[sel]]
-            out_t[dest] = t[src[sel]]
-            out_a[dest] = a[src[sel]]
-            filled += np.bincount(srows[sel], minlength=plan.M)
-        starving = (filled == 0) & (need > 0)
-        if drawn >= REJECTION_DRAW_BUDGET and np.any(starving):
-            row = int(np.argmax(starving))
-            raise BuilderError(
-                f"{plan._label(row)} accepted no draws after {drawn} attempts"
-            )
-        if drawn >= REJECTION_TOTAL_CAP:
-            raise BuilderError(f"conditional sampling exceeded {REJECTION_TOTAL_CAP} draws")
-        batch = min(batch * 2, 1 << 18)
-    rows = np.repeat(np.arange(plan.M), need)
-    return rows, out_eta, out_t, out_a
+def _into_bins(t: np.ndarray, plan: StratifiedPlan, rows: np.ndarray) -> np.ndarray:
+    """Move each threshold the few ulps into its own cell's half-open bin."""
+    want = plan.tbin[rows]
+    for _ in range(8):
+        got = np.minimum(np.floor(t / plan.delta_t).astype(np.int64), plan.n_t - 1)
+        if np.array_equal(got, want):
+            return t
+        t = np.where(got < want, np.nextafter(t, 2.0),
+                     np.where(got > want, np.nextafter(t, -1.0), t))
+    bad = int(rows[np.argmax(got != want)])
+    raise BuilderError(f"{plan._label(bad)}: a conditional draw left its threshold bin")
 
 
 def build_stratified(rep: IntegralRepresentation, m: int, epsilon: float, mode: str,
                      target: TargetFunction, seed: int = 0) -> RidgeCombination:
-    """Stratified build: partition, mass, allocate, then conditional sampling.
+    """Stratified build: reachable cells, closed-form masses, allocation, then
+    inverse-CDF draws within each cell.
 
     Stored coefficients are eta * m_k/n_k (fractional) or eta with m_k copies
     (signed).  The stored scale is v * (terms/m) so that evaluation, which
@@ -443,11 +445,7 @@ def build_stratified(rep: IntegralRepresentation, m: int, epsilon: float, mode: 
     if rep.v == 0.0:
         return _assemble(rep, target, np.zeros(0), np.zeros(0, dtype=int),
                          np.zeros(0), np.zeros((0, rep.d)), 0.0)
-    plan = partition_parameters(rep.d, rep.s, epsilon)
-    if rep.kind == "exact-sine":
-        plan = exact_sine_masses(plan, rep)
-    else:
-        plan = estimate_masses(plan, rep, seed=seed)
+    plan = exact_sine_masses(_reachable_plan(rep, epsilon), rep)
     alloc = allocate(plan, int(m), mode, seed=seed)
 
     if alloc.mode == "signed":
@@ -458,13 +456,7 @@ def build_stratified(rep: IntegralRepresentation, m: int, epsilon: float, mode: 
         coeff_of_row = alloc.m_alloc / alloc.n_draw
 
     gen = _rng.stream(seed, _rng.ATOMS)
-    if rep.kind == "exact-sine":
-        rows, eta, t, a = _conditional_exact_sine(gen, rep, alloc, need)
-    else:
-        rows, eta, t, a = _conditional_rejection(gen, rep, alloc, need)
-    if np.any(eta != alloc.eta[rows]):
-        raise BuilderError("a conditional draw disagreed with its cell sign")
-
+    rows, eta, t, a = _conditional_draws(gen, rep, alloc, need)
     coeffs = coeff_of_row[rows] * eta
     T = rows.size
     v_stored = rep.v * T / float(m)

@@ -114,10 +114,13 @@ def linf_error(target, comb, grid: int | None = None, refine_top: int = 10) -> f
 
 def _ternary_refine(fn, pts: np.ndarray, spacing: float, passes: int = 2,
                     iters: int = 40) -> float:
-    """Cyclic per-axis ternary search from each start point; returns the max seen."""
+    """Cyclic per-axis ternary search from each start point; returns the max seen.
+
+    Both probes of an iteration go to fn in one call.
+    """
     x = pts.copy()
     seen = float(fn(x).max())
-    d = x.shape[1]
+    n, d = x.shape
     for _ in range(passes):
         for ax in range(d):
             lo = np.clip(x[:, ax] - spacing, -1.0, 1.0)
@@ -125,12 +128,10 @@ def _ternary_refine(fn, pts: np.ndarray, spacing: float, passes: int = 2,
             for _ in range(iters):
                 m1 = lo + (hi - lo) / 3.0
                 m2 = hi - (hi - lo) / 3.0
-                x1 = x.copy()
-                x1[:, ax] = m1
-                x2 = x.copy()
-                x2[:, ax] = m2
-                v1 = fn(x1)
-                v2 = fn(x2)
+                probes = np.vstack([x, x])
+                probes[:n, ax] = m1
+                probes[n:, ax] = m2
+                v1, v2 = np.split(fn(probes), 2)
                 seen = max(seen, float(v1.max()), float(v2.max()))
                 keep_hi = v2 >= v1
                 lo = np.where(keep_hi, m1, lo)

@@ -32,6 +32,7 @@ __all__ = [
     "IntegralRepresentation",
     "v_fs",
     "exact_sine_representation",
+    "sine_ridge_measure",
     "spectral_representation",
     "sample_atom",
     "sample_atom_arrays",
@@ -68,6 +69,19 @@ def abs_sin_integral_inv(y):
     y = np.asarray(y, dtype=float)
     k = np.floor(y / 2.0)
     return k * np.pi + np.arccos(np.clip(1.0 - (y - 2.0 * k), -1.0, 1.0))
+
+
+def threshold_law(s: int):
+    """(F, F^-1) of the order-s threshold density: |cos| for s=2, |sin| for s=3.
+
+    Both have their zeros at THRESHOLD_ZERO_OFFSET[s] + k pi.
+    """
+    if s == 2:
+        return abs_cos_integral, abs_cos_integral_inv
+    return abs_sin_integral, abs_sin_integral_inv
+
+
+THRESHOLD_ZERO_OFFSET = {2: np.pi / 2.0, 3: 0.0}
 
 
 def _sign_pos(x: np.ndarray) -> np.ndarray:
@@ -253,24 +267,19 @@ def _check_theta(theta) -> np.ndarray:
 class IntegralRepresentation:
     """Exact mixture representation of a target's residual over ridge atoms.
 
-    kind "spectral": residual(x) = scale * E[eta (a.x - t)_+^(s-1)] with
-    scale = v (s=2) or v/2 (s=3), where the expectation runs over a measure
-    whose (j, z) marginal picks a stored frequency and a direction flip and
-    whose t-density on [0, 1] is proportional to |cos| (s=2) or |sin| (s=3)
-    of (||omega_j||_1 t + z * phase_j).
-
-    kind "exact-sine": the unit-scale ramp representation of the target
-    sin(pi theta.x)/(4 pi ||theta||_1^2) for positive integer theta; here
-    v = 1 and the t-density is (pi/2)|sin(pi ||theta||_1 t)| with z uniform.
+    residual(x) = scale * E[eta (a.x - t)_+^(s-1)] with scale = v (s=2) or
+    v/2 (s=3), where the expectation runs over a mixture of 2J components
+    (j, z): a stored frequency and a direction flip, with fixed direction
+    a = z omega_j/||omega_j||_1 and a t-density on [0, 1] proportional to
+    |cos| (s=2) or |sin| (s=3) of (||omega_j||_1 t + z * phase_j).  The sign
+    eta is fixed on each arc between zeros of that trig factor.
     """
 
-    def __init__(self, d, s, v, kind, measure=None, theta=None, seed=0, tables=None):
+    def __init__(self, d, s, v, measure, seed=0, tables=None):
         self.d = int(d)
         self.s = int(s)
         self.v = float(v)
-        self.kind = kind
         self.measure = measure
-        self.theta = theta
         self.seed = int(seed)
         self._tables = tables
 
@@ -290,7 +299,7 @@ def spectral_representation(meas: SpectralMeasure, s: int, seed: int = 0) -> Int
     zs = np.tile(np.array([1, -1]), keep.sum())
     c = c_all[js]
     ph = zs * meas.phases[js]
-    F = abs_cos_integral if s == 2 else abs_sin_integral
+    F, _ = threshold_law(s)
     W = (F(ph + c) - F(ph)) / c if js.size else np.zeros(0)
     weights = meas.mags[js] * c**s * W
     v = float(weights.sum())
@@ -301,25 +310,35 @@ def spectral_representation(meas: SpectralMeasure, s: int, seed: int = 0) -> Int
         "zs": zs,
         "c": c,
         "ph": ph,
+        # each component's unit-l1 direction, exactly as every draw carries it
+        "dirs": _force_unit_l1((zs / c)[:, None] * meas.omegas[js]),
         "probs": weights / v if v > 0 else None,
     }
-    return IntegralRepresentation(
-        d=meas.d, s=s, v=v, kind="spectral", measure=meas, seed=seed, tables=tables
+    return IntegralRepresentation(d=meas.d, s=s, v=v, measure=meas, seed=seed, tables=tables)
+
+
+def sine_ridge_measure(theta) -> SpectralMeasure:
+    """The one-atom cosine spectrum of sin(pi theta . x)/(4 pi ||theta||_1^2)."""
+    arr = _check_theta(theta)
+    K = arr.sum()
+    return SpectralMeasure(
+        omegas=np.pi * arr[None, :],
+        mags=[1.0 / (4.0 * np.pi * K**2)],
+        phases=[-np.pi / 2.0],
     )
 
 
 def exact_sine_representation(theta, seed: int = 0) -> IntegralRepresentation:
-    """Unit-scale ramp representation of sin(pi theta.x)/(4 pi ||theta||_1^2)."""
-    theta = _check_theta(theta)
-    return IntegralRepresentation(
-        d=theta.size, s=2, v=1.0, kind="exact-sine", theta=theta, seed=seed
-    )
+    """Unit-scale ramp representation of sin(pi theta.x)/(4 pi ||theta||_1^2).
+
+    This is the s=2 representation of its one-atom spectrum: v = 1 and the
+    t-density is (pi/2)|sin(pi ||theta||_1 t)| with z uniform.
+    """
+    return spectral_representation(sine_ridge_measure(theta), 2, seed=seed)
 
 
 def target_of(rep: IntegralRepresentation) -> TargetFunction:
     """The target function a representation stands for."""
-    if rep.kind == "exact-sine":
-        return TargetFunction.from_sine_ridge(rep.theta)
     return TargetFunction.from_measure(rep.measure)
 
 
@@ -333,38 +352,21 @@ def sample_atom_arrays(rep: IntegralRepresentation, n: int, seed: int | None = N
 
 
 def _draw_arrays(gen: np.random.Generator, rep: IntegralRepresentation, n: int):
-    # shared by sample_atom_arrays and the rejection loops in the builders
+    # shared by sample_atom_arrays, build_iid and estimate_masses
     if rep.v == 0.0:
         raise UsageError("representation has zero spectral mass; nothing to sample")
-    if rep.kind == "exact-sine":
-        theta = rep.theta
-        K = float(theta.sum())
-        z = 2 * gen.integers(0, 2, size=n) - 1
-        u = gen.random(n)
-        t = abs_sin_integral_inv(2.0 * K * u) / (np.pi * K)
-        t = np.clip(t, 0.0, 1.0)
-        eta = np.where(np.sin(np.pi * K * t) >= 0.0, -z, z)
-        a = z[:, None] * (theta / K)
-    else:
-        tab = rep._tables
-        if tab["probs"] is None:
-            raise UsageError("representation has no sampling mass (constant target)")
-        probs = tab["probs"] / tab["probs"].sum()
-        idx = gen.choice(probs.size, size=n, p=probs)
-        c, ph, z = tab["c"][idx], tab["ph"][idx], tab["zs"][idx]
-        u = gen.random(n)
-        F, Finv = (
-            (abs_cos_integral, abs_cos_integral_inv)
-            if rep.s == 2
-            else (abs_sin_integral, abs_sin_integral_inv)
-        )
-        lo = F(ph)
-        t = (Finv(lo + u * (F(ph + c) - lo)) - ph) / c
-        t = np.clip(t, 0.0, 1.0)
-        arg = c * t + ph
-        eta = -_sign_pos(np.cos(arg)) if rep.s == 2 else _sign_pos(np.sin(arg))
-        a = (z / c)[:, None] * rep.measure.omegas[tab["js"][idx]]
-    a = _force_unit_l1(a)
+    tab = rep._tables
+    probs = tab["probs"] / tab["probs"].sum()
+    idx = gen.choice(probs.size, size=n, p=probs)
+    c, ph = tab["c"][idx], tab["ph"][idx]
+    u = gen.random(n)
+    F, Finv = threshold_law(rep.s)
+    lo = F(ph)
+    t = (Finv(lo + u * (F(ph + c) - lo)) - ph) / c
+    t = np.clip(t, 0.0, 1.0)
+    arg = c * t + ph
+    eta = -_sign_pos(np.cos(arg)) if rep.s == 2 else _sign_pos(np.sin(arg))
+    a = tab["dirs"][idx]
     if np.any((t < 0.0) | (t > 1.0)) or np.any(np.abs(a).sum(axis=1) != 1.0):
         raise AssertionError("sampled atom violated its invariants")
     return eta.astype(int), t, a
@@ -442,14 +444,6 @@ def representation_mean(rep: IntegralRepresentation, points: np.ndarray,
         tt = half * (xi[None, :] + 1.0)
         vals = trig(freq * tt + phase) * (az[:, None] - tt) ** power
         return (vals * (half * wq[None, :])).sum(axis=1)
-
-    if rep.kind == "exact-sine":
-        K = float(rep.theta.sum())
-        a_unit = rep.theta / K
-        proj = points @ a_unit
-        for z in (1, -1):
-            out += -z * (np.pi / 4.0) * add_panel(z * proj, np.sin, np.pi * K, 0.0, 1)
-        return out
 
     tab = rep._tables
     if rep.v == 0.0:

@@ -10,14 +10,11 @@ Two kinds of target spec are understood:
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import UsageError
 from .spectral import (
-    IntegralRepresentation,
     SpectralMeasure,
     TargetFunction,
-    exact_sine_representation,
+    sine_ridge_measure,
     spectral_representation,
 )
 
@@ -39,17 +36,6 @@ def _parse_theta(text: str) -> tuple:
     return theta
 
 
-def sine_ridge_measure(theta) -> SpectralMeasure:
-    """The one-atom cosine spectrum of sin(pi theta . x)/(4 pi ||theta||_1^2)."""
-    arr = np.asarray(theta, dtype=float)
-    K = arr.sum()
-    return SpectralMeasure(
-        omegas=np.pi * arr[None, :],
-        mags=[1.0 / (4.0 * np.pi * K**2)],
-        phases=[-np.pi / 2.0],
-    )
-
-
 def resolve_target(spec: str, s: int, seed: int = 0):
     """Parse a target spec into (TargetFunction, IntegralRepresentation)."""
     if s not in (2, 3):
@@ -60,21 +46,17 @@ def resolve_target(spec: str, s: int, seed: int = 0):
         )
     kind, _, rest = spec.partition(":")
     if kind == "sine-ridge":
-        theta = _parse_theta(rest)
-        if s == 2:
-            rep = exact_sine_representation(theta, seed=seed)
-            return TargetFunction.from_sine_ridge(theta), rep
-        meas = sine_ridge_measure(theta)
-        return TargetFunction.from_measure(meas), spectral_representation(meas, s, seed=seed)
-    if kind == "cosine-sum":
+        meas = sine_ridge_measure(_parse_theta(rest))
+    elif kind == "cosine-sum":
         try:
             meas = SpectralMeasure.load(rest)
         except FileNotFoundError as exc:
             raise UsageError(f"measure file not found: {rest}") from exc
         except ValueError as exc:
             raise UsageError(f"could not parse measure file {rest}: {exc}") from exc
-        return TargetFunction.from_measure(meas), spectral_representation(meas, s, seed=seed)
-    raise UsageError(f"unknown target kind {kind!r}; run the catalog command for options")
+    else:
+        raise UsageError(f"unknown target kind {kind!r}; run the catalog command for options")
+    return TargetFunction.from_measure(meas), spectral_representation(meas, s, seed=seed)
 
 
 def catalog_entries() -> list[dict]:
@@ -83,7 +65,7 @@ def catalog_entries() -> list[dict]:
             "name": "sine-ridge:T",
             "example": "sine-ridge:1,1",
             "description": "sin(pi T.x)/(4 pi ||T||_1^2) for a positive integer vector T; "
-                           "s=2 uses its exact unit-scale representation, s=3 its spectrum",
+                           "sampled through its one-atom spectrum at order s",
         },
         {
             "name": "cosine-sum:PATH",

@@ -84,6 +84,18 @@ class TestBuild:
         assert main(["build", "--target", "sine-ridge:1,1,1", "--m", "4096",
                      "--out", str(out)]) == 0
 
+    def test_stratified_build_with_a_sliver_cell(self, tmp_path):
+        # the |cos| zero at t = 3/4 falls 3% of a bin before a bin edge
+        out = tmp_path / "o"
+        assert main(["build", "--target", "sine-ridge:1,1", "--s", "3", "--method",
+                     "stratified", "--m", "8", "--seed", "50877", "--out", str(out)]) == 0
+
+    def test_largest_guarded_stratified_build_at_d3(self, tmp_path):
+        # the auto epsilon 1/16 once meant a full partition of 5,484,544 cells
+        out = tmp_path / "o"
+        assert main(["build", "--target", "sine-ridge:1,1,1", "--method", "stratified",
+                     "--m", "4096", "--out", str(out)]) == 0
+
 
 class TestExitCodes:
     def test_unknown_target_kind(self, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
 
 from ridgecomb import (
     BuilderError,
@@ -34,6 +35,7 @@ from ridgecomb import (
     spectral_representation,
     target_of,
 )
+from ridgecomb.construct import _conditional_draws, _reachable_plan
 
 
 def two_atom_measure() -> SpectralMeasure:
@@ -111,6 +113,55 @@ class TestPartition:
             partition_parameters(3, 2, 0.004)  # cell count blows past the cap
 
 
+# name -> (measure or sine-ridge theta, order s, epsilon)
+CLOSED_FORM_CASES = {
+    "sine-d1-s2": ((1,), 2, 0.25),
+    "spectral-d1-s3": (([[2.5]], [1.0], [0.3]), 3, 0.3),
+    "spectral-d2-s2": (([[1.0, 0.5], [-0.7, 1.3]], [0.8, 0.5], [0.4, -1.1]), 2, 0.5),
+    "spectral-d2-s3": (([[1.0, 0.5], [-0.7, 1.3]], [0.8, 0.5], [0.4, -1.1]), 3, 0.7),
+    # omega and 2 omega share a direction, so their components share cells
+    "parallel-d3-s2": (([[1.0, -2.0, 0.5], [2.0, -4.0, 1.0]], [0.6, 0.3], [0.9, -0.4]), 2, 1.2),
+    "parallel-d3-s3": (([[1.0, -2.0, 0.5], [2.0, -4.0, 1.0]], [0.6, 0.3], [0.9, -0.4]), 3, 2.0),
+    # a threshold bin spans three arcs, so one of its cells gathers two
+    "coarse-d1-s2": ((5,), 2, 2.0),
+    "coarse-d2-s3": (([[6.0, -4.0]], [1.0], [1.2]), 3, 6.0),
+}
+
+
+def closed_form_case(name):
+    spec, s, eps = CLOSED_FORM_CASES[name]
+    if len(spec) == 1:
+        rep = exact_sine_representation(spec)
+        return (rep if s == 2 else spectral_representation(rep.measure, s)), eps
+    omegas, mags, phases = spec
+    meas = SpectralMeasure(omegas=np.array(omegas), mags=np.array(mags),
+                           phases=np.array(phases))
+    return spectral_representation(meas, s), eps
+
+
+def truncated_law_cdf(rep, plan, row):
+    """CDF of a cell's conditional threshold law, by a fine trapezoid rule on
+    the representation's sign rule and |trig| density."""
+    tab = rep._tables
+    lo = plan.tbin[row] * plan.delta_t
+    hi = min(lo + plan.delta_t, 1.0)
+    t = np.linspace(lo, hi, 20001)
+    dens = np.zeros_like(t)
+    for e in range(tab["c"].size):
+        a_e = tab["dirs"][e][None]
+        mid = [(lo + hi) / 2]
+        if plan.rows_of_codes(plan.membership_codes([plan.eta[row]], mid, a_e))[0] != row:
+            continue
+        u = tab["c"][e] * t + tab["ph"][e]
+        trig = np.cos(u) if rep.s == 2 else np.sin(u)
+        eta = -np.where(trig >= 0, 1, -1) if rep.s == 2 else np.where(trig >= 0, 1, -1)
+        total = integrate.quad(lambda v: abs(np.cos(v) if rep.s == 2 else np.sin(v)),
+                               tab["ph"][e], tab["ph"][e] + tab["c"][e], limit=200)[0]
+        dens += np.where(eta == plan.eta[row], np.abs(trig), 0.0) * tab["probs"][e] / total
+    cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(t))])
+    return lambda x: np.interp(x, t, cum / cum[-1])
+
+
 class TestMasses:
     def test_exact_masses_normalized(self):
         for theta in ((1,), (2,), (1, 1)):
@@ -126,10 +177,17 @@ class TestMasses:
         est = estimate_masses(base, rep, seed=3, n=2 * 10**5)
         assert np.abs(est.L - exact.L).max() < 4e-3
 
-    def test_exact_masses_reject_spectral_reps(self):
-        rep = spectral_representation(two_atom_measure(), 2)
-        with pytest.raises(UsageError):
-            exact_sine_masses(partition_parameters(2, 2, 0.5), rep)
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_closed_form_masses_match_monte_carlo(self, case):
+        rep, eps = closed_form_case(case)
+        base = partition_parameters(rep.d, rep.s, eps)
+        exact = exact_sine_masses(base, rep)
+        assert exact.L.min() >= 0.0
+        assert abs(exact.L.sum() - 1.0) <= 1e-12
+        n = 2 * 10**5
+        est = estimate_masses(base, rep, seed=5, n=n)
+        se = np.sqrt(exact.L * (1.0 - exact.L) / n)
+        assert np.all(np.abs(est.L - exact.L) <= 5.0 * se + 1e-12)
 
 
 def planned_masses(masses):
@@ -304,12 +362,44 @@ class TestStratifiedBuilder:
         err = l2_error(target_of(rep), comb)
         assert err <= 3.0 * rep.v / math.sqrt(64)
 
-    def test_rejection_path_for_spectral_representations(self):
+    def test_closed_form_path_for_spectral_representations(self):
         rep = spectral_representation(two_atom_measure(), 2)
         tgt = target_of(rep)
         comb = build_stratified(rep, 32, 0.5, "fractional", tgt, seed=4)
         assert comb.term_count >= 32
         assert l2_error(tgt, comb) < l2_error(tgt, build_iid(rep, 1, tgt, seed=4))
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_conditional_draws_land_in_their_own_cells(self, case):
+        rep, eps = closed_form_case(case)
+        plan = allocate(exact_sine_masses(_reachable_plan(rep, eps / 4), rep), 64,
+                        "fractional")
+        need = np.full(plan.M, 50)
+        rows, eta, t, a = _conditional_draws(np.random.default_rng(1), rep, plan, need)
+        assert np.array_equal(rows, np.repeat(np.arange(plan.M), 50))
+        assert np.array_equal(eta, plan.eta[rows])
+        assert np.array_equal(plan.rows_of_codes(plan.membership_codes(eta, t, a)), rows)
+
+    @pytest.mark.parametrize("case", ["parallel-d3-s3", "coarse-d1-s2", "coarse-d2-s3",
+                                      "spectral-d1-s3"])
+    def test_conditional_thresholds_follow_the_truncated_law(self, case):
+        # KS test in the three heaviest cells, 4000 draws each, level 0.001
+        rep, eps = closed_form_case(case)
+        plan = allocate(exact_sine_masses(_reachable_plan(rep, eps), rep), 64, "fractional")
+        heavy = np.argsort(plan.L)[-3:]
+        need = np.zeros(plan.M, dtype=np.int64)
+        need[heavy] = 4000
+        rows, _, t, _ = _conditional_draws(np.random.default_rng(2), rep, plan, need)
+        for row in heavy:
+            cdf = truncated_law_cdf(rep, plan, row)
+            assert stats.kstest(t[rows == row], cdf).pvalue > 1e-3
+
+    def test_fine_sine_ridge_plan_builds(self):
+        # eps = 1/1024 leaves cells of sliver mass next to the |sin| zeros
+        rep = exact_sine_representation((1,))
+        tgt = target_of(rep)
+        comb = build_stratified(rep, 1024, 1.0 / 1024, "fractional", tgt, seed=0)
+        assert 1024 <= comb.term_count <= 1024 + _reachable_plan(rep, 1.0 / 1024).M
 
     def test_paired_sup_error_beats_iid(self):
         # epsilon = m^(-1/3): stratified mean sup error under iid's at every m

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from ridgecomb import (
     RidgeAtom,
     RidgeCombination,
+    SpectralMeasure,
     UsageError,
     build_iid,
+    build_sparse,
     build_stratified,
     exact_sine_representation,
     fit_rate,
@@ -21,9 +23,10 @@ from ridgecomb import (
     lower_bound_floor,
     make_affine,
     measure_report,
+    spectral_representation,
     target_of,
 )
-from ridgecomb.metrics import CSV_HEADER
+from ridgecomb.metrics import CSV_HEADER, _abs_diff_fn, _ternary_refine
 
 # closed form for || sin(pi x)/(4 pi) - x/4 || in L2([-1,1], dx/2):
 # (1/2) int (x/4 - sin(pi x)/(4 pi))^2 dx = 1/48 - 3/(32 pi^2)
@@ -94,7 +97,57 @@ class TestL2Error:
         assert peak < 64 * 2**20
 
 
+def ternary_refine_per_probe(fn, pts, spacing, passes=2, iters=40):
+    """The sup refinement with one fn call per probe: the batched one's reference."""
+    x = pts.copy()
+    seen = float(fn(x).max())
+    d = x.shape[1]
+    for _ in range(passes):
+        for ax in range(d):
+            lo = np.clip(x[:, ax] - spacing, -1.0, 1.0)
+            hi = np.clip(x[:, ax] + spacing, -1.0, 1.0)
+            for _ in range(iters):
+                m1 = lo + (hi - lo) / 3.0
+                m2 = hi - (hi - lo) / 3.0
+                x1 = x.copy()
+                x1[:, ax] = m1
+                x2 = x.copy()
+                x2[:, ax] = m2
+                v1 = fn(x1)
+                v2 = fn(x2)
+                seen = max(seen, float(v1.max()), float(v2.max()))
+                keep_hi = v2 >= v1
+                lo = np.where(keep_hi, m1, lo)
+                hi = np.where(keep_hi, hi, m2)
+            x[:, ax] = 0.5 * (lo + hi)
+            seen = max(seen, float(fn(x).max()))
+    return seen
+
+
+def refinement_cases():
+    """(target, combination) pairs on the grouped and the dense evaluation paths."""
+    rep = spectral_representation(
+        SpectralMeasure(omegas=np.pi / 2 * np.array([[1.0, -2.0, 0.0], [2.0, 1.0, 1.0]]),
+                        mags=[0.7, 0.4], phases=[0.3, -2.0]), 3)
+    sine = spectral_representation(exact_sine_representation((1, 1)).measure, 3)
+    return [
+        (target_of(sine), build_iid(sine, 64, target_of(sine), seed=1)),
+        (target_of(sine), build_stratified(sine, 16, 0.25, "fractional",
+                                           target_of(sine), seed=2)),
+        (target_of(rep), build_iid(rep, 16, target_of(rep), seed=3)),
+        (target_of(rep), build_sparse(rep, 16, 2, target_of(rep), seed=4)),
+    ]
+
+
 class TestLinfError:
+    @pytest.mark.parametrize("case", range(4))
+    def test_batched_refinement_matches_per_probe_loop(self, case):
+        tgt, comb = refinement_cases()[case]
+        gen = np.random.default_rng(case)
+        pts = gen.uniform(-1.0, 1.0, size=(10, tgt.d))
+        fn = _abs_diff_fn(tgt, comb)
+        assert _ternary_refine(fn, pts, 2.0 / 64) == ternary_refine_per_probe(fn, pts, 2.0 / 64)
+
     def test_identical_pair_is_zero(self):
         c = single_ramp(0.3)
         assert linf_error(c, c) == 0.0
