@@ -29,7 +29,6 @@ from .core import (
     RidgeAtom,
     RidgeCombination,
     atom_sup_distance,
-    eval_atom,
     make_affine,
 )
 from .errors import BuilderError, UsageError
@@ -98,7 +97,6 @@ __all__ = [
     "catalog_entries",
     "default_epsilon",
     "estimate_masses",
-    "eval_atom",
     "exact_sine_masses",
     "exact_sine_representation",
     "family_gram",

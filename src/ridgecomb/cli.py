@@ -272,9 +272,9 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
             rpt = measure_report(target, comb, m, method, seed,
                                  l2_nodes=cfg.get("l2_nodes"),
                                  linf_grid=cfg.get("linf_grid"))
-            return (m, method, seed, rpt, "ok", floor)
-        except BuilderError:
-            return (m, method, seed, None, "builder-error", floor)
+            return (m, method, seed, rpt, "ok", floor, None)
+        except BuilderError as exc:
+            return (m, method, seed, None, "builder-error", floor, str(exc))
 
     cells = [(method, m, seed) for method in methods for m in ms for seed in seeds]
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
@@ -282,8 +282,9 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
 
     lines = [SWEEP_RESULTS_HEADER]
-    for m, method, seed, rpt, status, floor in rows:
+    for m, method, seed, rpt, status, floor, message in rows:
         if rpt is None:
+            print(f"{status} m={m} method={method} seed={seed}: {message}", file=sys.stderr)
             lines.append(f"{m},{method},{seed},,,0,0,{status},{floor:.12e}")
         else:
             lines.append(rpt.csv_row() + f",{status},{floor:.12e}")

@@ -90,8 +90,13 @@ class RidgeAtom:
         return self.sign * z ** (self.s - 1)
 
 
-def eval_atom(atom: RidgeAtom, x) -> float:
-    return atom.evaluate(x)
+def half_quadratic(points: np.ndarray, A0: np.ndarray) -> np.ndarray:
+    """0.5 x^T A0 x at each row x of points, accumulated one column at a time."""
+    Q = points @ A0
+    acc = Q[:, 0] * points[:, 0]
+    for j in range(1, points.shape[1]):
+        acc += Q[:, j] * points[:, j]
+    return 0.5 * acc
 
 
 def atom_sup_distance(u: RidgeAtom, w: RidgeAtom) -> float:
@@ -259,7 +264,7 @@ class RidgeCombination:
             raise UsageError(f"points must have shape (n, {self.d})")
         out = self.b0 + points @ self.a0
         if self.s == 3 and self.A0 is not None:
-            out += 0.5 * ((points @ self.A0) * points).sum(axis=1)
+            out += half_quadratic(points, self.A0)
         if self.terms:
             dirs, _ = self._directions
             if self.term_count >= _GROUPED_MIN_REPEAT * dirs.shape[0]:

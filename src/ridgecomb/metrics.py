@@ -5,6 +5,10 @@ holds), computed by tensor Gauss-Legendre up to d = 3 and by a fixed Sobol
 point set at d = 4.  The sup norm is a grid maximum sharpened by a per-axis
 ternary refinement around the best grid cells; the reported value is a
 certified lower bound on the true sup.
+
+The quadrature rules and sup grids are built once per process and kept
+read-only, and a TargetFunction's values on them are kept by the target
+itself, so every combination measured against one target reuses them.
 """
 
 from __future__ import annotations
@@ -12,13 +16,16 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.stats import qmc
 
 from . import rng as _rng
+from .core import CubeDomain
 from .errors import UsageError
 from .quadrature import uniform_cube_rule
+from .spectral import TargetFunction
 
 __all__ = [
     "ErrorReport",
@@ -63,6 +70,24 @@ def _check_pair(target, comb):
         raise UsageError(f"dimension mismatch: target d={target.d}, combination d={comb.d}")
 
 
+def _target_values(target, key, points: np.ndarray) -> np.ndarray:
+    """The target on a fixed point set: memoized by a TargetFunction, else evaluated."""
+    if isinstance(target, TargetFunction):
+        return target.values_on(key, points)
+    return target.evaluate_batch(points)
+
+
+@lru_cache(maxsize=1)
+def _sobol_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The d = 4 L2 rule: 2^16 unscrambled Sobol points with equal weights."""
+    sampler = qmc.Sobol(d=4, scramble=False)
+    points = 2.0 * sampler.random(2**16) - 1.0
+    weights = np.full(points.shape[0], 1.0 / points.shape[0])
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return points, weights
+
+
 def l2_error(target, comb, nodes: int | None = None) -> float:
     """||target - comb|| in L2 of the uniform probability measure on the cube."""
     _check_pair(target, comb)
@@ -72,13 +97,13 @@ def l2_error(target, comb, nodes: int | None = None) -> float:
         if n < 2:
             raise UsageError(f"need at least 2 quadrature nodes per axis, got {n}")
         points, weights = uniform_cube_rule(d, n)
+        key = ("l2", n)
     elif d == 4:
-        sampler = qmc.Sobol(d=4, scramble=False)
-        points = 2.0 * sampler.random(2**16) - 1.0
-        weights = np.full(points.shape[0], 1.0 / points.shape[0])
+        points, weights = _sobol_rule()
+        key = ("l2", "sobol")
     else:
         raise UsageError(f"l2_error supports d <= 4, got d={d}")
-    diff = target.evaluate_batch(points) - comb.evaluate_batch(points)
+    diff = _target_values(target, key, points) - comb.evaluate_batch(points)
     return float(np.sqrt(np.sum(weights * diff * diff)))
 
 
@@ -86,6 +111,29 @@ def _abs_diff_fn(target, comb):
     def fn(points):
         return np.abs(target.evaluate_batch(points) - comb.evaluate_batch(points))
     return fn
+
+
+@lru_cache(maxsize=16)
+def _sup_grid(d: int, per_axis: int) -> np.ndarray:
+    """The sup-norm point set: a tensor grid with the boundary, plus random probes at d = 4."""
+    points = CubeDomain(d).grid(per_axis)
+    if d == 4:
+        gen = _rng.stream(0, _rng.PROBE)
+        points = np.vstack([points, gen.uniform(-1.0, 1.0, size=(LINF_RANDOM_POINTS_D4, 4))])
+    points.setflags(write=False)
+    return points
+
+
+def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest values, ascending by value; the set of np.argsort(vals)[-k:].
+
+    A partial sort finds them; a tie at the k-th value falls back to the full
+    sort, so the chosen set is always the full sort's.
+    """
+    idx = np.argpartition(vals, -k)[-k:]
+    if np.count_nonzero(vals >= vals[idx].min()) > k:
+        return np.argsort(vals)[-k:]
+    return idx[np.argsort(vals[idx])]
 
 
 def linf_error(target, comb, grid: int | None = None, refine_top: int = 10) -> float:
@@ -97,42 +145,41 @@ def linf_error(target, comb, grid: int | None = None, refine_top: int = 10) -> f
     per_axis = DEFAULT_LINF_GRID[d] if grid is None else int(grid)
     if per_axis < 2:
         raise UsageError(f"grid resolution must be at least 2 per axis, got {per_axis}")
-    axes = [np.linspace(-1.0, 1.0, per_axis)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([g.ravel() for g in mesh], axis=1)
-    if d == 4:
-        gen = _rng.stream(0, _rng.PROBE)
-        points = np.vstack([points, gen.uniform(-1.0, 1.0, size=(LINF_RANDOM_POINTS_D4, 4))])
-    fn = _abs_diff_fn(target, comb)
-    vals = fn(points)
+    points = _sup_grid(d, per_axis)
+    vals = np.abs(_target_values(target, ("sup", per_axis), points)
+                  - comb.evaluate_batch(points))
     best = float(vals.max())
     k = min(refine_top, points.shape[0])
-    top = points[np.argsort(vals)[-k:]]
+    top = points[_top_k(vals, k)]
     spacing = 2.0 / (per_axis - 1)
-    return max(best, _ternary_refine(fn, top, spacing))
+    return max(best, _ternary_refine(_abs_diff_fn(target, comb), top, spacing))
 
 
 def _ternary_refine(fn, pts: np.ndarray, spacing: float, passes: int = 2,
                     iters: int = 40) -> float:
     """Cyclic per-axis ternary search from each start point; returns the max seen.
 
-    Both probes of an iteration go to fn in one call.
+    Both probes of an iteration go to fn in one call, through one probe
+    buffer whose first n rows carry the lower probe and the rest the upper.
     """
     x = pts.copy()
     seen = float(fn(x).max())
     n, d = x.shape
+    probes = np.empty((2 * n, d))
     for _ in range(passes):
         for ax in range(d):
+            probes[:n] = x
+            probes[n:] = x
             lo = np.clip(x[:, ax] - spacing, -1.0, 1.0)
             hi = np.clip(x[:, ax] + spacing, -1.0, 1.0)
             for _ in range(iters):
                 m1 = lo + (hi - lo) / 3.0
                 m2 = hi - (hi - lo) / 3.0
-                probes = np.vstack([x, x])
                 probes[:n, ax] = m1
                 probes[n:, ax] = m2
-                v1, v2 = np.split(fn(probes), 2)
-                seen = max(seen, float(v1.max()), float(v2.max()))
+                v = fn(probes)
+                v1, v2 = v[:n], v[n:]
+                seen = max(seen, float(v.max()))
                 keep_hi = v2 >= v1
                 lo = np.where(keep_hi, m1, lo)
                 hi = np.where(keep_hi, hi, m2)

@@ -29,7 +29,6 @@ __all__ = [
     "binary_entropy",
     "BINARY_ENTROPY_QUARTER",
     "packing_lower_curve",
-    "packing_lower_curve_crude",
     "family_scale_epsilon",
 ]
 
@@ -170,13 +169,6 @@ def packing_lower_curve(epsilon: float, d: int) -> float:
     q = 2.0 * d / (4.0 + d)
     alpha = math.log(2.0) * (1.0 - BINARY_ENTROPY_QUARTER)
     return alpha * (8.0 * epsilon * math.sqrt(2.0) * math.pi * d**2) ** (-q) - 1.0
-
-
-def packing_lower_curve_crude(epsilon: float, d: int, c: float) -> float:
-    """The constant-c variant (c epsilon d^2)^(-2d/(4+d)); c is caller-supplied."""
-    if not epsilon > 0 or not c > 0:
-        raise UsageError("epsilon and c must be positive")
-    return (c * epsilon * d**2) ** (-2.0 * d / (4.0 + d))
 
 
 def family_scale_epsilon(R: int, d: int) -> float:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from . import rng as _rng
-from .core import RidgeAtom
+from .core import RidgeAtom, half_quadratic
 from .errors import UsageError
 from .quadrature import _leggauss
 
@@ -194,13 +195,19 @@ def v_fs(meas: SpectralMeasure, s: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TargetFunction:
-    """A target with batch evaluation and its exact expansion data at the origin."""
+    """A target with batch evaluation and its exact expansion data at the origin.
+
+    `values_on` keeps the target's values on the fixed point sets that every
+    error measurement reuses; the memo lives and dies with the instance.
+    """
 
     d: int
     b0: float
     a0: np.ndarray
     A0: np.ndarray
     _fn: object
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _memo_lock: object = field(default_factory=threading.Lock, init=False, repr=False)
 
     def __post_init__(self):
         a0 = np.array(self.a0, dtype=float, copy=True)
@@ -236,6 +243,20 @@ class TargetFunction:
             raise UsageError(f"points must have shape (n, {self.d})")
         return np.asarray(self._fn(points), dtype=float)
 
+    def values_on(self, key, points: np.ndarray) -> np.ndarray:
+        """evaluate_batch(points), computed once per key and kept read-only.
+
+        key must name the fixed point set `points`.  The lock makes a second
+        thread wait for the first fill instead of reading a partial one.
+        """
+        with self._memo_lock:
+            vals = self._memo.get(key)
+            if vals is None:
+                vals = self.evaluate_batch(points)
+                vals.setflags(write=False)
+                self._memo[key] = vals
+        return vals
+
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
         return float(self.evaluate_batch(x[None, :])[0])
@@ -245,7 +266,7 @@ class TargetFunction:
         points = np.asarray(points, dtype=float)
         out = self.evaluate_batch(points) - self.b0 - points @ self.a0
         if s == 3:
-            out = out - 0.5 * ((points @ self.A0) * points).sum(axis=1)
+            out = out - half_quadratic(points, self.A0)
         return out
 
 

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from ridgecomb import cli
 from ridgecomb.cli import main
-from ridgecomb.metrics import CSV_HEADER
+from ridgecomb.errors import BuilderError
+from ridgecomb.metrics import CSV_HEADER, lower_bound_floor
 
 
 def read_bytes_map(out: Path) -> dict:
@@ -173,6 +175,24 @@ class TestRateSweep:
                      "--m", "4,8,16", "--seeds", seeds, "--out", str(out)]) == 0
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["config"]["seeds"] == [3 * k for k in range(10)]
+
+    def test_failed_cell_reports_its_builder_error(self, tmp_path, monkeypatch, capsys):
+        build = cli.build_from_config
+
+        def failing(rep, target, bcfg):
+            if (bcfg["method"], bcfg["m"], bcfg["seed"]) == ("iid", 8, 3):
+                raise BuilderError("no draws in cell 5")
+            return build(rep, target, bcfg)
+
+        monkeypatch.setattr(cli, "build_from_config", failing)
+        out = tmp_path / "s"
+        assert main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                     "--m", "4,8,16", "--seeds", "10", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["builder-error m=8 method=iid seed=3: no draws in cell 5"]
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        failed = [r for r in rows if r.split(",")[7] != "ok"]
+        assert failed == [f"8,iid,3,,,0,0,builder-error,{lower_bound_floor(8, 1, 2, 1.0):.12e}"]
 
 
 class TestVerify:

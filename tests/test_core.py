@@ -15,7 +15,6 @@ from ridgecomb import (
     RidgeCombination,
     UsageError,
     atom_sup_distance,
-    eval_atom,
     make_affine,
 )
 
@@ -28,22 +27,22 @@ class TestAtomEvaluation:
     def test_ramp_at_threshold_half(self):
         # e1 direction, t = 0.5, x = (1, 0, ..., 0)
         atom = unit_atom(a=(1.0, 0.0, 0.0), t=0.5, s=2)
-        assert eval_atom(atom, np.array([1.0, 0.0, 0.0])) == pytest.approx(0.5)
+        assert atom.evaluate(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.5)
 
     def test_squared_ramp_squares_the_ramp(self):
         atom = unit_atom(a=(1.0, 0.0, 0.0), t=0.5, s=3)
-        assert eval_atom(atom, np.array([1.0, 0.0, 0.0])) == pytest.approx(0.25)
+        assert atom.evaluate(np.array([1.0, 0.0, 0.0])) == pytest.approx(0.25)
 
     def test_threshold_one_kills_everything_on_the_cube(self):
         atom = unit_atom(a=(0.5, 0.5), t=1.0)
         for x in ([1.0, 1.0], [1.0, -1.0], [-0.3, 0.9]):
-            assert eval_atom(atom, np.array(x)) == 0.0
+            assert atom.evaluate(np.array(x)) == 0.0
 
     def test_sign_flips_output(self):
         plus = unit_atom(sign=1, t=0.2)
         minus = unit_atom(sign=-1, t=0.2)
         x = np.array([0.9])
-        assert eval_atom(plus, x) == -eval_atom(minus, x) == pytest.approx(0.7)
+        assert plus.evaluate(x) == -minus.evaluate(x) == pytest.approx(0.7)
 
     def test_batch_matches_scalar(self):
         atom = unit_atom(a=(0.6, -0.4), t=0.3, s=3)

@@ -1,12 +1,18 @@
 """Error norms, rate fits, and the sanity floor."""
 
+import gc
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from ridgecomb import (
     RidgeAtom,
@@ -26,7 +32,19 @@ from ridgecomb import (
     spectral_representation,
     target_of,
 )
-from ridgecomb.metrics import CSV_HEADER, _abs_diff_fn, _ternary_refine
+from ridgecomb import rng
+from ridgecomb.metrics import (
+    CSV_HEADER,
+    DEFAULT_LINF_GRID,
+    LINF_RANDOM_POINTS_D4,
+    _abs_diff_fn,
+    _sobol_rule,
+    _sup_grid,
+    _ternary_refine,
+    _top_k,
+)
+from ridgecomb.quadrature import uniform_cube_rule
+from ridgecomb.spectral import TargetFunction
 
 # closed form for || sin(pi x)/(4 pi) - x/4 || in L2([-1,1], dx/2):
 # (1/2) int (x/4 - sin(pi x)/(4 pi))^2 dx = 1/48 - 3/(32 pi^2)
@@ -139,6 +157,119 @@ def refinement_cases():
     ]
 
 
+def l2_error_uncached(target, comb, nodes=64):
+    """l2_error on a freshly built rule with fresh target values."""
+    if target.d <= 3:
+        points, weights = uniform_cube_rule.__wrapped__(target.d, nodes)
+    else:
+        points = 2.0 * qmc.Sobol(d=4, scramble=False).random(2**16) - 1.0
+        weights = np.full(points.shape[0], 1.0 / points.shape[0])
+    diff = target.evaluate_batch(points) - comb.evaluate_batch(points)
+    return float(np.sqrt(np.sum(weights * diff * diff)))
+
+
+def linf_error_uncached(target, comb, refine_top=10):
+    """linf_error on a freshly built grid, with a full sort and the per-probe refinement."""
+    d = target.d
+    per_axis = DEFAULT_LINF_GRID[d]
+    mesh = np.meshgrid(*([np.linspace(-1.0, 1.0, per_axis)] * d), indexing="ij")
+    points = np.stack([g.ravel() for g in mesh], axis=1)
+    if d == 4:
+        gen = rng.stream(0, rng.PROBE)
+        points = np.vstack([points, gen.uniform(-1.0, 1.0, size=(LINF_RANDOM_POINTS_D4, 4))])
+    fn = _abs_diff_fn(target, comb)
+    vals = fn(points)
+    top = points[np.argsort(vals)[-refine_top:]]
+    return max(float(vals.max()), ternary_refine_per_probe(fn, top, 2.0 / (per_axis - 1)))
+
+
+def cosine_target(d):
+    """A 2-frequency cosine-sum representation at dimension d, s = 3."""
+    gen = np.random.default_rng(0)
+    meas = SpectralMeasure(omegas=np.pi / 2 * gen.integers(-2, 3, size=(2, d)) + 0.5,
+                           mags=[0.7, 0.4], phases=[0.3, -2.0])
+    rep = spectral_representation(meas, 3)
+    return rep, target_of(rep)
+
+
+class TestCachedPointSets:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_errors_equal_the_uncached_reference(self, d):
+        rep, tgt = cosine_target(d)
+        # the first combination fills the target's memo, the second reads it
+        for seed in (1, 2):
+            comb = build_iid(rep, 16, tgt, seed=seed)
+            assert l2_error(tgt, comb) == l2_error_uncached(tgt, comb)
+            assert linf_error(tgt, comb) == linf_error_uncached(tgt, comb)
+
+    def test_points_and_values_are_read_only(self):
+        rep, tgt = cosine_target(4)
+        measure_report(tgt, build_iid(rep, 8, tgt, seed=0), 8, "iid", 0)
+        arrays = [_sup_grid(4, DEFAULT_LINF_GRID[4]), *_sobol_rule(),
+                  *tgt._memo.values()]
+        assert len(arrays) == 5
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_target_is_evaluated_once_per_point_set(self, monkeypatch):
+        rep, tgt = cosine_target(3)
+        sizes = []
+        evaluate = TargetFunction.evaluate_batch
+
+        def counting(self, points):
+            sizes.append(len(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
+        for seed in range(20):
+            measure_report(tgt, build_iid(rep, 8, tgt, seed=seed), 8, "iid", seed)
+        assert sizes.count(64**3) == 1
+        assert sizes.count(DEFAULT_LINF_GRID[3] ** 3) == 1
+        assert max(n for n in sizes if n not in (64**3, DEFAULT_LINF_GRID[3] ** 3)) <= 20
+
+    def test_memo_is_freed_with_its_target(self):
+        rep, tgt = cosine_target(2)
+        measure_report(tgt, build_iid(rep, 8, tgt, seed=0), 8, "iid", 0)
+        refs = [weakref.ref(tgt)] + [weakref.ref(v) for v in tgt._memo.values()]
+        assert len(refs) == 3
+        del rep, tgt
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    def test_threads_sharing_a_target_agree(self, monkeypatch):
+        # more threads than cores and a short switch interval, so fills interleave
+        rep, tgt = cosine_target(3)
+        combs = [build_iid(rep, 8, tgt, seed=seed) for seed in range(4)]
+        fills = []
+        evaluate = TargetFunction.evaluate_batch
+
+        def counting(self, points):
+            if len(points) > 20:
+                fills.append(len(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
+        barrier = threading.Barrier(len(combs), timeout=60)
+
+        def measure(comb):
+            barrier.wait()
+            return l2_error(tgt, comb), linf_error(tgt, comb)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(combs)) as pool:
+                futures = [pool.submit(measure, c) for c in combs]
+                shared = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(fills) == [64**3, DEFAULT_LINF_GRID[3] ** 3]
+        monkeypatch.undo()
+        _, fresh = cosine_target(3)
+        assert shared == [(l2_error(fresh, c), linf_error(fresh, c)) for c in combs]
+
+
 class TestLinfError:
     @pytest.mark.parametrize("case", range(4))
     def test_batched_refinement_matches_per_probe_loop(self, case):
@@ -147,6 +278,28 @@ class TestLinfError:
         pts = gen.uniform(-1.0, 1.0, size=(10, tgt.d))
         fn = _abs_diff_fn(tgt, comb)
         assert _ternary_refine(fn, pts, 2.0 / 64) == ternary_refine_per_probe(fn, pts, 2.0 / 64)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_equals_the_uncached_reference(self, case):
+        tgt, comb = refinement_cases()[case]
+        assert linf_error(tgt, comb) == linf_error_uncached(tgt, comb)
+
+    @given(n=st.integers(min_value=1, max_value=400), k=st.integers(min_value=1, max_value=12),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_top_k_matches_the_full_sort(self, n, k, seed):
+        k = min(k, n)
+        gen = np.random.default_rng(seed)
+        vals = gen.permutation(n).astype(float)  # distinct, so the k-th value is unique
+        assert np.array_equal(_top_k(vals, k), np.argsort(vals)[-k:])
+        # with ties (at the k-th value the full sort decides) the set still agrees
+        tied = np.floor(vals / 3.0)
+        assert set(_top_k(tied, k)) == set(np.argsort(tied)[-k:])
+
+    def test_top_k_ties_at_the_kth_value_follow_the_full_sort(self):
+        # a partial sort picks other rows among equal values than the full sort
+        for vals in (np.zeros(1000), np.r_[np.ones(3), np.zeros(997)][::-1]):
+            assert np.array_equal(_top_k(vals, 10), np.argsort(vals)[-10:])
 
     def test_identical_pair_is_zero(self):
         c = single_ramp(0.3)

@@ -15,7 +15,7 @@ from ridgecomb import (
     select_packing,
     sine_family,
 )
-from ridgecomb.packing import BINARY_ENTROPY_QUARTER, packing_lower_curve_crude
+from ridgecomb.packing import BINARY_ENTROPY_QUARTER
 from ridgecomb.quadrature import uniform_cube_rule
 
 
@@ -131,12 +131,6 @@ class TestLowerCurve:
         eps = family_scale_epsilon(R, d)
         count_form = 2.0 ** ((1.0 - BINARY_ENTROPY_QUARTER) * R**d - 1.0)
         assert count_form >= math.exp(packing_lower_curve(eps, d)) - 1e-9
-
-    def test_crude_variant_uses_caller_constant(self):
-        assert packing_lower_curve_crude(0.01, 2, 1.0) == pytest.approx(
-            (0.01 * 4.0) ** (-2.0 * 2.0 / 6.0), rel=1e-15)
-        with pytest.raises(UsageError):
-            packing_lower_curve_crude(0.01, 2, 0.0)
 
     def test_entropy_constant(self):
         assert abs(binary_entropy(0.25) - BINARY_ENTROPY_QUARTER) <= 1e-15
