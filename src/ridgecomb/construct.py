@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as _rng
-from .core import RidgeAtom, RidgeCombination
+from .core import RidgeCombination
 from .errors import BuilderError, UsageError
 from .spectral import (
     THRESHOLD_ZERO_OFFSET,
@@ -27,7 +27,7 @@ from .spectral import (
     TargetFunction,
     _draw_arrays,
     _force_unit_l1,
-    sample_atom_simplified,
+    sample_simplified_arrays,
     threshold_law,
 )
 
@@ -55,15 +55,12 @@ def _check_build_args(rep: IntegralRepresentation, m, target: TargetFunction):
         raise UsageError(f"representation dimension {rep.d} != target dimension {target.d}")
 
 
-def _assemble(rep, target, coeffs, eta, t, a, v) -> RidgeCombination:
-    terms = []
-    for i in range(len(coeffs)):
-        atom = RidgeAtom(sign=int(eta[i]), a=a[i], t=float(t[i]), s=rep.s)
-        terms.append((float(coeffs[i]), atom))
-    A0 = target.A0 if rep.s == 3 else None
-    return RidgeCombination(
-        d=rep.d, s=rep.s, b0=target.b0, a0=target.a0, A0=A0, v=v, terms=tuple(terms)
-    )
+def _combination(s: int, target: TargetFunction, v: float,
+                 coef, sign, A, t) -> RidgeCombination:
+    """The target's affine (+ quadratic for s = 3) part plus the given terms."""
+    A0 = target.A0 if s == 3 else None
+    return RidgeCombination.from_arrays(target.d, s, target.b0, target.a0, A0, v,
+                                        coef, sign, A, t)
 
 
 # --- i.i.d. builder ---
@@ -73,11 +70,10 @@ def build_iid(rep: IntegralRepresentation, m: int, target: TargetFunction,
     """m-term Monte Carlo combination; coefficients are the sampled signs."""
     _check_build_args(rep, m, target)
     if rep.v == 0.0:  # constant-plus-affine target: nothing to sample
-        return _assemble(rep, target, np.zeros(0), np.zeros(0, dtype=int),
-                         np.zeros(0), np.zeros((0, rep.d)), 0.0)
+        return _combination(rep.s, target, 0.0, (), (), (), ())
     gen = _rng.stream(rep.seed if seed is None else seed, _rng.ATOMS)
     eta, t, a = _draw_arrays(gen, rep, int(m))
-    return _assemble(rep, target, eta.astype(float), eta, t, a, rep.v)
+    return _combination(rep.s, target, rep.v, eta.astype(float), eta, a, t)
 
 
 def build_simplified(meas, s: int, m: int, target: TargetFunction,
@@ -85,13 +81,8 @@ def build_simplified(meas, s: int, m: int, target: TargetFunction,
     """i.i.d. build from the uniform-threshold sampler; handles constant targets."""
     if target.d != meas.d:
         raise UsageError(f"measure dimension {meas.d} != target dimension {target.d}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise UsageError(f"term budget m must be a positive integer, got {m}")
-    terms, v = sample_atom_simplified(meas, s, m, seed=seed)
-    A0 = target.A0 if s == 3 else None
-    return RidgeCombination(
-        d=target.d, s=s, b0=target.b0, a0=target.a0, A0=A0, v=v, terms=tuple(terms)
-    )
+    b, t, a, v = sample_simplified_arrays(meas, s, m, seed=seed)
+    return _combination(s, target, v, b, np.where(b >= 0, 1, -1), a, t)
 
 
 # --- stratified partition ---
@@ -443,8 +434,7 @@ def build_stratified(rep: IntegralRepresentation, m: int, epsilon: float, mode: 
     """
     _check_build_args(rep, m, target)
     if rep.v == 0.0:
-        return _assemble(rep, target, np.zeros(0), np.zeros(0, dtype=int),
-                         np.zeros(0), np.zeros((0, rep.d)), 0.0)
+        return _combination(rep.s, target, 0.0, (), (), (), ())
     plan = exact_sine_masses(_reachable_plan(rep, epsilon), rep)
     alloc = allocate(plan, int(m), mode, seed=seed)
 
@@ -460,7 +450,7 @@ def build_stratified(rep: IntegralRepresentation, m: int, epsilon: float, mode: 
     coeffs = coeff_of_row[rows] * eta
     T = rows.size
     v_stored = rep.v * T / float(m)
-    return _assemble(rep, target, coeffs, eta, t, a, v_stored)
+    return _combination(rep.s, target, v_stored, coeffs, eta, a, t)
 
 
 # --- inner-weight sparsifier ---
@@ -483,27 +473,22 @@ def sparsify(c: RidgeCombination, cfg: SparsifierConfig) -> RidgeCombination:
     with at most m0 nonzero entries and unit l1 norm.  Signs, thresholds,
     coefficients, the scale, and the affine/quadratic parts are untouched.
     """
-    if not c.terms:
+    if not c.term_count:
         return c
-    B, A, T = c._stacked
-    rowsum = np.abs(A).sum(axis=1)
+    rowsum = np.abs(c.A).sum(axis=1)
     if np.any(np.abs(rowsum - 1.0) > 1e-12):
         raise UsageError("sparsify requires every inner vector to have unit l1 norm")
     gen = _rng.stream(cfg.seed, _rng.SPARSIFY)
-    absA = np.abs(A) / rowsum[:, None]
+    absA = np.abs(c.A) / rowsum[:, None]
     # put each row's largest probability last so the remainder category absorbs
     # float slack in the multinomial's per-row sums
     perm = np.argsort(absA, axis=1, kind="stable")
     counts_p = gen.multinomial(cfg.m0, np.take_along_axis(absA, perm, axis=1))
     counts = np.empty_like(counts_p)
     np.put_along_axis(counts, perm, counts_p, axis=1)
-    newA = _force_unit_l1(np.sign(A) * counts / float(cfg.m0))
-    terms = tuple(
-        (float(B[i]),
-         RidgeAtom(sign=c.terms[i][1].sign, a=newA[i], t=float(T[i]), s=c.s))
-        for i in range(len(c.terms))
-    )
-    return RidgeCombination(d=c.d, s=c.s, b0=c.b0, a0=c.a0, A0=c.A0, v=c.v, terms=terms)
+    newA = _force_unit_l1(np.sign(c.A) * counts / float(cfg.m0))
+    return RidgeCombination.from_arrays(c.d, c.s, c.b0, c.a0, c.A0, c.v,
+                                        c.coef, c.sign, newA, c.t)
 
 
 def build_sparse(rep: IntegralRepresentation, m: int, m0: int, target: TargetFunction,

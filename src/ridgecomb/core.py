@@ -7,9 +7,9 @@ s in {2, 3} (ramp or squared ramp).  A combination adds an affine part
     b0 + a0 . x [+ 0.5 x^T A0 x]  +  outer * sum_k b_k (a_k . x - t_k)_+^(s-1)
 
 with outer = v/m for s = 2 and v/(2m) for s = 3, where m is the number of
-stored terms.  Term coefficients b_k always lie in [-1, 1]; the sampled sign
-of each atom is kept on the atom itself but the coefficient carries it at
-evaluation time.
+stored terms.  The terms are stored as arrays of b_k in [-1, 1], atom signs,
+a_k and t_k; evaluation reads b_k, which carries the sign, and RidgeAtom
+objects are built only when a caller asks for (b, atom) pairs.
 
 The term sum is evaluated one of two ways, chosen from the combination
 itself.  When the terms share few directions (terms >= 8 x distinct
@@ -27,8 +27,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -39,16 +39,17 @@ _DENSE_BLOCK_ELEMS = 1 << 16  # points x terms per block of the dense term sum
 _GROUPED_MIN_REPEAT = 8  # grouped term sum when terms >= this x distinct directions
 
 
-def _as_vector(a, d: int | None = None) -> np.ndarray:
-    arr = np.array(a, dtype=float, copy=True)
-    if arr.ndim != 1:
-        raise UsageError(f"expected a 1-d vector, got shape {arr.shape}")
-    if d is not None and arr.size != d:
-        raise UsageError(f"expected length {d}, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise UsageError("vector entries must be finite")
-    arr.setflags(write=False)
-    return arr
+def _numeric(x, what: str) -> np.ndarray:
+    """An owned float array copy of x, or UsageError when x is not numeric."""
+    try:
+        return np.array(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{what} must be numeric: {exc}") from exc
+
+
+def _check(values: np.ndarray, ok: np.ndarray, what: str) -> None:
+    if not np.all(ok):
+        raise UsageError(f"{what}, got {values[~ok][0]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,16 +66,13 @@ class RidgeAtom:
             raise UsageError(f"sign must be -1 or +1, got {self.sign}")
         if self.s not in (2, 3):
             raise UsageError(f"order s must be 2 or 3, got {self.s}")
-        a = _as_vector(self.a)
-        if float(np.abs(a).sum()) > 1.0 + _L1_TOL:
-            raise UsageError(f"||a||_1 = {np.abs(a).sum()} exceeds 1")
-        t = float(self.t)
+        a, t = _numeric(self.a, "a"), float(self.t)
+        if a.ndim != 1 or not float(np.abs(a).sum()) <= 1.0 + _L1_TOL:  # NaN fails too
+            raise UsageError(f"a must be a finite 1-d vector with ||a||_1 <= 1, got {a}")
         if not (0.0 <= t <= 1.0):
             raise UsageError(f"threshold t must lie in [0, 1], got {t}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "sign", int(self.sign))
-        object.__setattr__(self, "s", int(self.s))
+        a.setflags(write=False)
+        self.__dict__.update(sign=int(self.sign), a=a, t=t, s=int(self.s))
 
     @property
     def d(self) -> int:
@@ -88,6 +86,10 @@ class RidgeAtom:
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         z = np.maximum(points @ self.a - self.t, 0.0)
         return self.sign * z ** (self.s - 1)
+
+
+def _atoms(sign: np.ndarray, A: np.ndarray, t: np.ndarray, s: int) -> list[RidgeAtom]:
+    return [RidgeAtom(sign=sg, a=a, t=tk, s=s) for sg, a, tk in zip(sign.tolist(), A, t.tolist())]
 
 
 def half_quadratic(points: np.ndarray, A0: np.ndarray) -> np.ndarray:
@@ -136,9 +138,14 @@ class CubeDomain:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RidgeCombination:
-    """Affine (+ quadratic for s = 3) part plus a scaled average of ridge atoms."""
+    """Affine (+ quadratic for s = 3) part plus a scaled average of ridge atoms.
+
+    The terms are read-only arrays coef (m,), sign (m,), A (m, d) and t (m,),
+    as from_arrays takes them; the constructor takes (b, RidgeAtom) pairs,
+    which the terms property gives back, built on first access.
+    """
 
     d: int
     s: int
@@ -146,45 +153,71 @@ class RidgeCombination:
     a0: np.ndarray
     A0: np.ndarray | None
     v: float
-    terms: tuple[tuple[float, RidgeAtom], ...]
+    coef: np.ndarray
+    sign: np.ndarray
+    A: np.ndarray
+    t: np.ndarray
 
-    def __post_init__(self):
-        if self.s not in (2, 3):
-            raise UsageError(f"order s must be 2 or 3, got {self.s}")
-        a0 = _as_vector(self.a0, self.d)
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "b0", float(self.b0))
-        object.__setattr__(self, "v", float(self.v))
-        if self.v < 0:
-            raise UsageError(f"scale v must be nonnegative, got {self.v}")
-        if self.s == 2:
-            if self.A0 is not None:
+    def __init__(self, d, s, b0, a0, A0, v, terms=()):
+        terms = tuple(terms)
+        coef, atoms = zip(*terms) if terms else ((), ())
+        if any(atom.s != s for atom in atoms):
+            raise UsageError("term atom does not match the combination's (d, s)")
+        self.__dict__.update(vars(self.from_arrays(
+            d, s, b0, a0, A0, v, coef, [atom.sign for atom in atoms],
+            [atom.a for atom in atoms], [atom.t for atom in atoms])))
+
+    @classmethod
+    def from_arrays(cls, d, s, b0, a0, A0, v, coef, sign, A, t) -> "RidgeCombination":
+        """Validate every field, each array in one pass, and keep owned read-only copies."""
+        if s not in (2, 3):
+            raise UsageError(f"order s must be 2 or 3, got {s}")
+        coef, sign = _numeric(coef, "term coefficients"), _numeric(sign, "term signs")
+        A, t = _numeric(A, "term inner vectors"), _numeric(t, "term thresholds")
+        m = coef.size
+        if A.size == 0:
+            A = np.zeros((0, d))
+        if coef.shape != (m,) or sign.shape != (m,) or A.shape != (m, d) or t.shape != (m,):
+            raise UsageError(f"term arrays must have shapes ({m},) and ({m}, {d}), got "
+                             f"{coef.shape}, {sign.shape}, {A.shape} and {t.shape}")
+        # NaN fails every test below; a non-finite entry of A fails the l1 test
+        _check(sign, (sign == 1) | (sign == -1), "sign must be -1 or +1")
+        _check(coef, np.abs(coef) <= 1.0 + _L1_TOL, "term coefficient must lie in [-1, 1]")
+        _check(t, (t >= 0.0) & (t <= 1.0), "threshold t must lie in [0, 1]")
+        l1 = np.abs(A).sum(axis=1)
+        _check(l1, l1 <= 1.0 + _L1_TOL, "||a||_1 must be finite and at most 1")
+        sign = sign.astype(np.int64)
+        a0, b0, v = _numeric(a0, "a0"), float(b0), float(v)
+        if a0.shape != (d,) or not np.all(np.isfinite(a0)):
+            raise UsageError(f"a0 must be a finite vector of length {d}, got shape {a0.shape}")
+        if not (math.isfinite(b0) and math.isfinite(v) and v >= 0):
+            raise UsageError(f"b0 and v must be finite and v nonnegative, got b0={b0}, v={v}")
+        if A0 is not None:
+            if s == 2:
                 raise UsageError("quadratic part A0 is only allowed for s = 3")
-        elif self.A0 is not None:
-            A0 = np.array(self.A0, dtype=float, copy=True)
-            if A0.shape != (self.d, self.d):
-                raise UsageError(f"A0 must be {self.d}x{self.d}, got {A0.shape}")
-            if not np.allclose(A0, A0.T, atol=1e-10):
-                raise UsageError("A0 must be symmetric")
-            A0.setflags(write=False)
-            object.__setattr__(self, "A0", A0)
-        terms = tuple((float(b), atom) for b, atom in self.terms)
-        for b, atom in terms:
-            if abs(b) > 1.0 + _L1_TOL:
-                raise UsageError(f"term coefficient {b} lies outside [-1, 1]")
-            if atom.s != self.s or atom.d != self.d:
-                raise UsageError("term atom does not match the combination's (d, s)")
-        object.__setattr__(self, "terms", terms)
+            A0 = _numeric(A0, "A0")
+            if A0.shape != (d, d) or not (np.all(np.isfinite(A0))
+                                          and np.allclose(A0, A0.T, atol=1e-10)):
+                raise UsageError(f"A0 must be a finite symmetric {d}x{d} matrix")
+        for arr in (a0, A0, coef, sign, A, t):
+            if arr is not None:
+                arr.setflags(write=False)
+        comb = cls.__new__(cls)
+        comb.__dict__.update(d=d, s=s, b0=b0, a0=a0, A0=A0, v=v, coef=coef, sign=sign, A=A, t=t)
+        return comb
+
+    @cached_property
+    def terms(self) -> tuple[tuple[float, RidgeAtom], ...]:
+        """The terms as (b, RidgeAtom) pairs, built on first access."""
+        return tuple(zip(self.coef.tolist(), _atoms(self.sign, self.A, self.t, self.s)))
 
     @property
     def term_count(self) -> int:
-        return len(self.terms)
+        return self.coef.size
 
     @property
     def inner_sparsity_max(self) -> int:
-        if not self.terms:
-            return 0
-        return max(int(np.count_nonzero(atom.a)) for _, atom in self.terms)
+        return int(np.count_nonzero(self.A, axis=1).max(initial=0))
 
     @property
     def outer_scale(self) -> float:
@@ -195,17 +228,9 @@ class RidgeCombination:
         return self.v / m if self.s == 2 else self.v / (2 * m)
 
     @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        B = np.array([b for b, _ in self.terms])
-        A = np.stack([atom.a for _, atom in self.terms]) if self.terms else np.zeros((0, self.d))
-        T = np.array([atom.t for _, atom in self.terms])
-        return B, A, T
-
-    @cached_property
     def _directions(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct inner vectors (rows) and each term's row index among them."""
-        _, A, _ = self._stacked
-        dirs, inverse = np.unique(A, axis=0, return_inverse=True)
+        dirs, inverse = np.unique(self.A, axis=0, return_inverse=True)
         return dirs, inverse.ravel()
 
     @cached_property
@@ -214,7 +239,7 @@ class RidgeCombination:
 
         S[j, i] is the sum of b t^j over the group's i smallest thresholds, j < s.
         """
-        B, _, T = self._stacked
+        B, T = self.coef, self.t
         dirs, inverse = self._directions
         order = np.lexsort((T, inverse))
         ends = np.cumsum(np.bincount(inverse, minlength=dirs.shape[0]))
@@ -243,7 +268,7 @@ class RidgeCombination:
 
     def _dense_term_sum(self, points: np.ndarray) -> np.ndarray:
         """sum_k b_k (a_k . x - t_k)_+^(s-1) over blocks of points, O(n m) time, bounded memory."""
-        B, A, T = self._stacked
+        B, A, T = self.coef, self.A, self.t
         n = points.shape[0]
         step = max(1, _DENSE_BLOCK_ELEMS // B.size)
         buf = np.empty((min(step, n), B.size))
@@ -265,7 +290,7 @@ class RidgeCombination:
         out = self.b0 + points @ self.a0
         if self.s == 3 and self.A0 is not None:
             out += half_quadratic(points, self.A0)
-        if self.terms:
+        if self.term_count:
             dirs, _ = self._directions
             if self.term_count >= _GROUPED_MIN_REPEAT * dirs.shape[0]:
                 out += self.outer_scale * self._grouped_term_sum(points)
@@ -280,41 +305,27 @@ class RidgeCombination:
     # --- serialization ---
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "version": 1,
-            "dim": self.d,
-            "order": self.s,
-            "b0": self.b0,
-            "a0": [float(v) for v in self.a0],
-        }
+        doc = {"version": 1, "dim": self.d, "order": self.s, "b0": self.b0, "a0": self.a0.tolist()}
         if self.s == 3:
-            doc["A0"] = None if self.A0 is None else [[float(v) for v in row] for row in self.A0]
+            doc["A0"] = None if self.A0 is None else self.A0.tolist()
         doc["v"] = self.v
-        doc["terms"] = [
-            {"b": b, "sign": atom.sign, "a": [float(v) for v in atom.a], "t": atom.t}
-            for b, atom in self.terms
-        ]
+        cols = (self.coef.tolist(), self.sign.tolist(), self.A.tolist(), self.t.tolist())
+        doc["terms"] = [{"b": b, "sign": sign, "a": a, "t": t} for b, sign, a, t in zip(*cols)]
         return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "RidgeCombination":
         try:
-            d, s = int(doc["dim"]), int(doc["order"])
-            terms = tuple(
-                (float(t["b"]), RidgeAtom(sign=int(t["sign"]), a=t["a"], t=float(t["t"]), s=s))
-                for t in doc["terms"]
-            )
-            return cls(
-                d=d,
-                s=s,
-                b0=float(doc["b0"]),
-                a0=doc["a0"],
-                A0=doc.get("A0"),
-                v=float(doc["v"]),
-                terms=terms,
-            )
-        except (KeyError, TypeError) as exc:
+            d, s = doc["dim"], doc["order"]
+            b0, a0, A0, v = float(doc["b0"]), doc["a0"], doc.get("A0"), float(doc["v"])
+            coef, sign, A, t = (list(map(itemgetter(key), doc["terms"]))
+                                for key in ("b", "sign", "a", "t"))
+        except (KeyError, TypeError, ValueError) as exc:
             raise UsageError(f"malformed combination document: {exc}") from exc
+        if not {type(d), type(s), *map(type, sign)} <= {int}:  # not true, 2.0 or 1.5
+            raise UsageError("malformed combination document: "
+                             "dim, order and term signs must be integers")
+        return cls.from_arrays(d, s, b0, a0, A0, v, coef, sign, A, t)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
@@ -326,4 +337,4 @@ class RidgeCombination:
 
 def make_affine(d: int, s: int, b0: float, a0, A0=None, v: float = 0.0) -> RidgeCombination:
     """Combination with no ridge terms (the affine/quadratic correction alone)."""
-    return RidgeCombination(d=d, s=s, b0=b0, a0=a0, A0=A0, v=v, terms=())
+    return RidgeCombination.from_arrays(d, s, b0, a0, A0, v, (), (), (), ())

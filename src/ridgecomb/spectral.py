@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 
 from . import rng as _rng
-from .core import RidgeAtom, half_quadratic
+from .core import RidgeAtom, _atoms, half_quadratic
 from .errors import UsageError
 from .quadrature import _leggauss
 
@@ -91,16 +91,22 @@ def _sign_pos(x: np.ndarray) -> np.ndarray:
 
 
 def _force_unit_l1(a: np.ndarray) -> np.ndarray:
-    """Nudge the largest entry of each row so that np.abs(row).sum() == 1 exactly."""
-    jstar = np.argmax(np.abs(a), axis=1)
-    rows = np.arange(a.shape[0])
-    for _ in range(8):
-        total = np.abs(a).sum(axis=1)
-        bad = total != 1.0
-        if not bad.any():
-            return a
-        r, j = rows[bad], jstar[bad]
-        a[r, j] -= np.sign(a[r, j]) * (total[bad] - 1.0)
+    """Nudge entries of each row so that np.abs(row).sum() == 1 exactly.
+
+    The largest entry goes first.  Its ulp can be too coarse to land the sum on
+    1 (|a| = (1/3, 1/2, 1/6)), so rows still off then try each column, last first.
+    """
+    n, d = a.shape
+    rows = np.arange(n)
+    cols = [np.full(n, j) for j in range(d - 1, -1, -1)]
+    for jstar in [np.argmax(np.abs(a), axis=1)] + cols:
+        for _ in range(8):
+            total = np.abs(a).sum(axis=1)
+            bad = total != 1.0
+            if not bad.any():
+                return a
+            r, j = rows[bad], jstar[bad]
+            a[r, j] -= np.sign(a[r, j]) * (total[bad] - 1.0)
     raise AssertionError("could not normalize rows to exact unit l1 norm")
 
 
@@ -396,9 +402,7 @@ def _draw_arrays(gen: np.random.Generator, rep: IntegralRepresentation, n: int):
 def sample_atom(rep: IntegralRepresentation, n: int, seed: int | None = None,
                 channel: int = _rng.ATOMS) -> list[RidgeAtom]:
     eta, t, a = sample_atom_arrays(rep, n, seed, channel)
-    return [
-        RidgeAtom(sign=int(eta[i]), a=a[i], t=float(t[i]), s=rep.s) for i in range(n)
-    ]
+    return _atoms(eta, a, t, rep.s)
 
 
 def sample_simplified_arrays(meas: SpectralMeasure, s: int, n: int, seed: int = 0):
@@ -434,11 +438,7 @@ def sample_simplified_arrays(meas: SpectralMeasure, s: int, n: int, seed: int = 
 def sample_atom_simplified(meas: SpectralMeasure, s: int, n: int, seed: int = 0):
     """Atom-object form of sample_simplified_arrays: returns ([(b, atom)], v)."""
     b, t, a, v = sample_simplified_arrays(meas, s, n, seed=seed)
-    terms = [
-        (float(b[i]), RidgeAtom(sign=1 if b[i] >= 0 else -1, a=a[i], t=float(t[i]), s=s))
-        for i in range(b.size)
-    ]
-    return terms, v
+    return list(zip(b.tolist(), _atoms(np.where(b >= 0, 1, -1), a, t, s))), v
 
 
 # --- deterministic quadrature oracle for the represented mean ---

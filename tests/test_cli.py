@@ -3,16 +3,37 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ridgecomb import cli
+from ridgecomb import RidgeAtom, RidgeCombination, build_from_config, cli
 from ridgecomb.cli import main
 from ridgecomb.errors import BuilderError
 from ridgecomb.metrics import CSV_HEADER, lower_bound_floor
+from ridgecomb.targets import resolve_target
 
 
 def read_bytes_map(out: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def per_term_json_dict(c: RidgeCombination) -> dict:
+    """Schema version 1 written one (b, atom) term at a time: the reference serializer."""
+    doc = {
+        "version": 1,
+        "dim": c.d,
+        "order": c.s,
+        "b0": c.b0,
+        "a0": [float(v) for v in c.a0],
+    }
+    if c.s == 3:
+        doc["A0"] = None if c.A0 is None else [[float(v) for v in row] for row in c.A0]
+    doc["v"] = c.v
+    doc["terms"] = [
+        {"b": b, "sign": atom.sign, "a": [float(v) for v in atom.a], "t": atom.t}
+        for b, atom in c.terms
+    ]
+    return doc
 
 
 class TestCatalog:
@@ -97,6 +118,46 @@ class TestBuild:
         out = tmp_path / "o"
         assert main(["build", "--target", "sine-ridge:1,1,1", "--method", "stratified",
                      "--m", "4096", "--out", str(out)]) == 0
+
+
+class TestCombinationTerms:
+    def test_cli_paths_build_no_atom_objects(self, tmp_path, monkeypatch):
+        def refuse(atom):
+            raise AssertionError("a RidgeAtom was built")
+
+        monkeypatch.setattr(RidgeAtom, "__post_init__", refuse)
+        for method in ("iid", "sparse", "stratified"):
+            assert main(["build", "--target", "sine-ridge:1,1", "--s", "3", "--method", method,
+                         "--m", "64", "--m0", "2", "--out", str(tmp_path / method)]) == 0
+        assert main(["rate-sweep", "--target", "sine-ridge:1", "--methods",
+                     "iid,sparse,stratified", "--m", "4,8,16", "--seeds", "10",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        with pytest.raises(AssertionError):
+            RidgeCombination.load(tmp_path / "iid" / "combination.json").terms
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("method", ["iid", "sparse", "stratified"])
+    def test_terms_round_trip_and_match_the_per_term_serializer(self, method, s, d, tmp_path):
+        target, rep = resolve_target("sine-ridge:" + ",".join(["1"] * d), s)
+        c = build_from_config(rep, target, {"method": method, "m": 32, "seed": 10 * d + s})
+        back = RidgeCombination(d=c.d, s=c.s, b0=c.b0, a0=c.a0, A0=c.A0, v=c.v, terms=c.terms)
+        for name in ("coef", "sign", "A", "t"):
+            ours, theirs = getattr(c, name), getattr(back, name)
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+            assert not ours.flags.writeable and ours.flags.owndata
+        assert isinstance(c.terms, tuple) and c.terms is c.terms
+        with pytest.raises(AttributeError):
+            c.terms = ()
+        with pytest.raises(ValueError):
+            c.terms[0][1].a[0] = 0.0
+        text = json.dumps(c.to_json_dict())
+        assert text == json.dumps(per_term_json_dict(c))
+        c.save(tmp_path / "combination.json")
+        assert (tmp_path / "combination.json").read_text() == text + "\n"
+        loaded = RidgeCombination.load(tmp_path / "combination.json")
+        assert json.dumps(loaded.to_json_dict()) == text
+        assert json.dumps(per_term_json_dict(loaded)) == text
 
 
 class TestExitCodes:

@@ -448,9 +448,12 @@ class TestSparsifier:
                 == build_iid(rep, 32, tgt, seed=9).to_json_dict())
 
     def test_budget_and_exact_unit_norm(self):
-        rep = spectral_representation(two_atom_measure(), 3)
-        tgt = target_of(rep)
-        for m0 in (1, 2):
+        # at m0 = 6 and d >= 3 rows such as |a| = (1/3, 1/2, 1/6) occur, whose
+        # largest entry alone cannot land the rounded l1 sum on 1
+        two = spectral_representation(two_atom_measure(), 3)
+        for rep, m0 in ((two, 1), (two, 2), (exact_sine_representation((1, 1, 1)), 6),
+                        (exact_sine_representation((1, 2, 1, 1)), 6)):
+            tgt = target_of(rep)
             thin = build_sparse(rep, 64, m0, tgt, seed=3)
             A = np.stack([at.a for _, at in thin.terms])
             assert int((np.abs(A) > 0).sum(axis=1).max()) <= m0

@@ -205,6 +205,54 @@ class TestCombination:
                              terms=terms)
         assert c.inner_sparsity_max == 2
 
+    @pytest.mark.parametrize("source, key, value", [
+        ("document", "b", math.nan),
+        ("document", "b", math.inf),
+        ("document", "b", 1.5),
+        ("document", "sign", 1.5),
+        ("document", "sign", True),
+        ("document", "sign", 0),
+        ("document", "t", "x"),
+        ("document", "t", math.nan),
+        ("document", "t", 1.25),
+        pytest.param("document", "a", ["x", 0.0], id="document-a-text"),
+        pytest.param("document", "a", [0.5], id="document-a-short"),
+        pytest.param("document", "a", [math.inf, 0.0], id="document-a-inf"),
+        pytest.param("document", "a", [0.75, 0.5], id="document-a-l1"),
+        ("document", "dim", 2.0),
+        ("document", "order", 2.5),
+        ("document", "b0", math.nan),
+        ("document", "v", math.inf),
+        pytest.param("document", "a0", ["x", 0.0], id="document-a0-text"),
+        pytest.param("document", "terms", [1.0], id="document-terms-number"),
+        ("constructor", "b0", math.nan),
+        ("constructor", "b0", math.inf),
+        ("constructor", "v", math.nan),
+        ("constructor", "v", math.inf),
+        ("constructor", "v", -1.0),
+        pytest.param("constructor", "terms", ((math.nan, unit_atom(a=(0.5, 0.5))),),
+                     id="constructor-terms-b-nan"),
+        pytest.param("constructor", "terms", ((1.0, unit_atom(a=(0.5, 0.5), s=3)),),
+                     id="constructor-terms-order"),
+        pytest.param("constructor", "terms", ((1.0, unit_atom(a=(1.0,))),),
+                     id="constructor-terms-dim"),
+    ])
+    def test_malformed_input_raises_usage_error(self, source, key, value):
+        doc = {"version": 1, "dim": 2, "order": 2, "b0": 0.5, "a0": [0.1, -0.2], "v": 1.75,
+               "terms": [{"b": 0.75, "sign": -1, "a": [0.25, -0.75], "t": 0.125}]}
+        args = {"d": 2, "s": 2, "b0": 0.5, "a0": [0.1, -0.2], "A0": None, "v": 1.75, "terms": ()}
+        # the unmodified inputs are accepted
+        assert RidgeCombination.from_json_dict(doc).term_count == 1
+        assert RidgeCombination(**args).term_count == 0
+        if source == "document":
+            (doc["terms"][0] if key in ("b", "sign", "a", "t") else doc)[key] = value
+            with pytest.raises(UsageError):
+                RidgeCombination.from_json_dict(doc)
+        else:
+            args[key] = value
+            with pytest.raises(UsageError):
+                RidgeCombination(**args)
+
 
 def dyadic_combination(s: int, d: int, m: int, layout: str, seed: int) -> RidgeCombination:
     """m terms whose directions, thresholds and grid projections are all exact dyadics.
