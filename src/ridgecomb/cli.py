@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as _rng
-from .construct import build_from_config, default_epsilon
+from .construct import build_from_config
 from .errors import BuilderError, UsageError
 from .metrics import (
     CSV_HEADER,
@@ -92,6 +92,13 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+def _as_int(value, key: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{key} must be an integer, got {value!r}") from exc
+
+
 def _parse_int_list(value, what: str) -> list[int]:
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
@@ -100,7 +107,7 @@ def _parse_int_list(value, what: str) -> list[int]:
         except ValueError as exc:
             raise UsageError(f"could not parse {what} list from {value!r}") from exc
     if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
+        return [_as_int(v, what) for v in value]
     if isinstance(value, int):
         return [value]
     raise UsageError(f"{what} must be an integer list, got {value!r}")
@@ -111,7 +118,7 @@ def _parse_seeds(value) -> list[int]:
     if isinstance(value, int):
         return list(range(value))
     if isinstance(value, str) and "," not in value:
-        return list(range(int(value)))
+        return list(range(_as_int(value, "seeds")))
     return _parse_int_list(value, "seeds")
 
 
@@ -130,10 +137,15 @@ def _parse_epsilon(value):
 def _parse_m0(value):
     if value is None or value == "auto":
         return "auto"
-    m0 = int(value)
+    m0 = _as_int(value, "m0")
     if m0 < 1:
         raise UsageError(f"m0 must be a positive integer, got {value!r}")
     return m0
+
+
+def _grid_sizes(cfg: dict) -> dict:
+    """The l2_nodes and linf_grid arguments of measure_report that the config sets."""
+    return {k: _as_int(cfg[k], k) for k in ("l2_nodes", "linf_grid") if cfg.get(k) is not None}
 
 
 def _merged(args: argparse.Namespace, flag_names: list[str]) -> dict:
@@ -175,14 +187,14 @@ def _write_manifest(out: Path, cfg: dict, outputs: list[str]) -> None:
     })
 
 
-def _builder_config(method: str, m: int, seed: int, d: int, mode: str,
-                    epsilon, m0) -> dict:
+def _builder_config(method: str, m: int, seed: int, mode: str, epsilon, m0) -> dict:
+    # "auto" passes through: build_from_config owns both default rules
     bcfg = {"method": method, "m": int(m), "seed": int(seed)}
     if method == "stratified":
         bcfg["mode"] = mode
-        bcfg["epsilon"] = default_epsilon(m, d, mode) if epsilon == "auto" else epsilon
+        bcfg["epsilon"] = epsilon
     elif method == "sparse":
-        bcfg["m0"] = math.ceil(math.sqrt(m)) if m0 == "auto" else m0
+        bcfg["m0"] = m0
     return bcfg
 
 
@@ -196,14 +208,15 @@ def cmd_build(args: argparse.Namespace) -> int:
         raise UsageError("build needs a target spec (--target or config)")
     if "m" not in cfg:
         raise UsageError("build needs a term budget m (--m or config)")
-    m = int(cfg["m"])
-    s = int(cfg.get("s", 2))
-    seed = int(cfg["seed"]) if "seed" in cfg else (_env_seed() or 0)
+    m = _as_int(cfg["m"], "m")
+    s = _as_int(cfg.get("s", 2), "s")
+    seed = _as_int(cfg["seed"], "seed") if "seed" in cfg else (_env_seed() or 0)
     method = cfg.get("method", "iid")
     mode = cfg.get("mode", "fractional")
     epsilon = _parse_epsilon(cfg.get("epsilon"))
     m0 = _parse_m0(cfg.get("m0"))
     out = Path(cfg.get("out", "ridgecomb_out"))
+    grid_sizes = _grid_sizes(cfg)
     force = bool(cfg.get("force", False))
 
     target, rep = resolve_target(target_spec, s, seed=seed)
@@ -214,11 +227,10 @@ def cmd_build(args: argparse.Namespace) -> int:
         "out": str(out),
     }
     comb = build_from_config(rep, target, _builder_config(
-        method, m, seed, target.d, mode, epsilon, m0))
+        method, m, seed, mode, epsilon, m0))
     out.mkdir(parents=True, exist_ok=True)
     comb.save(out / "combination.json")
-    report = measure_report(target, comb, m, method, seed,
-                            l2_nodes=cfg.get("l2_nodes"), linf_grid=cfg.get("linf_grid"))
+    report = measure_report(target, comb, m, method, seed, **grid_sizes)
     (out / "report.csv").write_text(CSV_HEADER + "\n" + report.csv_row() + "\n")
     _write_manifest(out, resolved, ["combination.json", "report.csv", "manifest.json"])
     print(f"built {method} m={m} seed={seed}: l2={report.l2:.6e} linf={report.linf:.6e} "
@@ -234,7 +246,7 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
     target_spec = cfg.get("target")
     if target_spec is None:
         raise UsageError("rate-sweep needs a target spec (--target or config)")
-    s = int(cfg.get("s", 2))
+    s = _as_int(cfg.get("s", 2), "s")
     methods = cfg.get("methods", ["iid", "stratified"])
     if isinstance(methods, str):
         methods = [t.strip() for t in methods.split(",") if t.strip()]
@@ -253,7 +265,10 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
     epsilon = _parse_epsilon(cfg.get("epsilon"))
     m0 = _parse_m0(cfg.get("m0"))
     out = Path(cfg.get("out", "ridgecomb_out"))
-    workers = int(cfg.get("workers", 4))
+    workers = _as_int(cfg.get("workers", min(4, os.cpu_count() or 1)), "workers")
+    if workers < 1:
+        raise UsageError(f"workers must be at least 1, got {workers}")
+    grid_sizes = _grid_sizes(cfg)
     force = bool(cfg.get("force", False))
 
     target, rep = resolve_target(target_spec, s, seed=0)
@@ -268,16 +283,14 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
         floor = lower_bound_floor(m, target.d, s, 1.0)
         try:
             comb = build_from_config(rep, target, _builder_config(
-                method, m, seed, target.d, mode, epsilon, m0))
-            rpt = measure_report(target, comb, m, method, seed,
-                                 l2_nodes=cfg.get("l2_nodes"),
-                                 linf_grid=cfg.get("linf_grid"))
+                method, m, seed, mode, epsilon, m0))
+            rpt = measure_report(target, comb, m, method, seed, **grid_sizes)
             return (m, method, seed, rpt, "ok", floor, None)
         except BuilderError as exc:
             return (m, method, seed, None, "builder-error", floor, str(exc))
 
     cells = [(method, m, seed) for method in methods for m in ms for seed in seeds]
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(lambda c: run_cell(*c), cells))
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
 
@@ -419,7 +432,7 @@ _VERIFY_SUITES = {
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _merged(args, ["out", "seed"])
     which = args.which
-    seed = int(cfg["seed"]) if "seed" in cfg else (_env_seed() or 0)
+    seed = _as_int(cfg["seed"], "seed") if "seed" in cfg else (_env_seed() or 0)
     out = Path(cfg.get("out", "ridgecomb_out"))
     checks = _VERIFY_SUITES[which](seed)
     all_pass = all(c["pass"] for c in checks)
@@ -479,7 +492,8 @@ def make_parser() -> argparse.ArgumentParser:
     ps.add_argument("--methods", help="comma list from iid,stratified,sparse")
     ps.add_argument("--m", help="comma list of term budgets (at least 3)")
     ps.add_argument("--seeds", help="comma list of seeds, or a bare count")
-    ps.add_argument("--workers", type=int, help="thread pool size (default 4)")
+    ps.add_argument("--workers", type=int,
+                    help="thread pool size (default: 4, or the CPU count if lower)")
     ps.set_defaults(func=cmd_rate_sweep)
 
     pv = sub.add_parser("verify", help="run a fixed-tolerance check suite")

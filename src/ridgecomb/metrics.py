@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import rng as _rng
 from .core import CubeDomain
@@ -80,6 +79,8 @@ def _target_values(target, key, points: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=1)
 def _sobol_rule() -> tuple[np.ndarray, np.ndarray]:
     """The d = 4 L2 rule: 2^16 unscrambled Sobol points with equal weights."""
+    from scipy.stats import qmc  # only this rule needs scipy; keep it off the import path
+
     sampler = qmc.Sobol(d=4, scramble=False)
     points = 2.0 * sampler.random(2**16) - 1.0
     weights = np.full(points.shape[0], 1.0 / points.shape[0])

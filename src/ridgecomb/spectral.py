@@ -20,7 +20,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from . import rng as _rng
 from .core import RidgeAtom, _atoms, half_quadratic
@@ -490,6 +489,8 @@ def verify_ramp_identity(z: float, c: float) -> float:
     Checks -integral_0^c [(z-u)_+ e^{iu} + (-z-u)_+ e^{-iu}] du = e^{iz}-iz-1
     by adaptive quadrature; requires |z| <= c.  Returns the absolute residual.
     """
+    from scipy import integrate  # identity checks only; keep scipy off the import path
+
     z, c = float(z), float(c)
     if c <= 0 or abs(z) > c:
         raise UsageError(f"need |z| <= c and c > 0, got z={z}, c={c}")
@@ -514,6 +515,8 @@ def verify_square_identity(x, omega) -> float:
     = e^{i omega.x} + (omega.x)^2/2 - i omega.x - 1 with a = omega/||omega||_1.
     Returns the absolute residual.
     """
+    from scipy import integrate  # identity checks only; keep scipy off the import path
+
     x = np.asarray(x, dtype=float)
     omega = np.asarray(omega, dtype=float)
     if x.shape != omega.shape or x.ndim != 1:

@@ -1,6 +1,9 @@
 """Command-line behavior: files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +198,27 @@ class TestExitCodes:
         assert main(["build", "--target", f"cosine-sum:{tmp_path}/absent.json",
                      "--m", "8", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv, cfg, key", [
+        (["build", "--m", "4", "--method", "sparse", "--m0", "abc"], None, "m0"),
+        (["rate-sweep", "--m", "4,8,16", "--seeds", "abc"], None, "seeds"),
+        (["rate-sweep", "--m", "4,8,16", "--seeds", "10", "--workers", "0"], None, "workers"),
+        (["build"], {"m": "x"}, "m"),
+        (["build", "--m", "4"], {"s": "x"}, "s"),
+        (["build", "--m", "4"], {"seed": "x"}, "seed"),
+        (["build", "--m", "4"], {"l2_nodes": "x"}, "l2_nodes"),
+        (["rate-sweep", "--seeds", "10"], {"m": [4, "x", 16]}, "m"),
+        (["rate-sweep", "--m", "4,8,16", "--seeds", "10"], {"workers": "x"}, "workers"),
+        (["rate-sweep", "--m", "4,8,16", "--seeds", "10"], {"linf_grid": [9]}, "linf_grid"),
+    ])
+    def test_bad_config_value_names_its_key(self, argv, cfg, key, tmp_path, capsys):
+        argv = argv + ["--target", "sine-ridge:1", "--out", str(tmp_path / "o")]
+        if cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {key} ")
+
 
 class TestRateSweep:
     def test_sweep_outputs_and_schema(self, tmp_path):
@@ -228,6 +252,14 @@ class TestRateSweep:
                      "--seeds", "10", "--out", str(tmp_path)]) == 2
         assert main(["rate-sweep", "--target", "sine-ridge:1", "--m", "4,8,16",
                      "--seeds", "5", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (64, 4)])
+    def test_default_workers_follow_the_cpu_count(self, cpus, workers, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / "s"
+        assert main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                     "--m", "4,8,16", "--seeds", "10", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["workers"] == workers
 
     def test_explicit_seed_list(self, tmp_path):
         out = tmp_path / "s"
@@ -272,3 +304,34 @@ class TestVerify:
         assert main(["verify", "sampler-fit", "--out", str(out)]) == 0
         doc = json.loads((out / "verify_sampler_fit.json").read_text())
         assert doc["pass"] is True
+
+
+class TestColdStart:
+    def test_build_and_sweep_never_import_scipy(self, tmp_path):
+        # a fresh process: the other test modules import scipy at module level
+        child = """if True:
+            import json, sys
+            import ridgecomb
+            from ridgecomb import cli
+            out = sys.argv[1]
+            runs = [
+                ["build", "--target", "sine-ridge:1,1", "--s", "3", "--method", "stratified",
+                 "--m", "16", "--out", out + "/strat"],
+                ["build", "--target", "sine-ridge:1,1,1", "--s", "3", "--method", "sparse",
+                 "--m", "16", "--m0", "2", "--out", out + "/sparse"],
+                ["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid,sparse,stratified",
+                 "--m", "4,8,16", "--seeds", "10", "--workers", "2", "--out", out + "/sweep"],
+            ]
+            rcs = [cli.main(argv) for argv in runs]
+            print(json.dumps({"rcs": rcs, "scipy": sorted(
+                k for k in sys.modules if k == "scipy" or k.startswith("scipy."))}))
+        """
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout.splitlines()[-1])
+        assert doc["rcs"] == [0, 0, 0]
+        assert doc["scipy"] == []
