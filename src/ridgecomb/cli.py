@@ -8,10 +8,12 @@ Subcommands:
               sampler-fit) with a JSON report
 - catalog     list the recognized target specs
 
-Configuration comes from an optional JSON file plus flags; flags win.  The
-RIDGE_SEED environment variable overrides the default seed but never an
-explicit one.  Every output is a deterministic function of the resolved
-configuration: rerunning a command reproduces its files byte for byte.
+Configuration comes from an optional JSON file plus flags; flags win.  A
+config file may set only the keys that its command has flags for, and every
+setting is checked before any target is resolved or built.  The RIDGE_SEED
+environment variable overrides the default seed but never an explicit one.
+Every output is a deterministic function of the resolved configuration:
+rerunning a command reproduces its files byte for byte.
 """
 
 from __future__ import annotations
@@ -51,121 +53,131 @@ from .quadrature import panel_rule
 from .spectral import verify_ramp_identity, verify_square_identity
 from .targets import catalog_entries, resolve_target
 
-DESK_MAX_D = 4
+MAX_D = 4  # the largest d the error metrics measure; --force does not lift it
 DESK_MAX_M = 4096
 DESK_MAX_SEEDS = 50
+SEED_MAX = 2**64 - 1
+METHODS = ("iid", "stratified", "sparse")
+MODES = ("signed", "fractional")
 
 SWEEP_RESULTS_HEADER = CSV_HEADER + ",status,floor"
-
-_CONFIG_KEYS = {
-    "target", "s", "method", "methods", "m", "seed", "seeds", "epsilon",
-    "mode", "m0", "out", "l2_nodes", "linf_grid", "workers", "force", "which",
-}
 
 
 # --- configuration plumbing ---
 
-def _env_seed() -> int | None:
-    raw = os.environ.get("RIDGE_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"RIDGE_SEED must be an integer, got {raw!r}") from exc
-
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise UsageError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError("config file must hold a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    return doc
-
-
-def _as_int(value, key: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{key} must be an integer, got {value!r}") from exc
-
-
-def _parse_int_list(value, what: str) -> list[int]:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
+def _merged(args: argparse.Namespace) -> dict:
+    """The config file overlaid by the flags given; its keys are the command's flags."""
+    keys = set(vars(args)) - {"command", "config", "func"}
+    cfg = {}
+    if args.config is not None:
         try:
-            return [int(p) for p in parts]
-        except ValueError as exc:
-            raise UsageError(f"could not parse {what} list from {value!r}") from exc
-    if isinstance(value, (list, tuple)):
-        return [_as_int(v, what) for v in value]
-    if isinstance(value, int):
-        return [value]
-    raise UsageError(f"{what} must be an integer list, got {value!r}")
-
-
-def _parse_seeds(value) -> list[int]:
-    # a bare integer means a count (seeds 0..n-1); a comma list is explicit
-    if isinstance(value, int):
-        return list(range(value))
-    if isinstance(value, str) and "," not in value:
-        return list(range(_as_int(value, "seeds")))
-    return _parse_int_list(value, "seeds")
-
-
-def _parse_epsilon(value):
-    if value is None or value == "auto":
-        return "auto"
-    try:
-        eps = float(value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"epsilon must be a number or 'auto', got {value!r}") from exc
-    if not eps > 0:
-        raise UsageError(f"epsilon must be positive, got {eps}")
-    return eps
-
-
-def _parse_m0(value):
-    if value is None or value == "auto":
-        return "auto"
-    m0 = _as_int(value, "m0")
-    if m0 < 1:
-        raise UsageError(f"m0 must be a positive integer, got {value!r}")
-    return m0
-
-
-def _grid_sizes(cfg: dict) -> dict:
-    """The l2_nodes and linf_grid arguments of measure_report that the config sets."""
-    return {k: _as_int(cfg[k], k) for k in ("l2_nodes", "linf_grid") if cfg.get(k) is not None}
-
-
-def _merged(args: argparse.Namespace, flag_names: list[str]) -> dict:
-    cfg = _load_config_file(getattr(args, "config", None))
-    for name in flag_names:
-        val = getattr(args, name.replace("-", "_"), None)
+            cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise UsageError(f"could not read config file {args.config}: {exc.strerror}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise UsageError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise UsageError("config file must hold a JSON object")
+        if set(cfg) - keys:
+            raise UsageError(f"unknown config keys for this command: {sorted(set(cfg) - keys)}")
+    for key in keys:
+        val = getattr(args, key)
         if val is not None and val is not False:
-            cfg[name.replace("-", "_")] = val
+            cfg[key] = val
     return cfg
 
 
-def _apply_guards(d: int, ms: list[int], seeds: list[int], force: bool):
-    if force:
-        return
-    if d > DESK_MAX_D:
-        raise UsageError(f"d={d} exceeds the desk guard d <= {DESK_MAX_D}; pass --force")
-    if any(m > DESK_MAX_M for m in ms):
+def _as_int(value, key: str, lo: int, hi: int | None = None) -> int:
+    """An integer setting in [lo, hi]; a float counts only when it is integral."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            n = int(value)
+        except ValueError:
+            pass
+        else:
+            if n >= lo and (hi is None or n <= hi):
+                return n
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise UsageError(f"{key} must be an integer {bounds}, got {value!r}")
+
+
+def _int_list(value, key: str, lo: int, hi: int | None = None) -> list[int]:
+    """A JSON list or a comma string of integers; any other value is a one-item list."""
+    if isinstance(value, str):
+        value = [p for p in value.split(",") if p.strip()]
+    elif not isinstance(value, list):
+        value = [value]
+    return [_as_int(v, key, lo, hi) for v in value]
+
+
+def _choice(value, key: str, options: tuple) -> str:
+    if value not in options:
+        raise UsageError(f"{key} must be one of {', '.join(options)}, got {value!r}")
+    return value
+
+
+def _env_seed(count: int = 1) -> int:
+    """The first of `count` default seeds: RIDGE_SEED when set, else 0.  Call it
+    only when no seed is given, so a bad RIDGE_SEED cannot fail a run that names one."""
+    return _as_int(os.environ.get("RIDGE_SEED", 0), "RIDGE_SEED", 0, SEED_MAX + 1 - count)
+
+
+def _out_dir(cfg: dict) -> Path:
+    out = cfg.get("out", "ridgecomb_out")
+    if not isinstance(out, str):
+        raise UsageError(f"out must be a directory path, got {out!r}")
+    out = Path(out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise UsageError(f"out must be a directory path, but {existing} is a file")
+    return out
+
+
+def _shared_settings(cfg: dict, command: str) -> tuple[dict, dict, bool]:
+    """Check the settings that build and rate-sweep share.
+
+    Returns the resolved config that the manifest records, the grid sizes
+    that measure_report takes, and whether the desk guards are lifted.
+    """
+    target = cfg.get("target")
+    if not isinstance(target, str):
+        raise UsageError(f"{command} needs a target spec (--target or config), got {target!r}")
+    epsilon = cfg.get("epsilon")
+    try:
+        eps = "auto" if epsilon in (None, "auto") else float(epsilon)
+    except (TypeError, ValueError):
+        eps = math.nan
+    if eps != "auto" and (isinstance(epsilon, bool) or not 0 < eps < math.inf):
+        raise UsageError(f"epsilon must be a positive number or 'auto', got {epsilon!r}")
+    m0 = cfg.get("m0")
+    m0 = "auto" if m0 is None or m0 == "auto" else _as_int(m0, "m0", 1)
+    force = cfg.get("force", False)
+    if not isinstance(force, bool):
+        raise UsageError(f"force must be true or false, got {force!r}")
+    grid_sizes = {k: _as_int(cfg[k], k, 2) for k in ("l2_nodes", "linf_grid")
+                  if cfg.get(k) is not None}
+    resolved = {
+        "command": command, "target": target, "s": _as_int(cfg.get("s", 2), "s", 2, 3),
+        "mode": _choice(cfg.get("mode", "fractional"), "mode", MODES),
+        "epsilon": eps, "m0": m0, "out": str(_out_dir(cfg)),
+    }
+    return resolved, grid_sizes, force
+
+
+def _apply_guards(ms: list[int], seeds, force: bool):
+    if not force and max(ms) > DESK_MAX_M:
         raise UsageError(f"m > {DESK_MAX_M} exceeds the desk guard; pass --force")
-    if len(seeds) > DESK_MAX_SEEDS:
+    if not force and len(seeds) > DESK_MAX_SEEDS:
         raise UsageError(f"more than {DESK_MAX_SEEDS} seeds exceeds the desk guard; pass --force")
+
+
+def _resolve(resolved: dict, seed: int):
+    target, rep = resolve_target(resolved["target"], resolved["s"], seed=seed)
+    if target.d > MAX_D:
+        raise UsageError(f"d={target.d} exceeds d <= {MAX_D}, the most the error metrics measure")
+    return target, rep
 
 
 def _config_hash(cfg: dict) -> str:
@@ -187,47 +199,28 @@ def _write_manifest(out: Path, cfg: dict, outputs: list[str]) -> None:
     })
 
 
-def _builder_config(method: str, m: int, seed: int, mode: str, epsilon, m0) -> dict:
-    # "auto" passes through: build_from_config owns both default rules
-    bcfg = {"method": method, "m": int(m), "seed": int(seed)}
-    if method == "stratified":
-        bcfg["mode"] = mode
-        bcfg["epsilon"] = epsilon
-    elif method == "sparse":
-        bcfg["m0"] = m0
-    return bcfg
+def _builder_config(resolved: dict, method: str, m: int, seed: int) -> dict:
+    # build_from_config ignores the keys a method does not use and owns the "auto" rules
+    return {"method": method, "m": m, "seed": seed, "mode": resolved["mode"],
+            "epsilon": resolved["epsilon"], "m0": resolved["m0"]}
 
 
 # --- build ---
 
 def cmd_build(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ["target", "s", "method", "m", "seed", "epsilon", "mode",
-                         "m0", "out", "l2_nodes", "linf_grid", "force"])
-    target_spec = cfg.get("target")
-    if target_spec is None:
-        raise UsageError("build needs a target spec (--target or config)")
+    cfg = _merged(args)
+    resolved, grid_sizes, force = _shared_settings(cfg, "build")
     if "m" not in cfg:
         raise UsageError("build needs a term budget m (--m or config)")
-    m = _as_int(cfg["m"], "m")
-    s = _as_int(cfg.get("s", 2), "s")
-    seed = _as_int(cfg["seed"], "seed") if "seed" in cfg else (_env_seed() or 0)
-    method = cfg.get("method", "iid")
-    mode = cfg.get("mode", "fractional")
-    epsilon = _parse_epsilon(cfg.get("epsilon"))
-    m0 = _parse_m0(cfg.get("m0"))
-    out = Path(cfg.get("out", "ridgecomb_out"))
-    grid_sizes = _grid_sizes(cfg)
-    force = bool(cfg.get("force", False))
+    m = _as_int(cfg["m"], "m", 1)
+    seed = _as_int(cfg["seed"], "seed", 0, SEED_MAX) if "seed" in cfg else _env_seed()
+    method = _choice(cfg.get("method", "iid"), "method", METHODS)
+    _apply_guards([m], [seed], force)
+    resolved.update(method=method, m=m, seed=seed)
 
-    target, rep = resolve_target(target_spec, s, seed=seed)
-    _apply_guards(target.d, [m], [seed], force)
-    resolved = {
-        "command": "build", "target": target_spec, "s": s, "method": method,
-        "m": m, "seed": seed, "mode": mode, "epsilon": epsilon, "m0": m0,
-        "out": str(out),
-    }
-    comb = build_from_config(rep, target, _builder_config(
-        method, m, seed, mode, epsilon, m0))
+    target, rep = _resolve(resolved, seed)
+    comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
+    out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
     comb.save(out / "combination.json")
     report = measure_report(target, comb, m, method, seed, **grid_sizes)
@@ -241,49 +234,41 @@ def cmd_build(args: argparse.Namespace) -> int:
 # --- rate sweep ---
 
 def cmd_rate_sweep(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ["target", "s", "methods", "m", "seeds", "epsilon", "mode",
-                         "m0", "out", "workers", "l2_nodes", "linf_grid", "force"])
-    target_spec = cfg.get("target")
-    if target_spec is None:
-        raise UsageError("rate-sweep needs a target spec (--target or config)")
-    s = _as_int(cfg.get("s", 2), "s")
+    cfg = _merged(args)
+    resolved, grid_sizes, force = _shared_settings(cfg, "rate-sweep")
     methods = cfg.get("methods", ["iid", "stratified"])
     if isinstance(methods, str):
         methods = [t.strip() for t in methods.split(",") if t.strip()]
-    ms = sorted(_parse_int_list(cfg.get("m", [16, 64, 256, 1024]), "m"))
+    if not isinstance(methods, list) or not methods:
+        raise UsageError(f"methods must be a list or a comma string, got {cfg['methods']!r}")
+    methods = [_choice(method, "methods", METHODS) for method in methods]
+    ms = sorted(_int_list(cfg.get("m", [16, 64, 256, 1024]), "m", 2))
     if len(ms) < 3:
         raise UsageError(f"rate-sweep needs at least 3 m values, got {ms}")
     if len(set(ms)) != len(ms):
         raise UsageError(f"m values must be strictly increasing, got {ms}")
-    seeds = _parse_seeds(cfg["seeds"]) if "seeds" in cfg else None
+    seeds = cfg.get("seeds")
     if seeds is None:
-        env = _env_seed()
-        seeds = list(range(env, env + 20)) if env is not None else list(range(20))
+        base = _env_seed(20)
+        seeds = range(base, base + 20)
+    elif isinstance(seeds, list) or isinstance(seeds, str) and "," in seeds:
+        seeds = _int_list(seeds, "seeds", 0, SEED_MAX)
+    else:  # a bare integer is a count: seeds 0..n-1
+        seeds = range(_as_int(seeds, "seeds", 0, sys.maxsize))
     if len(seeds) < 10:
         raise UsageError(f"rate-sweep needs at least 10 seeds, got {len(seeds)}")
-    mode = cfg.get("mode", "fractional")
-    epsilon = _parse_epsilon(cfg.get("epsilon"))
-    m0 = _parse_m0(cfg.get("m0"))
-    out = Path(cfg.get("out", "ridgecomb_out"))
-    workers = _as_int(cfg.get("workers", min(4, os.cpu_count() or 1)), "workers")
-    if workers < 1:
-        raise UsageError(f"workers must be at least 1, got {workers}")
-    grid_sizes = _grid_sizes(cfg)
-    force = bool(cfg.get("force", False))
+    workers = _as_int(cfg.get("workers", min(4, os.cpu_count() or 1)), "workers", 1)
+    _apply_guards(ms, seeds, force)
+    seeds = list(seeds)
+    resolved.update(methods=methods, m=ms, seeds=seeds, workers=workers)
 
-    target, rep = resolve_target(target_spec, s, seed=0)
-    _apply_guards(target.d, ms, seeds, force)
-    resolved = {
-        "command": "rate-sweep", "target": target_spec, "s": s, "methods": methods,
-        "m": ms, "seeds": seeds, "mode": mode, "epsilon": epsilon, "m0": m0,
-        "out": str(out), "workers": workers,
-    }
+    target, rep = _resolve(resolved, 0)
+    s = resolved["s"]
 
     def run_cell(method: str, m: int, seed: int):
         floor = lower_bound_floor(m, target.d, s, 1.0)
         try:
-            comb = build_from_config(rep, target, _builder_config(
-                method, m, seed, mode, epsilon, m0))
+            comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
             rpt = measure_report(target, comb, m, method, seed, **grid_sizes)
             return (m, method, seed, rpt, "ok", floor, None)
         except BuilderError as exc:
@@ -301,6 +286,7 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
             lines.append(f"{m},{method},{seed},,,0,0,{status},{floor:.12e}")
         else:
             lines.append(rpt.csv_row() + f",{status},{floor:.12e}")
+    out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text("\n".join(lines) + "\n")
 
@@ -430,10 +416,10 @@ _VERIFY_SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _merged(args, ["out", "seed"])
+    cfg = _merged(args)
     which = args.which
-    seed = _as_int(cfg["seed"], "seed") if "seed" in cfg else (_env_seed() or 0)
-    out = Path(cfg.get("out", "ridgecomb_out"))
+    seed = _as_int(cfg["seed"], "seed", 0, SEED_MAX) if "seed" in cfg else _env_seed()
+    out = _out_dir(cfg)
     checks = _VERIFY_SUITES[which](seed)
     all_pass = all(c["pass"] for c in checks)
     report = {"which": which, "seed": seed, "checks": checks, "pass": all_pass}
@@ -461,7 +447,7 @@ def _add_common_build_flags(p: argparse.ArgumentParser):
     p.add_argument("--target", help="target spec, e.g. sine-ridge:1,1")
     p.add_argument("--s", type=int, choices=(2, 3), help="activation order (default 2)")
     p.add_argument("--epsilon", help="cell diameter for stratified, or 'auto'")
-    p.add_argument("--mode", choices=("signed", "fractional"),
+    p.add_argument("--mode", choices=MODES,
                    help="stratified allocation mode (default fractional)")
     p.add_argument("--m0", help="inner sparsity budget for sparse, or 'auto'")
     p.add_argument("--out", help="output directory (default ridgecomb_out)")
@@ -470,7 +456,7 @@ def _add_common_build_flags(p: argparse.ArgumentParser):
     p.add_argument("--linf-grid", type=int, dest="linf_grid",
                    help="grid resolution per axis for the sup norm")
     p.add_argument("--force", action="store_true",
-                   help="lift the desk-scale guards (d, m, seed count)")
+                   help="lift the desk-scale guards (m, seed count)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -482,7 +468,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("build", help="build one combination and report its errors")
     _add_common_build_flags(pb)
-    pb.add_argument("--method", choices=("iid", "stratified", "sparse"))
+    pb.add_argument("--method", choices=METHODS)
     pb.add_argument("--m", type=int, help="term budget")
     pb.add_argument("--seed", type=int, help="build seed (default RIDGE_SEED or 0)")
     pb.set_defaults(func=cmd_build)

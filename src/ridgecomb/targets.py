@@ -50,8 +50,8 @@ def resolve_target(spec: str, s: int, seed: int = 0):
     elif kind == "cosine-sum":
         try:
             meas = SpectralMeasure.load(rest)
-        except FileNotFoundError as exc:
-            raise UsageError(f"measure file not found: {rest}") from exc
+        except OSError as exc:
+            raise UsageError(f"could not read measure file {rest}: {exc.strerror}") from exc
         except ValueError as exc:
             raise UsageError(f"could not parse measure file {rest}: {exc}") from exc
     else:

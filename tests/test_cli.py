@@ -209,15 +209,63 @@ class TestExitCodes:
         (["rate-sweep", "--seeds", "10"], {"m": [4, "x", 16]}, "m"),
         (["rate-sweep", "--m", "4,8,16", "--seeds", "10"], {"workers": "x"}, "workers"),
         (["rate-sweep", "--m", "4,8,16", "--seeds", "10"], {"linf_grid": [9]}, "linf_grid"),
+        (["build"], {"m": 16.9}, "m"),
+        (["build", "--m", "4"], {"seed": 2.7}, "seed"),
+        (["build"], {"m": True}, "m"),
+        (["build", "--m", "4"], {"l2_nodes": float("inf")}, "l2_nodes"),
+        (["build", "--m", "4"], {"linf_grid": float("-inf")}, "linf_grid"),
+        (["build", "--m", "4"], {"force": "false"}, "force"),
+        (["rate-sweep", "--m", "4,8,16", "--seeds", "10"], {"methods": 5}, "methods"),
+        (["build", "--m", "4"], {"out": 5}, "out"),
+        (["build", "--m", "4"], {"method": "x"}, "method"),
+        (["build", "--m", "4"], {"mode": "x"}, "mode"),
     ])
     def test_bad_config_value_names_its_key(self, argv, cfg, key, tmp_path, capsys):
-        argv = argv + ["--target", "sine-ridge:1", "--out", str(tmp_path / "o")]
+        argv = argv + ["--target", "sine-ridge:1"]
+        if "out" not in (cfg or {}):
+            argv += ["--out", str(tmp_path / "o")]
         if cfg is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(cfg))
             argv += ["--config", str(tmp_path / "cfg.json")]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {key} ")
+
+    def test_config_file_takes_only_the_commands_flags(self, tmp_path):
+        for argv, cfg in [(["build", "--m", "8"], {"workers": 2}),
+                          (["rate-sweep", "--m", "4,8,16", "--seeds", "10"], {"method": "iid"}),
+                          (["verify", "identities"], {"target": "sine-ridge:1"})]:
+            (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+            extra = [] if argv[0] == "verify" else ["--target", "sine-ridge:1"]
+            assert main(argv + extra + ["--config", str(tmp_path / "cfg.json"),
+                                        "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_d_above_4_is_a_hard_limit(self, tmp_path):
+        out = tmp_path / "o"
+        base = ["build", "--target", "sine-ridge:1,1,1,1,1", "--m", "8", "--out", str(out)]
+        assert main(base) == 2
+        assert main(base + ["--force"]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["config-dir", "config-not-utf8", "measure-dir", "out-file"])
+    def test_unusable_path_exits_2_before_the_build(self, case, tmp_path, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the build ran")
+
+        monkeypatch.setattr(cli, "build_from_config", refuse)
+        (tmp_path / "file").write_bytes(b'\xff\xfe{"m": 8}')
+        flags = {
+            "config-dir": ["--config", str(tmp_path)],
+            "config-not-utf8": ["--config", str(tmp_path / "file")],
+            "measure-dir": ["--target", f"cosine-sum:{tmp_path}"],
+            "out-file": ["--out", str(tmp_path / "file")],
+        }[case]
+        assert main(["build", "--target", "sine-ridge:1", "--m", "8",
+                     "--out", str(tmp_path / "o")] + flags) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestRateSweep:
@@ -268,6 +316,28 @@ class TestRateSweep:
                      "--m", "4,8,16", "--seeds", seeds, "--out", str(out)]) == 0
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["config"]["seeds"] == [3 * k for k in range(10)]
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--methods", "iid,nope"], "methods"),
+        (["--m", "1,4,8"], "m"),
+        (["--seeds", ",".join(map(str, range(9))) + ",18446744073709551616"], "seeds"),
+    ])
+    def test_bad_grid_exits_2_before_the_first_cell(self, flags, key, tmp_path, monkeypatch,
+                                                     capsys):
+        calls = []
+        build = cli.build_from_config
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_from_config", counting)
+        argv = ["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                "--m", "4,8,16", "--seeds", "10", "--out", str(tmp_path / "s")]
+        assert main(argv + flags) == 2
+        assert len(calls) == 0
+        assert capsys.readouterr().err.startswith(f"config error: {key} ")
+        assert not (tmp_path / "s").exists()
 
     def test_failed_cell_reports_its_builder_error(self, tmp_path, monkeypatch, capsys):
         build = cli.build_from_config
