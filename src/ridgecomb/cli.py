@@ -35,6 +35,7 @@ from .construct import build_from_config
 from .errors import BuilderError, UsageError
 from .metrics import (
     CSV_HEADER,
+    check_grid_sizes,
     fit_rate,
     l2_error,
     lower_bound_floor,
@@ -139,7 +140,8 @@ def _shared_settings(cfg: dict, command: str) -> tuple[dict, dict, bool]:
     """Check the settings that build and rate-sweep share.
 
     Returns the resolved config that the manifest records, the grid sizes
-    that measure_report takes, and whether the desk guards are lifted.
+    that measure_report takes (recorded too, when given), and whether the
+    desk guards are lifted.
     """
     target = cfg.get("target")
     if not isinstance(target, str):
@@ -161,7 +163,7 @@ def _shared_settings(cfg: dict, command: str) -> tuple[dict, dict, bool]:
     resolved = {
         "command": command, "target": target, "s": _as_int(cfg.get("s", 2), "s", 2, 3),
         "mode": _choice(cfg.get("mode", "fractional"), "mode", MODES),
-        "epsilon": eps, "m0": m0, "out": str(_out_dir(cfg)),
+        "epsilon": eps, "m0": m0, "out": str(_out_dir(cfg)), **grid_sizes,
     }
     return resolved, grid_sizes, force
 
@@ -173,10 +175,11 @@ def _apply_guards(ms: list[int], seeds, force: bool):
         raise UsageError(f"more than {DESK_MAX_SEEDS} seeds exceeds the desk guard; pass --force")
 
 
-def _resolve(resolved: dict, seed: int):
+def _resolve(resolved: dict, seed: int, grid_sizes: dict):
     target, rep = resolve_target(resolved["target"], resolved["s"], seed=seed)
     if target.d > MAX_D:
         raise UsageError(f"d={target.d} exceeds d <= {MAX_D}, the most the error metrics measure")
+    check_grid_sizes(target.d, **grid_sizes)
     return target, rep
 
 
@@ -218,7 +221,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     _apply_guards([m], [seed], force)
     resolved.update(method=method, m=m, seed=seed)
 
-    target, rep = _resolve(resolved, seed)
+    target, rep = _resolve(resolved, seed, grid_sizes)
     comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
     out = Path(resolved["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -262,7 +265,7 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
     seeds = list(seeds)
     resolved.update(methods=methods, m=ms, seeds=seeds, workers=workers)
 
-    target, rep = _resolve(resolved, 0)
+    target, rep = _resolve(resolved, 0, grid_sizes)
     s = resolved["s"]
 
     def run_cell(method: str, m: int, seed: int):

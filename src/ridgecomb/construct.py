@@ -22,7 +22,6 @@ from . import rng as _rng
 from .core import RidgeCombination
 from .errors import BuilderError, UsageError
 from .spectral import (
-    THRESHOLD_ZERO_OFFSET,
     IntegralRepresentation,
     TargetFunction,
     _draw_arrays,
@@ -241,28 +240,23 @@ def _check_plan_compat(plan: StratifiedPlan, rep: IntegralRepresentation):
 def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
     """Every (cell, component, arc) piece of the representation that carries mass.
 
-    Component e has direction dirs[e] and threshold density proportional to
-    |trig(u)|, u = c_e t + ph_e, on t in [0, 1].  The zeros of trig split its
-    u-range into arcs of constant atom sign eta = (-1)^k on arc k, and the
-    threshold-bin edges split it further; each resulting piece lies in one
-    cell, found through plan.membership_codes on the component's direction.
-    Returns (row, comp, ua, ub, mass): the piece's u-interval and its
-    probability p_e (F(ub) - F(ua)) / (F(ph_e + c_e) - F(ph_e)).  Raises
-    BuilderError when a piece with mass has no cell in the plan.
+    Component e has direction rep.dirs[e] and the order-s threshold law on
+    u = c_e t + ph_e, t in [0, 1].  The law's zeros split its u-range into
+    arcs of constant atom sign, and the threshold-bin edges split it further;
+    each resulting piece lies in one cell, found through plan.membership_codes
+    on the component's direction.  Returns (row, comp, ua, ub, mass): the
+    piece's u-interval and its probability p_e (F(ub) - F(ua)) / (F(ph_e + c_e)
+    - F(ph_e)).  Raises BuilderError when a piece with mass has no cell in the plan.
     """
-    tab = rep._tables
-    F, _ = threshold_law(rep.s)
-    off = THRESHOLD_ZERO_OFFSET[rep.s]
-    probs = tab["probs"] / tab["probs"].sum()
+    law = threshold_law(rep.s)
     t_edges = np.minimum(np.arange(plan.n_t + 1) * plan.delta_t, 1.0)
     parts = []
-    for e in range(probs.size):
-        c, ph = tab["c"][e], tab["ph"][e]
-        u_edges = c * t_edges + ph
+    for e in range(rep.probs.size):
+        u_edges = rep.c[e] * t_edges + rep.ph[e]
         u_lo, u_hi = u_edges[0], u_edges[-1]
-        k = np.arange(math.floor((u_lo - off) / np.pi) - 1,
-                      math.floor((u_hi - off) / np.pi) + 3)
-        zeros = off + k * np.pi
+        k = np.arange(math.floor((u_lo - law.zero) / np.pi) - 1,
+                      math.floor((u_hi - law.zero) / np.pi) + 3)
+        zeros = law.zero + k * np.pi
         k_first = int(k[np.argmax(zeros > u_lo)])  # the arc just above u_lo is k_first - 1
         inside = (zeros > u_lo) & (zeros < u_hi)
         zeros = zeros[inside]
@@ -277,11 +271,11 @@ def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
         ua, ub = pts[:-1], pts[1:]
         tbin = np.minimum(label[order][:-1], plan.n_t - 1)
         arc = k_first - 1 + np.cumsum(is_zero)[:-1]
-        eta = np.where(arc % 2 == 0, 1, -1)
-        mass = np.where(ub > ua, np.maximum(F(ub) - F(ua), 0.0), 0.0)
-        mass *= probs[e] / (F(u_hi) - F(u_lo))
+        eta = law.sign(law.zero + (arc + 0.5) * np.pi)  # at the arc's midpoint, far from a zero
+        mass = np.where(ub > ua, np.maximum(law.F(ub) - law.F(ua), 0.0), 0.0)
+        mass *= rep.probs[e] / (law.F(u_hi) - law.F(u_lo))
         base = plan.membership_codes(np.array([-1, 1]), np.zeros(2),
-                                     np.repeat(tab["dirs"][e][None], 2, axis=0))
+                                     np.repeat(rep.dirs[e][None], 2, axis=0))
         row = plan.rows_of_codes(base[(eta + 1) // 2] + tbin)
         keep = mass > 0
         if np.any(row[keep] < 0):
@@ -293,12 +287,11 @@ def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
 def _reachable_plan(rep: IntegralRepresentation, epsilon: float) -> StratifiedPlan:
     """The cells the representation's components reach: at most 2 x 2J x n_t."""
     plan = _empty_plan(rep.d, rep.s, epsilon)
-    dirs = rep._tables["dirs"]
-    if 2 * dirs.shape[0] * plan.n_t > MAX_CELLS:
+    if 2 * rep.dirs.shape[0] * plan.n_t > MAX_CELLS:
         raise UsageError(f"partition would have more than {MAX_CELLS} reachable cells; "
                          "choose a larger epsilon")
-    eta = np.repeat(np.array([-1, 1]), dirs.shape[0])
-    base = plan.membership_codes(eta, np.zeros(eta.size), np.vstack([dirs, dirs]))
+    eta = np.repeat(np.array([-1, 1]), rep.dirs.shape[0])
+    base = plan.membership_codes(eta, np.zeros(eta.size), np.vstack([rep.dirs, rep.dirs]))
     return _with_cells(plan, (base[:, None] + np.arange(plan.n_t)).ravel())
 
 
@@ -399,14 +392,13 @@ def _conditional_draws(gen, rep, plan: StratifiedPlan, need: np.ndarray):
     R = rows.size
     goal = below[rows] + gen.random(R) * (cum[last[rows]] - below[rows])
     pick = np.clip(np.searchsorted(cum, goal, side="right"), first[rows], last[rows])
-    F, Finv = threshold_law(rep.s)
+    law = threshold_law(rep.s)
     lo_u, hi_u = ua[pick], ub[pick]
-    f_lo = F(lo_u)
-    u = np.clip(Finv(f_lo + gen.random(R) * (F(hi_u) - f_lo)), lo_u, hi_u)
-    tab = rep._tables
+    f_lo = law.F(lo_u)
+    u = np.clip(law.Finv(f_lo + gen.random(R) * (law.F(hi_u) - f_lo)), lo_u, hi_u)
     e = comp[pick]
-    t = _into_bins(np.clip((u - tab["ph"][e]) / tab["c"][e], 0.0, 1.0), plan, rows)
-    return rows, plan.eta[rows].copy(), t, tab["dirs"][e]
+    t = _into_bins(np.clip((u - rep.ph[e]) / rep.c[e], 0.0, 1.0), plan, rows)
+    return rows, plan.eta[rows].copy(), t, rep.dirs[e]
 
 
 def _into_bins(t: np.ndarray, plan: StratifiedPlan, rows: np.ndarray) -> np.ndarray:

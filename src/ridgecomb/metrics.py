@@ -23,7 +23,7 @@ import numpy as np
 from . import rng as _rng
 from .core import CubeDomain
 from .errors import UsageError
-from .quadrature import uniform_cube_rule
+from .quadrature import MAX_RULE_POINTS, uniform_cube_rule
 from .spectral import TargetFunction
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "RateFit",
     "l2_error",
     "linf_error",
+    "check_grid_sizes",
     "fit_rate",
     "lower_bound_floor",
     "measure_report",
@@ -89,14 +90,26 @@ def _sobol_rule() -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
+def check_grid_sizes(d: int, l2_nodes: int | None = None, linf_grid: int | None = None):
+    """UsageError unless each given per-axis size is at least 2 and its point set
+    at dimension d holds at most MAX_RULE_POINTS points.
+
+    The d = 4 L2 rule is a fixed Sobol set, so l2_nodes is not checked there.
+    The CLI calls this before it builds, and l2_error and linf_error on each call.
+    """
+    for key, n in (("l2_nodes", l2_nodes if d <= 3 else None), ("linf_grid", linf_grid)):
+        if n is not None and not (n >= 2 and n**d <= MAX_RULE_POINTS):
+            raise UsageError(f"{key} must be at least 2 and give at most {MAX_RULE_POINTS} "
+                             f"points at d={d}, got {n} ({n}^{d} points)")
+
+
 def l2_error(target, comb, nodes: int | None = None) -> float:
     """||target - comb|| in L2 of the uniform probability measure on the cube."""
     _check_pair(target, comb)
     d = target.d
     if d <= 3:
         n = DEFAULT_L2_NODES[d] if nodes is None else int(nodes)
-        if n < 2:
-            raise UsageError(f"need at least 2 quadrature nodes per axis, got {n}")
+        check_grid_sizes(d, l2_nodes=n)
         points, weights = uniform_cube_rule(d, n)
         key = ("l2", n)
     elif d == 4:
@@ -144,8 +157,7 @@ def linf_error(target, comb, grid: int | None = None, refine_top: int = 10) -> f
     if d > 4:
         raise UsageError(f"linf_error supports d <= 4, got d={d}")
     per_axis = DEFAULT_LINF_GRID[d] if grid is None else int(grid)
-    if per_axis < 2:
-        raise UsageError(f"grid resolution must be at least 2 per axis, got {per_axis}")
+    check_grid_sizes(d, linf_grid=per_axis)
     points = _sup_grid(d, per_axis)
     vals = np.abs(_target_values(target, ("sup", per_axis), points)
                   - comb.evaluate_batch(points))

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import UsageError
 
+MAX_RULE_POINTS = 20_000_000  # cap on the points of a tensor rule or sup grid
+
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -22,7 +24,7 @@ def uniform_cube_rule(d: int, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarr
         raise UsageError(f"dimension must be >= 1, got {d}")
     if nodes_per_axis < 1:
         raise UsageError(f"nodes_per_axis must be >= 1, got {nodes_per_axis}")
-    if nodes_per_axis**d > 20_000_000:
+    if nodes_per_axis**d > MAX_RULE_POINTS:
         raise UsageError(f"tensor rule too large: {nodes_per_axis}^{d} nodes")
     x1, w1 = _leggauss(nodes_per_axis)
     w1 = w1 / 2.0  # [-1,1] has mass 1 per axis

@@ -71,22 +71,37 @@ def abs_sin_integral_inv(y):
     return k * np.pi + np.arccos(np.clip(1.0 - (y - 2.0 * k), -1.0, 1.0))
 
 
-def threshold_law(s: int):
-    """(F, F^-1) of the order-s threshold density: |cos| for s=2, |sin| for s=3.
+@dataclass(frozen=True, eq=False)
+class ThresholdLaw:
+    """The order-s threshold law on u = c t + ph, one per order s.
 
-    Both have their zeros at THRESHOLD_ZERO_OFFSET[s] + k pi.
+    g is the signed density: the threshold density is |g| with antiderivative
+    F (and inverse Finv), and the atom sign is +1 where g >= 0, else -1.  The
+    zeros of g lie at zero + k pi and g > 0 on arc 0 = (zero, zero + pi), so
+    the sign on arc k = (zero + k pi, zero + (k + 1) pi) is (-1)^k.
     """
-    if s == 2:
-        return abs_cos_integral, abs_cos_integral_inv
-    return abs_sin_integral, abs_sin_integral_inv
+
+    g: object
+    F: object
+    Finv: object
+    zero: float
+
+    def sign(self, u: np.ndarray) -> np.ndarray:
+        return np.where(self.g(u) >= 0.0, 1, -1)
 
 
-THRESHOLD_ZERO_OFFSET = {2: np.pi / 2.0, 3: 0.0}
+_LAWS = {
+    2: ThresholdLaw(g=lambda u: -np.cos(u), F=abs_cos_integral, Finv=abs_cos_integral_inv,
+                    zero=np.pi / 2.0),
+    3: ThresholdLaw(g=np.sin, F=abs_sin_integral, Finv=abs_sin_integral_inv, zero=0.0),
+}
 
 
-def _sign_pos(x: np.ndarray) -> np.ndarray:
-    # sign with the boundary mapped to +1, so eta is never zero
-    return np.where(x >= 0.0, 1, -1)
+def threshold_law(s: int) -> ThresholdLaw:
+    """The threshold law of order s: density |cos| for s=2, |sin| for s=3."""
+    if s not in _LAWS:
+        raise UsageError(f"order s must be 2 or 3, got {s}")
+    return _LAWS[s]
 
 
 def _force_unit_l1(a: np.ndarray) -> np.ndarray:
@@ -111,6 +126,14 @@ def _force_unit_l1(a: np.ndarray) -> np.ndarray:
 
 # --- spectral measures and targets ---
 
+def _json_numbers(value, key: str):
+    """value, a JSON number or a list of them: not true, "0.5" or a nested list."""
+    for v in value if type(value) is list else [value]:
+        if type(v) not in (int, float):
+            raise UsageError(f"measure {key} must hold JSON numbers only, got {v!r}")
+    return value
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralMeasure:
     """Finite cosine spectrum: f(x) = sum_j mags[j] * cos(omegas[j] . x + phases[j])."""
@@ -134,15 +157,13 @@ class SpectralMeasure:
             raise UsageError("measure entries must be finite")
         if np.any(mags <= 0):
             raise UsageError("magnitudes must be strictly positive")
-        if np.any(phases <= -np.pi - 1e-12) or np.any(phases > np.pi + 1e-12):
-            raise UsageError("phases must lie in (-pi, pi]")
+        if not np.all((phases > -np.pi - 1e-12) & (phases <= np.pi + 1e-12)):  # NaN fails too
+            raise UsageError(f"phases must lie in (-pi, pi], got {phases.tolist()}")
         if np.unique(omegas, axis=0).shape[0] != J:
             raise UsageError("duplicate frequency vectors are not allowed")
-        for arr in (omegas, mags, phases):
+        for name, arr in (("omegas", omegas), ("mags", mags), ("phases", phases)):
             arr.setflags(write=False)
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "mags", mags)
-        object.__setattr__(self, "phases", phases)
+            object.__setattr__(self, name, arr)
 
     @property
     def d(self) -> int:
@@ -168,19 +189,17 @@ class SpectralMeasure:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpectralMeasure":
         try:
-            atoms = doc["atoms"]
-            omegas = np.array([a["omega"] for a in atoms], dtype=float)
-            if omegas.ndim == 1:
-                omegas = omegas[:, None]
-            if int(doc["dim"]) != omegas.shape[1]:
-                raise UsageError("declared dim does not match omega length")
-            return cls(
-                omegas=omegas,
-                mags=[a["mag"] for a in atoms],
-                phases=[a["phase"] for a in atoms],
-            )
-        except (KeyError, TypeError, IndexError) as exc:
+            dim, atoms = doc["dim"], doc["atoms"]
+            omegas, mags, phases = ([_json_numbers(a[key], key) for a in atoms]
+                                    for key in ("omega", "mag", "phase"))
+        except (KeyError, TypeError) as exc:
             raise UsageError(f"malformed measure document: {exc}") from exc
+        if type(dim) is not int:  # not true, 1.7 or "1"
+            raise UsageError(f"measure dim must be a JSON integer, got {dim!r}")
+        meas = cls(omegas=omegas, mags=mags, phases=phases)
+        if meas.d != dim:
+            raise UsageError(f"declared dim {dim} does not match omega length {meas.d}")
+        return meas
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
@@ -290,24 +309,33 @@ def _check_theta(theta) -> np.ndarray:
 
 # --- integral representations ---
 
+@dataclass(frozen=True, eq=False)
 class IntegralRepresentation:
     """Exact mixture representation of a target's residual over ridge atoms.
 
     residual(x) = scale * E[eta (a.x - t)_+^(s-1)] with scale = v (s=2) or
-    v/2 (s=3), where the expectation runs over a mixture of 2J components
-    (j, z): a stored frequency and a direction flip, with fixed direction
-    a = z omega_j/||omega_j||_1 and a t-density on [0, 1] proportional to
-    |cos| (s=2) or |sin| (s=3) of (||omega_j||_1 t + z * phase_j).  The sign
-    eta is fixed on each arc between zeros of that trig factor.
+    v/2 (s=3), over a mixture of 2J components held in read-only arrays.
+    Component e pairs frequency js[e] of the measure with a direction flip
+    zs[e] = +-1: it has probability probs[e], the fixed direction dirs[e] =
+    zs[e] omega/||omega||_1, and the order-s threshold_law on u = c[e] t +
+    ph[e], t in [0, 1], where c[e] = ||omega||_1 and ph[e] = zs[e] phase.
     """
 
-    def __init__(self, d, s, v, measure, seed=0, tables=None):
-        self.d = int(d)
-        self.s = int(s)
-        self.v = float(v)
-        self.measure = measure
-        self.seed = int(seed)
-        self._tables = tables
+    d: int
+    s: int
+    v: float
+    measure: SpectralMeasure
+    seed: int
+    js: np.ndarray
+    zs: np.ndarray
+    c: np.ndarray
+    ph: np.ndarray
+    dirs: np.ndarray
+    probs: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.js, self.zs, self.c, self.ph, self.dirs, self.probs):
+            arr.setflags(write=False)
 
     @property
     def residual_scale(self) -> float:
@@ -317,30 +345,25 @@ class IntegralRepresentation:
 
 def spectral_representation(meas: SpectralMeasure, s: int, seed: int = 0) -> IntegralRepresentation:
     """Build the samplable representation of a cosine-sum target for order s."""
-    if s not in (2, 3):
-        raise UsageError(f"order s must be 2 or 3, got {s}")
+    law = threshold_law(s)
     c_all = np.abs(meas.omegas).sum(axis=1)
     keep = c_all > 0  # zero frequencies carry no sampling weight for s >= 1
     js = np.repeat(np.nonzero(keep)[0], 2)
     zs = np.tile(np.array([1, -1]), keep.sum())
     c = c_all[js]
     ph = zs * meas.phases[js]
-    F, _ = threshold_law(s)
-    W = (F(ph + c) - F(ph)) / c if js.size else np.zeros(0)
+    W = (law.F(ph + c) - law.F(ph)) / c if js.size else np.zeros(0)
     weights = meas.mags[js] * c**s * W
     v = float(weights.sum())
     moment = v_fs(meas, s)
     assert v <= 2.0 * moment + 1e-9 * max(moment, 1.0)
-    tables = {
-        "js": js,
-        "zs": zs,
-        "c": c,
-        "ph": ph,
+    probs = weights / v if v > 0 else weights  # v == 0 only when no component is kept
+    return IntegralRepresentation(
+        d=meas.d, s=int(s), v=v, measure=meas, seed=int(seed), js=js, zs=zs, c=c, ph=ph,
         # each component's unit-l1 direction, exactly as every draw carries it
-        "dirs": _force_unit_l1((zs / c)[:, None] * meas.omegas[js]),
-        "probs": weights / v if v > 0 else None,
-    }
-    return IntegralRepresentation(d=meas.d, s=s, v=v, measure=meas, seed=seed, tables=tables)
+        dirs=_force_unit_l1((zs / c)[:, None] * meas.omegas[js]),
+        probs=probs / probs.sum() if v > 0 else probs,
+    )
 
 
 def sine_ridge_measure(theta) -> SpectralMeasure:
@@ -381,21 +404,18 @@ def _draw_arrays(gen: np.random.Generator, rep: IntegralRepresentation, n: int):
     # shared by sample_atom_arrays, build_iid and estimate_masses
     if rep.v == 0.0:
         raise UsageError("representation has zero spectral mass; nothing to sample")
-    tab = rep._tables
-    probs = tab["probs"] / tab["probs"].sum()
-    idx = gen.choice(probs.size, size=n, p=probs)
-    c, ph = tab["c"][idx], tab["ph"][idx]
+    idx = gen.choice(rep.probs.size, size=n, p=rep.probs)
+    c, ph = rep.c[idx], rep.ph[idx]
     u = gen.random(n)
-    F, Finv = threshold_law(rep.s)
-    lo = F(ph)
-    t = (Finv(lo + u * (F(ph + c) - lo)) - ph) / c
+    law = threshold_law(rep.s)
+    lo = law.F(ph)
+    t = (law.Finv(lo + u * (law.F(ph + c) - lo)) - ph) / c
     t = np.clip(t, 0.0, 1.0)
-    arg = c * t + ph
-    eta = -_sign_pos(np.cos(arg)) if rep.s == 2 else _sign_pos(np.sin(arg))
-    a = tab["dirs"][idx]
+    eta = law.sign(c * t + ph)
+    a = rep.dirs[idx]
     if np.any((t < 0.0) | (t > 1.0)) or np.any(np.abs(a).sum(axis=1) != 1.0):
         raise AssertionError("sampled atom violated its invariants")
-    return eta.astype(int), t, a
+    return eta, t, a
 
 
 def sample_atom(rep: IntegralRepresentation, n: int, seed: int | None = None,
@@ -412,8 +432,7 @@ def sample_simplified_arrays(meas: SpectralMeasure, s: int, n: int, seed: int = 
     scale is v = 2 * v_fs(meas, s).  Returns (b, t, a, v) with array parts of
     shape (n,), (n,), (n, d); a constant target gives empty arrays and v = 0.
     """
-    if s not in (2, 3):
-        raise UsageError(f"order s must be 2 or 3, got {s}")
+    g = threshold_law(s).g
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise UsageError(f"draw count must be a positive integer, got {n}")
     moment = v_fs(meas, s)
@@ -429,7 +448,7 @@ def sample_simplified_arrays(meas: SpectralMeasure, s: int, n: int, seed: int = 
     z = 2 * gen.integers(0, 2, size=n) - 1
     t = gen.random(n)
     arg = c_all[pick] * t + z * meas.phases[pick]
-    b = -np.cos(arg) if s == 2 else np.sin(arg)
+    b = g(arg)
     a = _force_unit_l1((z / c_all[pick])[:, None] * meas.omegas[pick])
     return b, t, a, 2.0 * moment
 
@@ -446,38 +465,26 @@ def representation_mean(rep: IntegralRepresentation, points: np.ndarray,
                         nodes: int = 96) -> np.ndarray:
     """E[eta (a.x - t)_+^(s-1)] at each point, by exact-kink Gauss-Legendre.
 
-    The sign rule times the |trig| density collapses to a smooth signed trig
-    factor, so the only nonsmooth feature left is the positive-part kink at
-    t = z a.x; integrating over [0, clip(z a.x, 0, 1)] makes the integrand a
-    polynomial times a sinusoid, which the panel rule resolves to near machine
-    precision.
+    The sign rule times the |g| density collapses to the smooth signed factor
+    g, so the only nonsmooth feature left is the positive-part kink at t = z a.x;
+    integrating over [0, clip(z a.x, 0, 1)] makes the integrand a polynomial
+    times a sinusoid, which the panel rule resolves to near machine precision.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != rep.d:
         raise UsageError(f"points must have shape (n, {rep.d})")
     xi, wq = _leggauss(nodes)
+    g = threshold_law(rep.s).g
     out = np.zeros(points.shape[0])
-
-    def add_panel(az, trig, freq, phase, power):
-        # integral_0^tau trig(freq*t + phase) * (az - t)^power dt, tau = clip(az, 0, 1)
+    for e in range(rep.js.size):
+        # integral_0^tau g(c t + ph) (az - t)^(s-1) dt, tau = clip(az, 0, 1)
+        j, c = rep.js[e], rep.c[e]
+        az = (rep.zs[e] / c) * (points @ rep.measure.omegas[j])
         half = np.clip(az, 0.0, 1.0)[:, None] / 2.0
         tt = half * (xi[None, :] + 1.0)
-        vals = trig(freq * tt + phase) * (az[:, None] - tt) ** power
-        return (vals * (half * wq[None, :])).sum(axis=1)
-
-    tab = rep._tables
-    if rep.v == 0.0:
-        return out
-    meas = rep.measure
-    power = rep.s - 1
-    for e in range(tab["js"].size):
-        j, z, c, ph = tab["js"][e], tab["zs"][e], tab["c"][e], tab["ph"][e]
-        proj = (z / c) * (points @ meas.omegas[j])
-        coeff = meas.mags[j] * c**rep.s / rep.v
-        if rep.s == 2:
-            out += -coeff * add_panel(proj, np.cos, c, ph, power)
-        else:
-            out += coeff * add_panel(proj, np.sin, c, ph, power)
+        vals = g(c * tt + rep.ph[e]) * (az[:, None] - tt) ** (rep.s - 1)
+        coeff = rep.measure.mags[j] * c**rep.s / rep.v
+        out += coeff * (vals * (half * wq[None, :])).sum(axis=1)
     return out
 
 

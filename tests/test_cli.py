@@ -68,6 +68,19 @@ class TestBuild:
         assert doc["outputs"] == sorted(doc["outputs"])
         assert doc["config"]["m"] == 8
 
+    def test_grid_sizes_are_part_of_the_config_hash(self, tmp_path, monkeypatch):
+        # the two --l2-nodes runs write different report.csv rows, so their
+        # manifests must differ too; without grid flags no grid key is recorded
+        monkeypatch.chdir(tmp_path)
+        docs = []
+        for flags in ([], ["--l2-nodes", "32"], ["--l2-nodes", "64"]):
+            assert main(["build", "--target", "sine-ridge:1,1", "--m", "8", "--out", "o"]
+                        + flags) == 0
+            docs.append(json.loads((tmp_path / "o" / "manifest.json").read_text()))
+        assert "l2_nodes" not in docs[0]["config"]
+        assert [doc["config"]["l2_nodes"] for doc in docs[1:]] == [32, 64]
+        assert len({doc["config_hash"] for doc in docs}) == 3
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "o"
         args = ["build", "--target", "sine-ridge:1,1", "--method", "stratified",
@@ -248,7 +261,8 @@ class TestExitCodes:
         assert main(base + ["--force"]) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["config-dir", "config-not-utf8", "measure-dir", "out-file"])
+    @pytest.mark.parametrize("case", ["config-dir", "config-not-utf8", "measure-dir", "out-file",
+                                      "l2-nodes-too-large", "linf-grid-too-large"])
     def test_unusable_path_exits_2_before_the_build(self, case, tmp_path, monkeypatch, capsys):
         def refuse(*args):
             raise AssertionError("the build ran")
@@ -260,11 +274,30 @@ class TestExitCodes:
             "config-not-utf8": ["--config", str(tmp_path / "file")],
             "measure-dir": ["--target", f"cosine-sum:{tmp_path}"],
             "out-file": ["--out", str(tmp_path / "file")],
+            # at d = 3: 5000^3 L2 nodes, and a 1000^3 sup grid (7.45 GiB)
+            "l2-nodes-too-large": ["--target", "sine-ridge:1,1,1", "--l2-nodes", "5000"],
+            "linf-grid-too-large": ["--target", "sine-ridge:1,1,1", "--linf-grid", "1000"],
         }[case]
         assert main(["build", "--target", "sine-ridge:1", "--m", "8",
                      "--out", str(tmp_path / "o")] + flags) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("atom, field", [
+        ({"omega": [3.0], "mag": 0.5, "phase": float("nan")}, "phase"),
+        ({"omega": [3.0], "mag": True, "phase": 0.5}, "mag"),
+        ({"omega": [3.0], "mag": 0.5, "phase": "0.5"}, "phase"),
+        ({"omega": [True], "mag": 0.5, "phase": 0.5}, "omega"),
+        ({"omega": [3.0], "mag": 0.5, "phase": 0.5}, "dim"),  # with "dim": 1.7
+    ])
+    def test_bad_measure_file_names_its_field(self, atom, field, tmp_path, capsys):
+        dim = 1.7 if field == "dim" else 1
+        (tmp_path / "m.json").write_text(json.dumps({"dim": dim, "atoms": [atom]}))
+        assert main(["build", "--target", f"cosine-sum:{tmp_path / 'm.json'}", "--m", "8",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and field in err[0]
         assert not (tmp_path / "o").exists()
 
 

@@ -142,22 +142,21 @@ def closed_form_case(name):
 def truncated_law_cdf(rep, plan, row):
     """CDF of a cell's conditional threshold law, by a fine trapezoid rule on
     the representation's sign rule and |trig| density."""
-    tab = rep._tables
     lo = plan.tbin[row] * plan.delta_t
     hi = min(lo + plan.delta_t, 1.0)
     t = np.linspace(lo, hi, 20001)
     dens = np.zeros_like(t)
-    for e in range(tab["c"].size):
-        a_e = tab["dirs"][e][None]
+    for e in range(rep.c.size):
+        a_e = rep.dirs[e][None]
         mid = [(lo + hi) / 2]
         if plan.rows_of_codes(plan.membership_codes([plan.eta[row]], mid, a_e))[0] != row:
             continue
-        u = tab["c"][e] * t + tab["ph"][e]
+        u = rep.c[e] * t + rep.ph[e]
         trig = np.cos(u) if rep.s == 2 else np.sin(u)
         eta = -np.where(trig >= 0, 1, -1) if rep.s == 2 else np.where(trig >= 0, 1, -1)
         total = integrate.quad(lambda v: abs(np.cos(v) if rep.s == 2 else np.sin(v)),
-                               tab["ph"][e], tab["ph"][e] + tab["c"][e], limit=200)[0]
-        dens += np.where(eta == plan.eta[row], np.abs(trig), 0.0) * tab["probs"][e] / total
+                               rep.ph[e], rep.ph[e] + rep.c[e], limit=200)[0]
+        dens += np.where(eta == plan.eta[row], np.abs(trig), 0.0) * rep.probs[e] / total
     cum = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(t))])
     return lambda x: np.interp(x, t, cum / cum[-1])
 

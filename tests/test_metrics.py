@@ -318,6 +318,14 @@ class TestLinfError:
         got = linf_error(tgt, zero, grid=19)
         assert got == pytest.approx(1.0 / (4 * math.pi), abs=1e-6)
 
+    def test_oversized_grid_is_refused_before_it_is_built(self):
+        # 100000^3 points would need petabytes; the cap is the tensor L2 rule's
+        c = make_affine(3, 2, 0.0, np.zeros(3))
+        with pytest.raises(UsageError, match="linf_grid"):
+            linf_error(c, c, grid=100000)
+        with pytest.raises(UsageError, match="l2_nodes"):
+            l2_error(c, c, nodes=5000)
+
     def test_sup_dominates_l2(self):
         rep = exact_sine_representation((1, 1))
         tgt = target_of(rep)

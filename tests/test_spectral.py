@@ -1,8 +1,10 @@
 """Spectral measures, samplable representations, and their oracles."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -26,6 +28,7 @@ from ridgecomb.spectral import (
     abs_cos_integral_inv,
     abs_sin_integral,
     abs_sin_integral_inv,
+    threshold_law,
 )
 
 
@@ -67,6 +70,23 @@ class TestAntiderivatives:
     @settings(derandomize=True, deadline=None)
     def test_sin_inverse_round_trip(self, y):
         assert abs_sin_integral(abs_sin_integral_inv(y)) == pytest.approx(y, abs=1e-10)
+
+
+class TestThresholdLaw:
+    @given(s=st.sampled_from([2, 3]), u=st.floats(min_value=-40.0, max_value=40.0))
+    @settings(derandomize=True, deadline=None)
+    def test_sign_is_the_arc_parity(self, s, u):
+        # g > 0 on arc 0 and changes sign at each zero, so the stratified
+        # builder may read an arc's sign at its midpoint
+        law = threshold_law(s)
+        arc = math.floor((u - law.zero) / np.pi)
+        assume(1e-9 <= (u - law.zero) - arc * np.pi <= np.pi - 1e-9)
+        assert (law.g(u) >= 0) == (arc % 2 == 0)
+        assert law.sign(u) == (1 if arc % 2 == 0 else -1)
+        rep = spectral_representation(two_atom_measure(), s)
+        for name in ("js", "zs", "c", "ph", "dirs", "probs"):
+            with pytest.raises(ValueError):
+                getattr(rep, name)[0] = 0
 
 
 class TestIdentities:
@@ -135,6 +155,9 @@ class TestSpectralMeasure:
         with pytest.raises(UsageError):
             SpectralMeasure(omegas=np.array([[1.0]]), mags=np.array([1.0]),
                             phases=np.array([4.0]))  # outside (-pi, pi]
+        with pytest.raises(UsageError):
+            SpectralMeasure(omegas=np.array([[1.0]]), mags=np.array([1.0]),
+                            phases=np.array([np.nan]))
         with pytest.raises(UsageError):
             SpectralMeasure(omegas=np.array([[1.0], [1.0]]),
                             mags=np.array([1.0, 2.0]),
