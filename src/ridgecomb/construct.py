@@ -19,8 +19,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as _rng
-from .core import RidgeCombination
+from .core import ATOM_LIPSCHITZ, RidgeCombination
 from .errors import BuilderError, UsageError
+from .quadrature import tensor_grid
 from .spectral import (
     IntegralRepresentation,
     TargetFunction,
@@ -94,58 +95,76 @@ MAX_CELLS = 5 * 10**6
 class StratifiedPlan:
     """Cells of (sign, threshold, direction) space with optional allocation.
 
-    Cells are products of an atom sign, a direction sign-orthant, magnitude
-    bins for the first d-1 direction coordinates, and a threshold bin.  A
-    plan holds either the full partition (partition_parameters) or only the
-    cells a representation reaches (build_stratified).  The arrays are
-    parallel, one row per cell, sorted by the integer cell code used for
-    membership lookup.
+    Cells are products of an atom sign eta, a direction sign-orthant sigma,
+    magnitude bins kmag for the first d-1 direction coordinates, and a
+    threshold bin tbin.  Each cell is one integer code, packed by cell_codes
+    and decoded by the eta, sigma, kmag and tbin properties.  Callers may rely
+    on one fact of the layout: the threshold bin is the last digit, so a
+    (sign, direction) pair's n_t cells have consecutive codes.  A plan holds
+    the full partition (partition_parameters) or only the cells a
+    representation reaches (build_stratified) as sorted unique codes, with
+    L, m_alloc and n_draw parallel to them.
     """
 
-    epsilon: float
     d: int
     s: int
     delta_t: float
     delta_a: float
     n_t: int
     n_a: int
-    eta: np.ndarray
-    sigma: np.ndarray
-    kmag: np.ndarray
-    tbin: np.ndarray
     code: np.ndarray
     L: np.ndarray | None = None
     m_alloc: np.ndarray | None = None
     n_draw: np.ndarray | None = None
-    mode: str | None = None
 
     @property
     def M(self) -> int:
-        return self.eta.size
+        return self.code.size
 
     @property
     def diameter_bound(self) -> float:
         """Worst-case within-cell atom_sup_distance; strictly below epsilon."""
-        lip = 1.0 if self.s == 2 else 2.0
-        return lip * (2 * (self.d - 1) * self.delta_a + self.delta_t)
+        return ATOM_LIPSCHITZ[self.s] * (2 * (self.d - 1) * self.delta_a + self.delta_t)
+
+    def bins(self, t) -> np.ndarray:
+        """Threshold bin of each t in [0, 1]: half-open bins, 1.0 in the last."""
+        return np.minimum(np.floor(np.asarray(t) / self.delta_t).astype(np.int64), self.n_t - 1)
+
+    def cell_codes(self, eta, a, tbin) -> np.ndarray:
+        """Cell code of each (eta, direction a, threshold bin tbin); vectorized."""
+        a = np.asarray(a, dtype=float)
+        code = (np.asarray(eta).astype(np.int64) + 1) // 2
+        for i in range(self.d):
+            code = code * 2 + (a[:, i] >= 0.0)
+        for i in range(self.d - 1):
+            kmag = np.floor(np.abs(a[:, i]) / self.delta_a).astype(np.int64)
+            code = code * self.n_a + np.minimum(kmag, self.n_a - 1)
+        return code * self.n_t + tbin
 
     def membership_codes(self, eta, t, a) -> np.ndarray:
         """Integer cell code of each atom triple; vectorized."""
-        a = np.asarray(a, dtype=float)
-        eta01 = (np.asarray(eta) + 1) // 2
-        sig = np.where(a >= 0.0, 1, 0)
-        sigbits = np.zeros(a.shape[0], dtype=np.int64)
-        for i in range(self.d):
-            sigbits = sigbits * 2 + sig[:, i]
-        kcode = np.zeros(a.shape[0], dtype=np.int64)
-        for i in range(self.d - 1):
-            digit = np.minimum(
-                np.floor(np.abs(a[:, i]) / self.delta_a).astype(np.int64), self.n_a - 1
-            )
-            kcode = kcode * self.n_a + digit
-        tb = np.minimum(np.floor(np.asarray(t) / self.delta_t).astype(np.int64), self.n_t - 1)
-        return ((eta01.astype(np.int64) * (1 << self.d) + sigbits)
-                * self.n_a ** (self.d - 1) + kcode) * self.n_t + tb
+        return self.cell_codes(eta, a, self.bins(t))
+
+    def _head(self) -> np.ndarray:
+        """Each code's leading digits: eta, then the d orthant bits."""
+        return self.code // (self.n_t * self.n_a ** (self.d - 1))
+
+    @property
+    def eta(self) -> np.ndarray:
+        return 2 * (self._head() >> self.d) - 1
+
+    @property
+    def sigma(self) -> np.ndarray:
+        return 2 * ((self._head()[:, None] >> np.arange(self.d - 1, -1, -1)) & 1) - 1
+
+    @property
+    def kmag(self) -> np.ndarray:
+        place = self.n_a ** np.arange(self.d - 2, -1, -1, dtype=np.int64)
+        return (self.code // self.n_t)[:, None] // place % self.n_a
+
+    @property
+    def tbin(self) -> np.ndarray:
+        return self.code % self.n_t
 
     def rows_of_codes(self, codes: np.ndarray) -> np.ndarray:
         """Row index for each code, or -1 when the code has no cell."""
@@ -157,14 +176,14 @@ class StratifiedPlan:
         """(eta, t, a) arrays of one canonical atom per cell."""
         t_rep = np.clip((self.tbin + 0.5) * self.delta_t, 0.0, 1.0)
         if self.d == 1:
-            a_rep = self.sigma.astype(float).copy()
+            a_rep = self.sigma.astype(float)
         else:
             mags = (self.kmag + 0.5) * self.delta_a
             over = mags.sum(axis=1) > 1.0
             mags[over] = self.kmag[over] * self.delta_a  # fall back to the lower corner
             last = np.clip(1.0 - mags.sum(axis=1), 0.0, 1.0)
             a_rep = self.sigma * np.column_stack([mags, last])
-        return self.eta.copy(), t_rep, _force_unit_l1(a_rep)
+        return self.eta, t_rep, _force_unit_l1(a_rep)
 
     def _label(self, row: int) -> str:
         return (f"cell(eta={int(self.eta[row])}, sigma={self.sigma[row].tolist()}, "
@@ -180,7 +199,7 @@ def _empty_plan(d: int, s: int, epsilon) -> StratifiedPlan:
     epsilon = float(epsilon)
     if not epsilon > 0:
         raise UsageError(f"epsilon must be positive, got {epsilon}")
-    lip = 1.0 if s == 2 else 2.0
+    lip = ATOM_LIPSCHITZ[s]
     delta_t = epsilon / (4.0 * lip)
     # magnitude mesh: fine enough that 2(d-1)*delta_a + delta_t stays under epsilon/lip
     delta_a = delta_t if d == 1 else min(delta_t, 5.0 * epsilon / (16.0 * lip * (d - 1)))
@@ -188,48 +207,27 @@ def _empty_plan(d: int, s: int, epsilon) -> StratifiedPlan:
     n_a = max(1, math.ceil(1.0 / delta_a - 1e-12))
     if math.log2(2.0 * (1 << d) * n_t) + (d - 1) * math.log2(n_a) > 62:
         raise UsageError(f"epsilon {epsilon} is too small to index the cells")
-    none = np.zeros(0, dtype=np.int64)
-    plan = StratifiedPlan(
-        epsilon=epsilon, d=int(d), s=int(s), delta_t=delta_t, delta_a=delta_a,
-        n_t=n_t, n_a=n_a, eta=none, sigma=none.reshape(0, d), kmag=none.reshape(0, d - 1),
-        tbin=none, code=none,
-    )
+    plan = StratifiedPlan(d=int(d), s=int(s), delta_t=delta_t, delta_a=delta_a,
+                          n_t=n_t, n_a=n_a, code=np.zeros(0, dtype=np.int64))
     assert plan.diameter_bound < epsilon
     return plan
-
-
-def _with_cells(plan: StratifiedPlan, codes: np.ndarray) -> StratifiedPlan:
-    """The plan whose cells are the given codes, each decoded into its fields."""
-    code = np.unique(codes)
-    d, n_a = plan.d, plan.n_a
-    tbin = code % plan.n_t
-    rest = code // plan.n_t
-    kcode = rest % n_a ** (d - 1)
-    rest = rest // n_a ** (d - 1)
-    sigbits = rest % (1 << d)
-    sigma = 2 * ((sigbits[:, None] >> np.arange(d - 1, -1, -1)) & 1) - 1
-    kmag = (kcode[:, None] // n_a ** np.arange(d - 2, -1, -1, dtype=np.int64)) % n_a
-    return replace(plan, eta=2 * (rest >> d) - 1, sigma=sigma, kmag=kmag, tbin=tbin, code=code)
 
 
 def partition_parameters(d: int, s: int, epsilon: float) -> StratifiedPlan:
     """Enumerate the full cell partition for diameter target epsilon (no masses yet)."""
     plan = _empty_plan(d, s, epsilon)
-    n_t, n_a = plan.n_t, plan.n_a
-    if d == 1:
-        kcode = np.zeros(1, dtype=np.int64)
-    else:
-        grids = np.meshgrid(*([np.arange(n_a, dtype=np.int64)] * (d - 1)), indexing="ij")
-        kmag1 = np.stack([g.ravel() for g in grids], axis=1)
-        kmag1 = kmag1[kmag1.sum(axis=1) * plan.delta_a <= 1.0 + 1e-9]
-        kcode = kmag1 @ (n_a ** np.arange(d - 2, -1, -1, dtype=np.int64))
-    n_sig = 1 << d
-    M = 2 * n_sig * kcode.size * n_t
+    kmag = tensor_grid(np.arange(plan.n_a), d - 1)
+    kmag = kmag[kmag.sum(axis=1) * plan.delta_a <= 1.0 + 1e-9]
+    n_sig, K = 1 << d, kmag.shape[0]
+    M = 2 * n_sig * K * plan.n_t
     if M > MAX_CELLS:
         raise UsageError(f"partition would have {M} cells; choose a larger epsilon")
-    prefix = np.arange(2 * n_sig, dtype=np.int64)[:, None] * n_a ** (d - 1) + kcode
-    codes = prefix.reshape(-1, 1) * n_t + np.arange(n_t, dtype=np.int64)
-    return _with_cells(plan, codes.ravel())
+    # both signs of one direction per (orthant, magnitude bins) at the bin midpoints
+    mags = np.column_stack([(kmag + 0.5) * plan.delta_a, np.ones(K)])
+    a = (2.0 * tensor_grid(np.arange(2), d) - 1.0)[:, None, :] * mags
+    first = plan.cell_codes(np.repeat(np.array([-1, 1]), n_sig * K),
+                            np.vstack([a.reshape(-1, d)] * 2), 0)
+    return replace(plan, code=np.unique(first[:, None] + np.arange(plan.n_t)))
 
 
 def _check_plan_compat(plan: StratifiedPlan, rep: IntegralRepresentation):
@@ -243,8 +241,8 @@ def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
     Component e has direction rep.dirs[e] and the order-s threshold law on
     u = c_e t + ph_e, t in [0, 1].  The law's zeros split its u-range into
     arcs of constant atom sign, and the threshold-bin edges split it further;
-    each resulting piece lies in one cell, found through plan.membership_codes
-    on the component's direction.  Returns (row, comp, ua, ub, mass): the
+    each resulting piece lies in one cell, found through plan.cell_codes on
+    the component's direction.  Returns (row, comp, ua, ub, mass): the
     piece's u-interval and its probability p_e (F(ub) - F(ua)) / (F(ph_e + c_e)
     - F(ph_e)).  Raises BuilderError when a piece with mass has no cell in the plan.
     """
@@ -274,9 +272,7 @@ def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
         eta = law.sign(law.zero + (arc + 0.5) * np.pi)  # at the arc's midpoint, far from a zero
         mass = np.where(ub > ua, np.maximum(law.F(ub) - law.F(ua), 0.0), 0.0)
         mass *= rep.probs[e] / (law.F(u_hi) - law.F(u_lo))
-        base = plan.membership_codes(np.array([-1, 1]), np.zeros(2),
-                                     np.repeat(rep.dirs[e][None], 2, axis=0))
-        row = plan.rows_of_codes(base[(eta + 1) // 2] + tbin)
+        row = plan.rows_of_codes(plan.cell_codes(eta, rep.dirs[[e]], tbin))
         keep = mass > 0
         if np.any(row[keep] < 0):
             raise BuilderError("a component's threshold mass fell outside the partition")
@@ -291,8 +287,8 @@ def _reachable_plan(rep: IntegralRepresentation, epsilon: float) -> StratifiedPl
         raise UsageError(f"partition would have more than {MAX_CELLS} reachable cells; "
                          "choose a larger epsilon")
     eta = np.repeat(np.array([-1, 1]), rep.dirs.shape[0])
-    base = plan.membership_codes(eta, np.zeros(eta.size), np.vstack([rep.dirs, rep.dirs]))
-    return _with_cells(plan, (base[:, None] + np.arange(plan.n_t)).ravel())
+    first = plan.cell_codes(eta, np.vstack([rep.dirs, rep.dirs]), 0)
+    return replace(plan, code=np.unique(first[:, None] + np.arange(plan.n_t)))
 
 
 def estimate_masses(plan: StratifiedPlan, rep: IntegralRepresentation,
@@ -336,10 +332,12 @@ def exact_sine_masses(plan: StratifiedPlan, rep: IntegralRepresentation) -> Stra
 def allocate(plan: StratifiedPlan, m: int, mode: str, seed: int = 0) -> StratifiedPlan:
     """Assign per-cell term counts; drops zero-mass cells first.
 
-    Signed mode rounds m*L_k to integers by a shared-offset systematic scheme:
-    each m_k lands on floor or ceil of m*L_k with the exact mean, and the
-    rounded counts always sum to m, so sum(n_k) <= m + M deterministically.
-    Fractional mode keeps m_k = m*L_k real and draws n_k = ceil(m_k) atoms.
+    n_k is the number of atoms drawn in cell k, each with coefficient
+    eta * m_k/n_k.  Signed mode rounds m*L_k to integers by a shared-offset
+    systematic scheme: each m_k lands on floor or ceil of m*L_k with the exact
+    mean, and the rounded counts always sum to m; it draws n_k = m_k atoms
+    (none where m_k = 0), so sum(n_k) = m.  Fractional mode keeps m_k = m*L_k
+    real and draws n_k = ceil(m_k) >= 1 atoms, so sum(n_k) <= m + M.
     """
     if plan.L is None:
         raise UsageError("plan has no masses; run estimate_masses or exact_sine_masses")
@@ -350,11 +348,7 @@ def allocate(plan: StratifiedPlan, m: int, mode: str, seed: int = 0) -> Stratifi
     if abs(plan.L.sum() - 1.0) > 1e-12:
         raise UsageError("cell masses are not normalized")
     keep = np.nonzero(plan.L > 0)[0]
-    sub = replace(
-        plan,
-        eta=plan.eta[keep], sigma=plan.sigma[keep], kmag=plan.kmag[keep],
-        tbin=plan.tbin[keep], code=plan.code[keep], L=plan.L[keep] / plan.L[keep].sum(),
-    )
+    sub = replace(plan, code=plan.code[keep], L=plan.L[keep] / plan.L[keep].sum())
     mL = m * sub.L
     if mode == "signed":
         gen = _rng.stream(seed, _rng.ALLOCATION)
@@ -364,12 +358,12 @@ def allocate(plan: StratifiedPlan, m: int, mode: str, seed: int = 0) -> Stratifi
         marks = np.floor(cum - u)
         m_k = np.diff(marks, prepend=-1.0)
         assert int(m_k.sum()) == m
-        n_k = (m_k + (m_k == 0)).astype(np.int64)
+        n_k = m_k.astype(np.int64)
     else:
         m_k = mL
         n_k = np.maximum(np.ceil(mL - 1e-12).astype(np.int64), 1)
     assert int(n_k.sum()) <= m + sub.M
-    return replace(sub, m_alloc=m_k, n_draw=n_k, mode=mode)
+    return replace(sub, m_alloc=m_k, n_draw=n_k)
 
 
 # --- conditional sampling within cells ---
@@ -398,14 +392,14 @@ def _conditional_draws(gen, rep, plan: StratifiedPlan, need: np.ndarray):
     u = np.clip(law.Finv(f_lo + gen.random(R) * (law.F(hi_u) - f_lo)), lo_u, hi_u)
     e = comp[pick]
     t = _into_bins(np.clip((u - rep.ph[e]) / rep.c[e], 0.0, 1.0), plan, rows)
-    return rows, plan.eta[rows].copy(), t, rep.dirs[e]
+    return rows, plan.eta[rows], t, rep.dirs[e]
 
 
 def _into_bins(t: np.ndarray, plan: StratifiedPlan, rows: np.ndarray) -> np.ndarray:
     """Move each threshold the few ulps into its own cell's half-open bin."""
     want = plan.tbin[rows]
     for _ in range(8):
-        got = np.minimum(np.floor(t / plan.delta_t).astype(np.int64), plan.n_t - 1)
+        got = plan.bins(t)
         if np.array_equal(got, want):
             return t
         t = np.where(got < want, np.nextafter(t, 2.0),
@@ -419,29 +413,20 @@ def build_stratified(rep: IntegralRepresentation, m: int, epsilon: float, mode: 
     """Stratified build: reachable cells, closed-form masses, allocation, then
     inverse-CDF draws within each cell.
 
-    Stored coefficients are eta * m_k/n_k (fractional) or eta with m_k copies
-    (signed).  The stored scale is v * (terms/m) so that evaluation, which
-    divides by the stored term count, reproduces the v/m normalization of the
-    estimator regardless of how many terms the allocation produced.
+    Each cell's n_k draws carry coefficient eta * m_k/n_k (eta when signed).
+    The stored scale is v * (terms/m) so that evaluation, which divides by
+    the stored term count, reproduces the v/m normalization of the estimator
+    regardless of how many terms the allocation produced.
     """
     _check_build_args(rep, m, target)
     if rep.v == 0.0:
         return _combination(rep.s, target, 0.0, (), (), (), ())
     plan = exact_sine_masses(_reachable_plan(rep, epsilon), rep)
     alloc = allocate(plan, int(m), mode, seed=seed)
-
-    if alloc.mode == "signed":
-        need = alloc.m_alloc.astype(np.int64)
-        coeff_of_row = np.ones(alloc.M)
-    else:
-        need = alloc.n_draw
-        coeff_of_row = alloc.m_alloc / alloc.n_draw
-
     gen = _rng.stream(seed, _rng.ATOMS)
-    rows, eta, t, a = _conditional_draws(gen, rep, alloc, need)
-    coeffs = coeff_of_row[rows] * eta
-    T = rows.size
-    v_stored = rep.v * T / float(m)
+    rows, eta, t, a = _conditional_draws(gen, rep, alloc, alloc.n_draw)
+    coeffs = alloc.m_alloc[rows] / alloc.n_draw[rows] * eta
+    v_stored = rep.v * rows.size / float(m)
     return _combination(rep.s, target, v_stored, coeffs, eta, a, t)
 
 

@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UsageError
+from .quadrature import tensor_grid
 
 _L1_TOL = 1e-12
 _DENSE_BLOCK_ELEMS = 1 << 16  # points x terms per block of the dense term sum
@@ -101,11 +102,16 @@ def half_quadratic(points: np.ndarray, A0: np.ndarray) -> np.ndarray:
     return 0.5 * acc
 
 
+# Lipschitz factor of an order-s atom in ||a||_1 + |t| under the sup norm on the
+# cube: 1 for the ramp, 2 for the squared ramp, whose slope 2 (a.x - t) is <= 2
+ATOM_LIPSCHITZ = {2: 1.0, 3: 2.0}
+
+
 def atom_sup_distance(u: RidgeAtom, w: RidgeAtom) -> float:
     """Upper bound on sup_{x in D} |u(x) - w(x)|.
 
-    Infinite when the signs differ; otherwise ||a_u - a_w||_1 + |t_u - t_w|
-    for ramps, doubled for squared ramps (Lipschitz factor 2 on the cube).
+    Infinite when the signs differ; otherwise ATOM_LIPSCHITZ[s] times
+    ||a_u - a_w||_1 + |t_u - t_w|.
     """
     if u.s != w.s:
         raise UsageError(f"atoms have different orders: {u.s} vs {w.s}")
@@ -114,7 +120,7 @@ def atom_sup_distance(u: RidgeAtom, w: RidgeAtom) -> float:
     if u.sign != w.sign:
         return math.inf
     base = float(np.abs(u.a - w.a).sum()) + abs(u.t - w.t)
-    return base if u.s == 2 else 2.0 * base
+    return ATOM_LIPSCHITZ[u.s] * base
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,7 @@ class CubeDomain:
 
     def grid(self, points_per_axis: int) -> np.ndarray:
         """Uniform tensor grid including the boundary, flattened to (n^d, d)."""
-        axis = np.linspace(-1.0, 1.0, points_per_axis)
-        grids = np.meshgrid(*([axis] * self.d), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
+        return tensor_grid(np.linspace(-1.0, 1.0, points_per_axis), self.d)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import UsageError
-from .quadrature import uniform_cube_rule
+from .quadrature import tensor_grid, uniform_cube_rule
 
 __all__ = [
     "SineFamily",
@@ -80,8 +80,7 @@ def sine_family(R: int, d: int) -> SineFamily:
         raise UsageError(f"d must be a positive integer, got {d}")
     if R**d > 10**6:
         raise UsageError(f"family size R^d = {R**d} exceeds the 10^6 guard")
-    grids = np.meshgrid(*([np.arange(1, R + 1)] * d), indexing="ij")
-    thetas = np.stack([g.ravel() for g in grids], axis=1).astype(float)
+    thetas = tensor_grid(np.arange(1, R + 1), d).astype(float)
     k1 = thetas.sum(axis=1)
     norms = 1.0 / (4.0 * math.sqrt(2.0) * np.pi * k1**2)
     return SineFamily(R=int(R), d=int(d), thetas=thetas, k1=k1, norms=norms)

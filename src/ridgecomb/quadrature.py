@@ -17,6 +17,13 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def tensor_grid(axis, d: int) -> np.ndarray:
+    """The n^d points of the d-fold product of a 1-d axis, shape (n^d, d), last
+    coordinate fastest; d = 0 gives the one empty point."""
+    axis = np.asarray(axis)
+    return axis[np.indices((axis.size,) * d).reshape(d, axis.size**d).T]
+
+
 @lru_cache(maxsize=16)
 def uniform_cube_rule(d: int, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss-Legendre rule; weights sum to 1 (probability measure)."""
@@ -28,12 +35,8 @@ def uniform_cube_rule(d: int, nodes_per_axis: int) -> tuple[np.ndarray, np.ndarr
         raise UsageError(f"tensor rule too large: {nodes_per_axis}^{d} nodes")
     x1, w1 = _leggauss(nodes_per_axis)
     w1 = w1 / 2.0  # [-1,1] has mass 1 per axis
-    grids = np.meshgrid(*([x1] * d), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    weight = np.ones(points.shape[0])
-    wgrids = np.meshgrid(*([w1] * d), indexing="ij")
-    for wg in wgrids:
-        weight *= wg.ravel()
+    points = tensor_grid(x1, d)
+    weight = np.prod(tensor_grid(w1, d), axis=1)
     points.setflags(write=False)
     weight.setflags(write=False)
     return points, weight

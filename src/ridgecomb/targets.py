@@ -10,6 +10,8 @@ Two kinds of target spec are understood:
 
 from __future__ import annotations
 
+import json
+
 from .errors import UsageError
 from .spectral import (
     SpectralMeasure,
@@ -52,8 +54,10 @@ def resolve_target(spec: str, s: int, seed: int = 0):
             meas = SpectralMeasure.load(rest)
         except OSError as exc:
             raise UsageError(f"could not read measure file {rest}: {exc.strerror}") from exc
-        except ValueError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"could not parse measure file {rest}: {exc}") from exc
+        except ValueError as exc:  # the file parsed; a measure check rejected it
+            raise UsageError(f"invalid measure file {rest}: {exc}") from exc
     else:
         raise UsageError(f"unknown target kind {kind!r}; run the catalog command for options")
     return TargetFunction.from_measure(meas), spectral_representation(meas, s, seed=seed)

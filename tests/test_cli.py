@@ -290,14 +290,27 @@ class TestExitCodes:
         ({"omega": [3.0], "mag": 0.5, "phase": "0.5"}, "phase"),
         ({"omega": [True], "mag": 0.5, "phase": 0.5}, "omega"),
         ({"omega": [3.0], "mag": 0.5, "phase": 0.5}, "dim"),  # with "dim": 1.7
+        ([{"omega": [3.0], "mag": 0.5, "phase": 0.5},  # a list is the whole atom list
+          {"omega": [3.0], "mag": 0.2, "phase": 0.1}], "frequency"),
     ])
     def test_bad_measure_file_names_its_field(self, atom, field, tmp_path, capsys):
         dim = 1.7 if field == "dim" else 1
-        (tmp_path / "m.json").write_text(json.dumps({"dim": dim, "atoms": [atom]}))
+        atoms = atom if isinstance(atom, list) else [atom]
+        (tmp_path / "m.json").write_text(json.dumps({"dim": dim, "atoms": atoms}))
         assert main(["build", "--target", f"cosine-sum:{tmp_path / 'm.json'}", "--m", "8",
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ") and field in err[0]
+        # the JSON parsed, so the line names a failed check, not a parse error
+        assert "invalid measure file" in err[0] and "could not parse" not in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_unparsable_measure_file_says_so(self, tmp_path, capsys):
+        (tmp_path / "m.json").write_text('{"dim": 1, "atoms": [')
+        assert main(["build", "--target", f"cosine-sum:{tmp_path / 'm.json'}", "--m", "8",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: could not parse measure file")
         assert not (tmp_path / "o").exists()
 
 

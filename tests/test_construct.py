@@ -1,5 +1,6 @@
 """Builders: i.i.d., stratified, and the inner-weight sparsifier."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -46,6 +47,12 @@ def two_atom_measure() -> SpectralMeasure:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def layout_plan(d, s):
+    """A full partition with a few thousand to a few tens of thousands of cells."""
+    return partition_parameters(d, s, {1: 0.3, 2: 0.7, 3: 0.9, 4: 2.0}[d])
+
+
 class TestPartition:
     def test_d1_half_epsilon_count(self):
         # 2 signs x 2 direction signs x 8 threshold bins
@@ -85,11 +92,13 @@ class TestPartition:
             rows = plan.rows_of_codes(plan.membership_codes(eta, t, a))
             assert np.all(rows >= 0)
 
-    def test_same_cell_pairs_are_close(self):
-        # every sampled pair sharing a cell sits within the diameter bound
-        rep = spectral_representation(two_atom_measure(), 2)
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_same_cell_pairs_are_close(self, s):
+        # every sampled pair sharing a cell sits within the diameter bound,
+        # whose order-s Lipschitz factor atom_sup_distance shares
+        rep = spectral_representation(two_atom_measure(), s)
         eps = 0.5
-        plan = partition_parameters(2, 2, eps)
+        plan = partition_parameters(2, s, eps)
         eta, t, a = sample_atom_arrays(rep, 3000, seed=6)
         rows = plan.rows_of_codes(plan.membership_codes(eta, t, a))
         order = np.argsort(rows, kind="stable")
@@ -99,12 +108,34 @@ class TestPartition:
                         np.searchsorted(rows[order], [row, row + 1])[1]][:20]
             for i in range(idx.size):
                 u = RidgeAtom(sign=int(eta[idx[i]]), a=a[idx[i]],
-                              t=float(t[idx[i]]), s=2)
+                              t=float(t[idx[i]]), s=s)
                 for j in range(i + 1, idx.size):
                     w = RidgeAtom(sign=int(eta[idx[j]]), a=a[idx[j]],
-                                  t=float(t[idx[j]]), s=2)
+                                  t=float(t[idx[j]]), s=s)
                     worst = max(worst, atom_sup_distance(u, w))
         assert worst < eps
+
+    @given(d=st.integers(min_value=1, max_value=4), s=st.sampled_from([2, 3]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_codes_decode_to_the_atoms_digits(self, d, s, seed):
+        plan = layout_plan(d, s)
+        gen = np.random.default_rng(seed)
+        n = 200
+        eta = gen.choice([-1, 1], n)
+        a = gen.standard_normal((n, d)) * (gen.random((n, d)) < 0.8)  # some exact zeros
+        a[np.abs(a).sum(axis=1) == 0, 0] = -1.0
+        a /= np.abs(a).sum(axis=1, keepdims=True)
+        # uniform thresholds, the ends of [0, 1] and the bin edges
+        t = np.concatenate([gen.random(n - plan.n_t - 1), [0.0, 1.0],
+                            np.arange(1, plan.n_t) * plan.delta_t])
+        rows = plan.rows_of_codes(plan.membership_codes(eta, t, a))
+        assert np.all(rows >= 0)
+        assert np.array_equal(plan.eta[rows], eta)
+        assert np.array_equal(plan.sigma[rows], np.where(a >= 0, 1, -1))
+        kmag = np.minimum(np.floor(np.abs(a[:, :-1]) / plan.delta_a), plan.n_a - 1)
+        assert np.array_equal(plan.kmag[rows], kmag)
+        assert np.array_equal(plan.tbin[rows], plan.bins(t))
 
     def test_epsilon_validation_and_size_guard(self):
         with pytest.raises(UsageError):
@@ -217,6 +248,9 @@ class TestAllocation:
                 (alloc.m_alloc == np.floor(mL)) | (alloc.m_alloc == np.ceil(mL))
             )
             assert int(alloc.n_draw.sum()) <= 64 + plan.M
+            # signed mode draws exactly m_k atoms per cell, so exactly m in all
+            assert np.array_equal(alloc.n_draw, alloc.m_alloc)
+            assert int(alloc.n_draw.sum()) == 64
 
     def test_signed_mean_matches_proportionate_share(self):
         # E[m_k] = m L_k, checked over 1e4 allocations at 3 standard errors
@@ -339,6 +373,7 @@ class TestStratifiedBuilder:
         comb = build_stratified(rep, 64, 1.0 / 8, "signed", target_of(rep), seed=3)
         B = np.array([b for b, _ in comb.terms])
         assert set(np.unique(np.abs(B))) == {1.0}
+        assert comb.term_count == 64
 
     def test_term_count_and_scale_bookkeeping(self):
         rep = exact_sine_representation((2,))
