@@ -1,10 +1,13 @@
 """Error measurement on the cube and rate-exponent regression.
 
 L2 is taken under the uniform probability measure on [-1, 1]^d (so l2 <= linf
-holds), computed by tensor Gauss-Legendre up to d = 3 and by a fixed Sobol
-point set at d = 4.  The sup norm is a grid maximum sharpened by a per-axis
-ternary refinement around the best grid cells; the reported value is a
-certified lower bound on the true sup.
+holds).  A combination on its target's line (TargetFunction.line) leaves an
+error h(u . x), whose norms are taken exactly on p = u . x in [-1, 1]: L2 by
+composite Gauss-Legendre against the density of u . x, split at every kink,
+and the sup by refining the combination's polynomial pieces.  Other pairs
+use tensor Gauss-Legendre L2 up to d = 3, a fixed Sobol point set at d = 4,
+and a grid maximum sharpened by a per-axis ternary refinement around the
+best grid cells, a lower bound on the true sup.
 
 The quadrature rules and sup grids are built once per process and kept
 read-only, and a TargetFunction's values on them are kept by the target
@@ -21,9 +24,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as _rng
-from .core import CubeDomain
+from .core import _L1_TOL, CubeDomain
 from .errors import UsageError
-from .quadrature import MAX_RULE_POINTS, uniform_cube_rule
+from .quadrature import MAX_RULE_POINTS, panel_rule, tensor_grid, uniform_cube_rule
 from .spectral import TargetFunction
 
 __all__ = [
@@ -40,6 +43,10 @@ __all__ = [
 DEFAULT_L2_NODES = {1: 64, 2: 64, 3: 64}
 DEFAULT_LINF_GRID = {1: 2049, 2: 257, 3: 65, 4: 17}
 LINF_RANDOM_POINTS_D4 = 10**5
+_LINE_NODES = 4  # Gauss-Legendre nodes per panel: exact to degree 7 >= 2(s-1) + d - 1
+_LINE_MESH = 0.1  # panel width cap times the target's largest ||omega_j||_1
+_LINE_MIN_DENSITY_SCALE = 1e-4
+_SUP_RTOL, _SUP_SPLIT, _SUP_ROUNDS = 1e-13, 4, 40
 
 
 @dataclass(frozen=True)
@@ -103,22 +110,142 @@ def check_grid_sizes(d: int, l2_nodes: int | None = None, linf_grid: int | None 
                              f"points at d={d}, got {n} ({n}^{d} points)")
 
 
+def _checked_line(target, comb, name: str, **sizes):
+    """Check the pair and the grid sizes; then the pair's common line, or None.
+
+    The line is the target's (u, max c_j, sum mag_j c_j) when every distinct
+    row of comb.A is +-u, a0 is parallel to u and A0 is lambda u u^T, each
+    within _L1_TOL in l1 (relative for a0 and A0).  Such a pair's error is a
+    function of p = u . x alone.
+    """
+    _check_pair(target, comb)
+    if target.d > 4:
+        raise UsageError(f"{name} supports d <= 4, got d={target.d}")
+    check_grid_sizes(target.d, **sizes)
+    line = getattr(target, "line", None)
+    if line is None:
+        return None
+    u, sgn = line[0], np.sign(line[0])
+    dirs, _ = comb._directions
+    off = np.minimum(np.abs(dirs - u).sum(axis=1), np.abs(dirs + u).sum(axis=1))
+    A0 = np.zeros((u.size, u.size)) if comb.A0 is None else comb.A0
+    if (np.all(off <= _L1_TOL)
+            and np.abs(comb.a0 - (comb.a0 @ sgn) * u).sum() <= _L1_TOL * np.abs(comb.a0).sum()
+            and np.abs(A0 - (sgn @ A0 @ sgn) * np.outer(u, u)).sum() <= _L1_TOL * np.abs(A0).sum()
+            # the density formula loses about 1e-16 / prod(2|u_k|) to cancellation
+            and np.prod(2.0 * np.abs(u[u != 0])) >= _LINE_MIN_DENSITY_SCALE):
+        return line
+    return None
+
+
 def l2_error(target, comb, nodes: int | None = None) -> float:
     """||target - comb|| in L2 of the uniform probability measure on the cube."""
-    _check_pair(target, comb)
-    d = target.d
-    if d <= 3:
-        n = DEFAULT_L2_NODES[d] if nodes is None else int(nodes)
-        check_grid_sizes(d, l2_nodes=n)
-        points, weights = uniform_cube_rule(d, n)
+    n = DEFAULT_L2_NODES.get(target.d) if nodes is None else int(nodes)
+    line = _checked_line(target, comb, "l2_error", l2_nodes=n)
+    return _l2_cube(target, comb, n) if line is None else _line_l2(target, comb, line)
+
+
+def _l2_cube(target, comb, n: int | None) -> float:
+    """L2 by the tensor rule of n nodes per axis (d <= 3) or the Sobol rule (d = 4)."""
+    if target.d <= 3:
+        points, weights = uniform_cube_rule(target.d, n)
         key = ("l2", n)
-    elif d == 4:
+    else:
         points, weights = _sobol_rule()
         key = ("l2", "sobol")
-    else:
-        raise UsageError(f"l2_error supports d <= 4, got d={d}")
     diff = _target_values(target, key, points) - comb.evaluate_batch(points)
     return float(np.sqrt(np.sum(weights * diff * diff)))
+
+
+def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray) -> np.ndarray:
+    """target - comb at x(p) = p sign(u), where u . x = p, with p in piece k of C.
+
+    The target goes through evaluate_batch; comb is its piece polynomial.
+    """
+    g = target.evaluate_batch(p.reshape(-1, 1) * np.sign(line[0])).reshape(p.shape)
+    return g - (C[0, k] + p * (C[1, k] + p * C[2, k]))
+
+
+def _line_pieces(comb, line) -> tuple[np.ndarray, np.ndarray]:
+    """comb on the line x(p) = p sign(u), p in [-1, 1], as a piecewise polynomial.
+
+    Returns the piece edges (the kinks sign(a_k . u) t_k, the knots sum +-|u_k|
+    of the density of u . x, and a mesh of width at most _LINE_MESH / max c_j)
+    and C of shape (3, pieces), so comb = C[0] + C[1] p + C[2] p^2 on a piece.
+    The terms' part comes from the prefix sums of comb._groups.
+    """
+    u, cmax, _ = line
+    sgn, s = np.sign(u), comb.s
+    groups = [(1.0 if a @ u > 0 else -1.0, ts, S) for a, ts, S in comb._groups]
+    edges = np.unique(np.clip(np.concatenate(
+        [np.linspace(-1.0, 1.0, math.ceil(2.0 * cmax / _LINE_MESH) + 1),
+         tensor_grid(np.array([-1.0, 1.0]), u.size) @ np.abs(u)]
+        + [e * ts for e, ts, _ in groups]), -1.0, 1.0))
+    T = np.zeros((3, edges.size - 1))
+    for e, ts, S in groups:
+        # the terms with e p > t on a piece, each (e p - t)^(s-1) expanded in powers of p
+        i = np.searchsorted(ts, edges[:-1] if e > 0 else -edges[1:], side="right")
+        for j in range(s):
+            T[j] += math.comb(s - 1, j) * (-1.0) ** (s - 1 - j) * e**j * S[s - 1 - j, i]
+    C = comb.outer_scale * T
+    C[0] += comb.b0
+    C[1] += comb.a0 @ sgn
+    if comb.A0 is not None:
+        C[2] += 0.5 * (sgn @ comb.A0 @ sgn)
+    return edges, C
+
+
+def _density(u: np.ndarray, p: np.ndarray):
+    """Density of u . x at p for x uniform on the cube: a piecewise polynomial
+    of degree (nonzero components - 1), in its truncated-power form."""
+    c = np.abs(u[u != 0])
+    if c.size == 1:
+        return 0.5
+    signs = tensor_grid(np.array([-1.0, 1.0]), c.size)
+    z = np.maximum(p[..., None] + signs @ c, 0.0) ** (c.size - 1)
+    return (z @ np.prod(signs, axis=1)) / (math.factorial(c.size - 1) * np.prod(2.0 * c))
+
+
+def _line_l2(target, comb, line) -> float:
+    """L2 on the line: the integral of (target - comb)^2 rho by composite
+    Gauss-Legendre, exact for comb^2 rho, whose degree is at most 7."""
+    edges, C = _line_pieces(comb, line)
+    p, w = panel_rule(edges, _LINE_NODES)
+    p, w = p.reshape(-1, _LINE_NODES), w.reshape(-1, _LINE_NODES)
+    diff = _line_diff(target, line, C, np.arange(p.shape[0])[:, None], p)
+    return float(np.sqrt(np.sum(w * _density(line[0], p) * diff * diff)))
+
+
+def _line_linf(target, comb, line) -> float:
+    """max |target - comb| on the line: every edge is sampled, then each piece
+    whose bound can still beat the running maximum by _SUP_RTOL is split in
+    _SUP_SPLIT and sampled again.
+
+    On a piece |h''| <= max c_j sum mag_j c_j + 2 |C[2]|, so |h| there is at
+    most its larger end value plus that bound times width^2 / 8.  Near a
+    smooth maximum this keeps a few pieces alive, where a Lipschitz bound
+    would keep more the finer they get.
+    """
+    _, cmax, lip = line
+    edges, C = _line_pieces(comb, line)
+    h = np.abs(_line_diff(target, line, C, np.minimum(np.arange(edges.size), C.shape[1] - 1),
+                          edges))
+    best = float(h.max())
+    k, lo, hi, hlo, hhi = np.arange(C.shape[1]), edges[:-1], edges[1:], h[:-1], h[1:]
+    frac = np.linspace(0.0, 1.0, _SUP_SPLIT + 1)
+    for _ in range(_SUP_ROUNDS):
+        curv = cmax * lip + 2.0 * np.abs(C[2, k])
+        keep = np.maximum(hlo, hhi) + curv * (hi - lo) ** 2 / 8.0 > best * (1.0 + _SUP_RTOL)
+        if not keep.any():
+            break
+        k, lo, hi = k[keep, None], lo[keep, None], hi[keep, None]
+        q = lo + (hi - lo) * frac
+        hq = np.abs(_line_diff(target, line, C, k, q[:, 1:-1]))
+        best = max(best, float(hq.max()))
+        hq = np.column_stack([hlo[keep], hq, hhi[keep]])
+        k, lo, hi = np.repeat(k.ravel(), _SUP_SPLIT), q[:, :-1].ravel(), q[:, 1:].ravel()
+        hlo, hhi = hq[:, :-1].ravel(), hq[:, 1:].ravel()
+    return best
 
 
 def _abs_diff_fn(target, comb):
@@ -151,14 +278,18 @@ def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
 
 
 def linf_error(target, comb, grid: int | None = None, refine_top: int = 10) -> float:
-    """Sup-norm estimate: grid max plus ternary refinement; never below the grid max."""
-    _check_pair(target, comb)
-    d = target.d
-    if d > 4:
-        raise UsageError(f"linf_error supports d <= 4, got d={d}")
-    per_axis = DEFAULT_LINF_GRID[d] if grid is None else int(grid)
-    check_grid_sizes(d, linf_grid=per_axis)
-    points = _sup_grid(d, per_axis)
+    """Sup-norm estimate: exact to _SUP_RTOL on the pair's common line; otherwise
+    grid max plus ternary refinement, never below the grid max."""
+    per_axis = DEFAULT_LINF_GRID.get(target.d) if grid is None else int(grid)
+    line = _checked_line(target, comb, "linf_error", linf_grid=per_axis)
+    if line is not None:
+        return _line_linf(target, comb, line)
+    return _linf_cube(target, comb, per_axis, refine_top)
+
+
+def _linf_cube(target, comb, per_axis: int, refine_top: int = 10) -> float:
+    """Grid max on the per_axis^d grid plus ternary refinement of its best points."""
+    points = _sup_grid(target.d, per_axis)
     vals = np.abs(_target_values(target, ("sup", per_axis), points)
                   - comb.evaluate_batch(points))
     best = float(vals.max())

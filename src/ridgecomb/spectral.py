@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as _rng
-from .core import RidgeAtom, _atoms, half_quadratic
+from .core import _L1_TOL, RidgeAtom, _atoms, half_quadratic
 from .errors import UsageError
 from .quadrature import _leggauss
 
@@ -223,6 +223,9 @@ class TargetFunction:
 
     `values_on` keeps the target's values on the fixed point sets that every
     error measurement reuses; the memo lives and dies with the instance.
+    `line` is (u, max_j c_j, sum_j mag_j c_j), c_j = ||omega_j||_1, when every
+    nonzero frequency is +-c_j u for one unit-l1 u, so the target is a ridge
+    function of u . x; it is None otherwise and for a directly built target.
     """
 
     d: int
@@ -230,6 +233,7 @@ class TargetFunction:
     a0: np.ndarray
     A0: np.ndarray
     _fn: object
+    line: tuple | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     _memo_lock: object = field(default_factory=threading.Lock, init=False, repr=False)
 
@@ -247,19 +251,19 @@ class TargetFunction:
         b0 = float((meas.mags * np.cos(meas.phases)).sum())
         a0 = -(meas.omegas.T @ (meas.mags * np.sin(meas.phases)))
         A0 = -(meas.omegas.T * (meas.mags * np.cos(meas.phases))) @ meas.omegas
-        return cls(d=meas.d, b0=b0, a0=a0, A0=A0, _fn=meas.evaluate_batch)
+        c = np.abs(meas.omegas).sum(axis=1)
+        dirs = meas.omegas[c > 0] / c[c > 0, None]
+        line = None
+        if dirs.size and np.all(np.minimum(np.abs(dirs - dirs[0]).sum(axis=1),
+                                           np.abs(dirs + dirs[0]).sum(axis=1)) <= _L1_TOL):
+            u = dirs[0]
+            u.setflags(write=False)
+            line = (u, float(c.max()), float(meas.mags @ c))
+        return cls(d=meas.d, b0=b0, a0=a0, A0=A0, _fn=meas.evaluate_batch, line=line)
 
     @classmethod
     def from_sine_ridge(cls, theta) -> "TargetFunction":
-        theta = _check_theta(theta)
-        K = float(theta.sum())
-        scale = 1.0 / (4.0 * np.pi * K**2)
-
-        def fn(points, _theta=theta, _scale=scale):
-            return np.sin(np.pi * (np.asarray(points, dtype=float) @ _theta)) * _scale
-
-        d = theta.size
-        return cls(d=d, b0=0.0, a0=theta / (4.0 * K**2), A0=np.zeros((d, d)), _fn=fn)
+        return cls.from_measure(sine_ridge_measure(theta))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -24,18 +24,12 @@ __all__ = ["resolve_target", "catalog_entries", "sine_ridge_measure"]
 
 
 def _parse_theta(text: str) -> tuple:
-    body = text.strip().strip("()").strip()
-    parts = [p.strip() for p in body.split(",")]
-    parts = [p for p in parts if p]  # tolerate the trailing comma in "(1,)"
-    if not parts:
-        raise UsageError("sine-ridge target needs at least one integer component")
+    """The integers of "1,2" or "(1,)"; sine_ridge_measure checks that they are positive."""
+    parts = [p.strip() for p in text.strip().strip("()").split(",")]
     try:
-        theta = tuple(int(part) for part in parts)
+        return tuple(int(part) for part in parts if part)  # "(1,)" has a trailing comma
     except ValueError as exc:
         raise UsageError(f"could not parse integer vector from {text!r}") from exc
-    if any(v < 1 for v in theta):
-        raise UsageError(f"sine-ridge components must be positive integers, got {theta}")
-    return theta
 
 
 def resolve_target(spec: str, s: int, seed: int = 0):

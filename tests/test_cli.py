@@ -254,6 +254,17 @@ class TestExitCodes:
                                         "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("spec, problem", [
+        ("sine-ridge:0,1", "positive integers"),
+        ("sine-ridge:a", "could not parse integer vector from 'a'"),
+        ("sine-ridge:", "nonempty"),
+    ])
+    def test_bad_sine_ridge_names_its_problem(self, spec, problem, tmp_path, capsys):
+        assert main(["build", "--target", spec, "--m", "8", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and problem in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_d_above_4_is_a_hard_limit(self, tmp_path):
         out = tmp_path / "o"
         base = ["build", "--target", "sine-ridge:1,1,1,1,1", "--m", "8", "--out", str(out)]

@@ -35,16 +35,20 @@ from ridgecomb import (
 from ridgecomb import rng
 from ridgecomb.metrics import (
     CSV_HEADER,
+    DEFAULT_L2_NODES,
     DEFAULT_LINF_GRID,
     LINF_RANDOM_POINTS_D4,
     _abs_diff_fn,
+    _checked_line,
+    _l2_cube,
+    _linf_cube,
     _sobol_rule,
     _sup_grid,
     _ternary_refine,
     _top_k,
 )
-from ridgecomb.quadrature import uniform_cube_rule
-from ridgecomb.spectral import TargetFunction
+from ridgecomb.quadrature import panel_rule, uniform_cube_rule
+from ridgecomb.spectral import TargetFunction, sine_ridge_measure
 
 # closed form for || sin(pi x)/(4 pi) - x/4 || in L2([-1,1], dx/2):
 # (1/2) int (x/4 - sin(pi x)/(4 pi))^2 dx = 1/48 - 3/(32 pi^2)
@@ -183,6 +187,16 @@ def linf_error_uncached(target, comb, refine_top=10):
     return max(float(vals.max()), ternary_refine_per_probe(fn, top, 2.0 / (per_axis - 1)))
 
 
+def cube_l2(target, comb):
+    """l2_error at its default rule, always on the d-dimensional path."""
+    return _l2_cube(target, comb, DEFAULT_L2_NODES.get(target.d))
+
+
+def cube_linf(target, comb):
+    """linf_error at its default grid, always on the d-dimensional path."""
+    return _linf_cube(target, comb, DEFAULT_LINF_GRID[target.d])
+
+
 def cosine_target(d):
     """A 2-frequency cosine-sum representation at dimension d, s = 3."""
     gen = np.random.default_rng(0)
@@ -196,11 +210,13 @@ class TestCachedPointSets:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_errors_equal_the_uncached_reference(self, d):
         rep, tgt = cosine_target(d)
+        # every d = 1 pair lies on a line, so there the d-dim path is called directly
+        l2, linf = (cube_l2, cube_linf) if d == 1 else (l2_error, linf_error)
         # the first combination fills the target's memo, the second reads it
         for seed in (1, 2):
             comb = build_iid(rep, 16, tgt, seed=seed)
-            assert l2_error(tgt, comb) == l2_error_uncached(tgt, comb)
-            assert linf_error(tgt, comb) == linf_error_uncached(tgt, comb)
+            assert l2(tgt, comb) == l2_error_uncached(tgt, comb)
+            assert linf(tgt, comb) == linf_error_uncached(tgt, comb)
 
     def test_points_and_values_are_read_only(self):
         rep, tgt = cosine_target(4)
@@ -282,7 +298,10 @@ class TestLinfError:
     @pytest.mark.parametrize("case", range(4))
     def test_equals_the_uncached_reference(self, case):
         tgt, comb = refinement_cases()[case]
-        assert linf_error(tgt, comb) == linf_error_uncached(tgt, comb)
+        # cases 0 and 1 are sine ridges, measured on their line by linf_error,
+        # so there the d-dim path is called directly
+        linf = cube_linf if case < 2 else linf_error
+        assert linf(tgt, comb) == linf_error_uncached(tgt, comb)
 
     @given(n=st.integers(min_value=1, max_value=400), k=st.integers(min_value=1, max_value=12),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -332,6 +351,95 @@ class TestLinfError:
         for seed in range(5):
             comb = build_iid(rep, 32, tgt, seed=seed)
             assert linf_error(tgt, comb) >= l2_error(tgt, comb) - 1e-12
+
+
+def sine_pair(theta, s, method, m, seed=0):
+    """A sine-ridge target at order s and an iid or stratified build of it."""
+    rep = spectral_representation(sine_ridge_measure(theta), s)
+    tgt = target_of(rep)
+    if method == "iid":
+        return tgt, build_iid(rep, m, tgt, seed=seed)
+    return tgt, build_stratified(rep, m, m ** (-1.0 / len(theta)), "fractional", tgt, seed=seed)
+
+
+def kink_aware_l2(target, comb, panels=4000, nodes=10):
+    """L2 at d = 1 by composite Gauss-Legendre on a fine mesh split at every kink."""
+    kinks = np.where(comb.A[:, 0] > 0, comb.t, -comb.t)
+    x, w = panel_rule(np.unique(np.r_[np.linspace(-1.0, 1.0, panels + 1), kinks]), nodes)
+    diff = target.evaluate_batch(x[:, None]) - comb.evaluate_batch(x[:, None])
+    return math.sqrt(float(np.sum(w / 2.0 * diff * diff)))
+
+
+def tilted(comb, eps=1e-9):
+    """comb with its first term's inner vector moved eps off its line, l1 norm kept."""
+    A = comb.A.copy()
+    A[0, 0] -= math.copysign(eps, A[0, 0])
+    A[0, 1] += math.copysign(eps, A[0, 1])
+    return RidgeCombination.from_arrays(comb.d, comb.s, comb.b0, comb.a0, comb.A0, comb.v,
+                                        comb.coef, comb.sign, A, comb.t)
+
+
+class TestLinePath:
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("method", ["iid", "stratified"])
+    @pytest.mark.parametrize("m", [2, 64, 4096])
+    def test_d1_l2_matches_a_kink_aware_rule(self, s, method, m):
+        tgt, comb = sine_pair((3,), s, method, m)
+        assert _checked_line(tgt, comb, "l2_error") is not None
+        assert l2_error(tgt, comb) == pytest.approx(kink_aware_l2(tgt, comb), rel=1e-9)
+
+    @pytest.mark.parametrize("theta", [(3,), (1, 1), (2, 1), (1, 2, 1)])
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("method", ["iid", "stratified"])
+    def test_sup_is_never_below_the_grid_and_refinement(self, theta, s, method):
+        for seed, m in ((0, 4), (1, 16), (2, 64)):
+            tgt, comb = sine_pair(theta, s, method, m, seed=seed)
+            assert _checked_line(tgt, comb, "linf_error") is not None
+            assert linf_error(tgt, comb) >= cube_linf(tgt, comb) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("theta", [(1,), (1, 1), (2, 1), (1, 2, 1), (1, 3, 1, 1)])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_affine_only_l2_matches_the_tensor_rule(self, theta, s):
+        # kink-free, so the tensor rule is exact to rounding and checks the density of u . x
+        tgt = target_of(spectral_representation(sine_ridge_measure(theta), s))
+        comb = make_affine(tgt.d, s, tgt.b0, tgt.a0, tgt.A0 if s == 3 else None)
+        assert _checked_line(tgt, comb, "l2_error") is not None
+        points, weights = uniform_cube_rule(tgt.d, 64 if tgt.d <= 3 else 24)
+        diff = tgt.evaluate_batch(points) - comb.evaluate_batch(points)
+        want = math.sqrt(float(np.sum(weights * diff * diff)))
+        assert l2_error(tgt, comb) == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_parallel_cosine_sum_with_mixed_signs(self, s):
+        # three frequencies on one line u = (1, -2)/3, one of them pointing the other way
+        rep = spectral_representation(SpectralMeasure(
+            omegas=[[1.0, -2.0], [-2.0, 4.0], [0.5, -1.0]], mags=[0.5, 0.3, 0.2],
+            phases=[0.3, -1.0, 2.0]), s)
+        tgt = target_of(rep)
+        affine = make_affine(2, s, tgt.b0, tgt.a0, tgt.A0 if s == 3 else None)
+        assert l2_error(tgt, affine) == pytest.approx(cube_l2(tgt, affine), rel=1e-10)
+        for m in (4, 64):
+            for comb in (build_iid(rep, m, tgt, seed=m),
+                         build_stratified(rep, m, m**-0.5, "fractional", tgt, seed=m)):
+                assert _checked_line(tgt, comb, "linf_error") is not None
+                assert linf_error(tgt, comb) >= cube_linf(tgt, comb) * (1.0 - 1e-12)
+
+    def test_pairs_off_a_line_take_the_cube_path(self):
+        sparse_rep = spectral_representation(sine_ridge_measure((1, 1, 1)), 3)
+        sparse_tgt = target_of(sparse_rep)
+        two_freq = spectral_representation(SpectralMeasure(
+            omegas=np.array([[1.0, 0.5], [-0.7, 1.3]]), mags=[0.8, 0.5], phases=[0.4, -1.1]), 3)
+        sine_tgt, sine_comb = sine_pair((1, 1), 3, "iid", 64)
+        pairs = [
+            (sparse_tgt, build_sparse(sparse_rep, 64, 2, sparse_tgt, seed=0)),
+            (target_of(two_freq), build_iid(two_freq, 64, target_of(two_freq), seed=0)),
+            (sine_tgt, tilted(sine_comb)),
+        ]
+        assert sparse_tgt.line is not None and sine_tgt.line is not None
+        for tgt, comb in pairs:
+            assert _checked_line(tgt, comb, "l2_error") is None
+            assert l2_error(tgt, comb) == cube_l2(tgt, comb)
+            assert linf_error(tgt, comb) == cube_linf(tgt, comb)
 
 
 class TestFitRate:

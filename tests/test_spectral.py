@@ -193,6 +193,25 @@ class TestTargetFunction:
         want = np.sin(np.pi * (pts[:, 0] + pts[:, 1])) / (4 * np.pi * 4)
         assert np.allclose(tgt.evaluate_batch(pts), want)
 
+    def test_line_is_recorded_when_every_frequency_is_parallel(self):
+        u, cmax, lip = TargetFunction.from_sine_ridge((1, 2)).line
+        assert np.allclose(u, [1 / 3, 2 / 3]) and cmax == pytest.approx(3 * np.pi)
+        assert lip == pytest.approx(1 / 12)  # mag * c = 3 pi / (4 pi 9)
+        with pytest.raises(ValueError):
+            u[0] = 0.0
+        # opposite and zero frequencies lie on the line too
+        meas = SpectralMeasure(omegas=[[1.0, 2.0], [-2.0, -4.0], [0.0, 0.0]],
+                               mags=[0.5, 0.25, 1.0], phases=[0.1, 0.2, 0.3])
+        u, cmax, lip = TargetFunction.from_measure(meas).line
+        assert np.allclose(u, [1 / 3, 2 / 3]) and cmax == 6.0 and lip == 3.0  # 0.5 * 3 + 0.25 * 6
+        off_line = SpectralMeasure(omegas=[[1.0, 2.0], [2.0, 4.0 + 1e-9]], mags=[0.5, 0.25],
+                                   phases=[0.1, 0.2])
+        constant = SpectralMeasure(omegas=[[0.0, 0.0]], mags=[1.0], phases=[0.0])
+        for meas in (two_atom_measure(), off_line, constant):
+            assert TargetFunction.from_measure(meas).line is None
+        direct = TargetFunction(d=1, b0=0.0, a0=[0.0], A0=[[0.0]], _fn=np.sin)
+        assert direct.line is None
+
     def test_residual_removes_affine_part(self):
         tgt = target_of(exact_sine_representation((2,)))
         pts = np.linspace(-1, 1, 9)[:, None]
