@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -36,10 +37,12 @@ from .errors import BuilderError, UsageError
 from .metrics import (
     CSV_HEADER,
     check_grid_sizes,
+    finish_reports,
     fit_rate,
     l2_error,
     lower_bound_floor,
     measure_report,
+    start_report,
 )
 from .packing import (
     BINARY_ENTROPY_QUARTER,
@@ -236,6 +239,21 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 # --- rate sweep ---
 
+def _in_order(pool, fn, cells, ahead: int):
+    """fn(*cell) for each cell, run in the pool and yielded in cell order.
+
+    At most `ahead` cells are submitted and not yet read, so a slow reader
+    holds back the pool instead of gathering every finished cell's result.
+    """
+    running = deque()
+    for cell in cells:
+        if len(running) == ahead:
+            yield running.popleft().result()
+        running.append(pool.submit(fn, *cell))
+    while running:
+        yield running.popleft().result()
+
+
 def cmd_rate_sweep(args: argparse.Namespace) -> int:
     cfg = _merged(args)
     resolved, grid_sizes, force = _shared_settings(cfg, "rate-sweep")
@@ -269,17 +287,25 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
     s = resolved["s"]
 
     def run_cell(method: str, m: int, seed: int):
-        floor = lower_bound_floor(m, target.d, s, 1.0)
+        # build, L2 and the per-pair sup pass; the sup refinement follows in batches
         try:
             comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
-            rpt = measure_report(target, comb, m, method, seed, **grid_sizes)
-            return (m, method, seed, rpt, "ok", floor, None)
         except BuilderError as exc:
-            return (m, method, seed, None, "builder-error", floor, str(exc))
+            return str(exc)
+        return start_report(target, comb, m, method, seed, **grid_sizes)
 
     cells = [(method, m, seed) for method in methods for m in ms for seed in seeds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda c: run_cell(*c), cells))
+        # batches form in cell order, so the bytes do not depend on the worker count
+        started = _in_order(pool, run_cell, cells, ahead=2 * workers)
+        reports = list(finish_reports(target, started))
+    rows = []
+    for (method, m, seed), rpt in zip(cells, reports):
+        floor = lower_bound_floor(m, target.d, s, 1.0)
+        if isinstance(rpt, str):
+            rows.append((m, method, seed, None, "builder-error", floor, rpt))
+        else:
+            rows.append((m, method, seed, rpt, "ok", floor, None))
     rows.sort(key=lambda r: (r[1], r[0], r[2]))
 
     lines = [SWEEP_RESULTS_HEADER]

@@ -94,12 +94,51 @@ def _atoms(sign: np.ndarray, A: np.ndarray, t: np.ndarray, s: int) -> list[Ridge
 
 
 def half_quadratic(points: np.ndarray, A0: np.ndarray) -> np.ndarray:
-    """0.5 x^T A0 x at each row x of points, accumulated one column at a time."""
+    """0.5 x^T A0 x at each row x of points, accumulated one column at a time.
+
+    Leading axes broadcast: points (c, n, d) with A0 (c, d, d) gives (c, n),
+    each slice by the operations of its own two-dimensional call.
+    """
     Q = points @ A0
-    acc = Q[:, 0] * points[:, 0]
-    for j in range(1, points.shape[1]):
-        acc += Q[:, j] * points[:, j]
+    acc = Q[..., 0] * points[..., 0]
+    for j in range(1, points.shape[-1]):
+        acc += Q[..., j] * points[..., j]
     return 0.5 * acc
+
+
+def polynomial_part(points: np.ndarray, b0, a0: np.ndarray, A0: np.ndarray | None) -> np.ndarray:
+    """b0 + a0 . x [+ 0.5 x^T A0 x] at each row x of points: a combination's part
+    outside its terms.  Leading axes broadcast as in half_quadratic, with b0 of
+    shape (c, 1) and a0 of shape (c, d) for points (c, n, d)."""
+    out = b0 + np.matmul(points, a0[..., None])[..., 0]
+    if A0 is not None:
+        out += half_quadratic(points, A0)
+    return out
+
+
+def _dense_term_sum(points: np.ndarray, At: np.ndarray, T: np.ndarray, B: np.ndarray,
+                    square: bool) -> np.ndarray:
+    """sum_k b_k (a_k . x - t_k)_+^(s-1) over blocks of points, O(n m) time, bounded memory.
+
+    points (n, d), At (d, m) = A.T, T (m,) and B (m, 1) = coef[:, None], with
+    square for s = 3.  Leading axes broadcast: points (c, n, d) with At
+    (c, d, m), T (c, 1, m) and B (c, m, 1) gives (c, n), each slice in the
+    blocks of rows and by the BLAS calls of its own two-dimensional call.
+    """
+    n, m = points.shape[-2], At.shape[-1]
+    step = max(1, _DENSE_BLOCK_ELEMS // m)
+    buf = np.empty((*points.shape[:-2], min(step, n), m))
+    acc = np.empty((*points.shape[:-2], n, 1))
+    for lo in range(0, n, step):
+        blk = points[..., lo:lo + step, :]
+        rows = blk.shape[-2]
+        Z = np.matmul(blk, At, out=buf[..., :rows, :])
+        Z -= T
+        np.maximum(Z, 0.0, out=Z)
+        if square:
+            Z *= Z
+        np.matmul(Z, B, out=acc[..., lo:lo + rows, :])
+    return acc[..., 0]
 
 
 # Lipschitz factor of an order-s atom in ||a||_1 + |t| under the sup norm on the
@@ -233,9 +272,23 @@ class RidgeCombination:
 
     @cached_property
     def _directions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct inner vectors (rows) and each term's row index among them."""
-        dirs, inverse = np.unique(self.A, axis=0, return_inverse=True)
-        return dirs, inverse.ravel()
+        """Distinct inner vectors (rows) and each term's row index among them.
+
+        The rows in lexicographic order, as np.unique(A, axis=0) gives them,
+        found by one lexsort and a diff of neighbouring sorted rows.
+        """
+        order = np.lexsort(self.A.T[::-1])  # the last key is the primary one
+        rows = self.A[order]
+        new = np.ones(order.size, dtype=bool)
+        np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        return rows[new], inverse
+
+    @cached_property
+    def _grouped(self) -> bool:
+        """Whether the term sum goes by direction groups rather than dense blocks."""
+        return self.term_count >= _GROUPED_MIN_REPEAT * self._directions[0].shape[0]
 
     @cached_property
     def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -270,36 +323,25 @@ class RidgeCombination:
                 acc += (p * S[0, i] - 2.0 * S[1, i]) * p + S[2, i]
         return acc
 
-    def _dense_term_sum(self, points: np.ndarray) -> np.ndarray:
-        """sum_k b_k (a_k . x - t_k)_+^(s-1) over blocks of points, O(n m) time, bounded memory."""
-        B, A, T = self.coef, self.A, self.t
-        n = points.shape[0]
-        step = max(1, _DENSE_BLOCK_ELEMS // B.size)
-        buf = np.empty((min(step, n), B.size))
-        acc = np.empty(n)
-        for lo in range(0, n, step):
-            blk = points[lo:lo + step]
-            Z = np.matmul(blk, A.T, out=buf[:blk.shape[0]])
-            Z -= T
-            np.maximum(Z, 0.0, out=Z)
-            if self.s == 3:
-                Z *= Z
-            np.matmul(Z, B, out=acc[lo:lo + blk.shape[0]])
-        return acc
+    def evaluate_batch(self, points: np.ndarray, polynomial: np.ndarray | None = None) -> np.ndarray:
+        """The combination at each row of points.
 
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        `polynomial`, when given, must be polynomial_part of this combination's
+        b0, a0 and A0 at these points; the sum starts from a copy of it.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.d:
             raise UsageError(f"points must have shape (n, {self.d})")
-        out = self.b0 + points @ self.a0
-        if self.s == 3 and self.A0 is not None:
-            out += half_quadratic(points, self.A0)
+        if polynomial is None:
+            out = polynomial_part(points, self.b0, self.a0, self.A0)
+        else:
+            out = polynomial.copy()
         if self.term_count:
-            dirs, _ = self._directions
-            if self.term_count >= _GROUPED_MIN_REPEAT * dirs.shape[0]:
+            if self._grouped:
                 out += self.outer_scale * self._grouped_term_sum(points)
             else:
-                out += self.outer_scale * self._dense_term_sum(points)
+                out += self.outer_scale * _dense_term_sum(points, self.A.T, self.t,
+                                                          self.coef[:, None], self.s == 3)
         return out
 
     def evaluate(self, x) -> float:
@@ -337,6 +379,44 @@ class RidgeCombination:
     @classmethod
     def load(cls, path) -> "RidgeCombination":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
+
+
+def stack_key(comb: RidgeCombination):
+    """Combinations with one key can share a stack_evaluator; None for one that
+    is evaluated alone (no terms, or the grouped term sum)."""
+    if not comb.term_count or comb._grouped:
+        return None
+    return (comb.d, comb.s, comb.term_count, comb.A0 is None)
+
+
+def stack_evaluator(combs):
+    """The function taking points of shape (len(combs), n, d) to
+    combs[i].evaluate_batch(points[i]), stacked to shape (len(combs), n).
+
+    A combination without a stack_key goes alone, through evaluate_batch.
+    Combinations with one stack_key, with n x terms each within
+    _DENSE_BLOCK_ELEMS, have their arrays stacked once and go through
+    _dense_term_sum over the stack, so every row gets the value its own
+    combination gives it.
+    """
+    if stack_key(combs[0]) is None:
+        (comb,) = combs
+        return lambda points: comb.evaluate_batch(points[0])[None]
+    b0 = np.array([c.b0 for c in combs])[:, None]
+    a0 = np.stack([c.a0 for c in combs])
+    A0 = None if combs[0].A0 is None else np.stack([c.A0 for c in combs])
+    At = np.stack([c.A for c in combs]).transpose(0, 2, 1)  # each slice is evaluate_batch's A.T
+    T = np.stack([c.t for c in combs])[:, None, :]
+    B = np.stack([c.coef for c in combs])[..., None]
+    scale = np.array([c.outer_scale for c in combs])[:, None]
+    square = combs[0].s == 3
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        out = polynomial_part(points, b0, a0, A0)
+        out += scale * _dense_term_sum(points, At, T, B, square)
+        return out
+
+    return evaluate
 
 
 def make_affine(d: int, s: int, b0: float, a0, A0=None, v: float = 0.0) -> RidgeCombination:

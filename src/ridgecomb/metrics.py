@@ -10,21 +10,30 @@ and a grid maximum sharpened by a per-axis ternary refinement around the
 best grid cells, a lower bound on the true sup.
 
 The quadrature rules and sup grids are built once per process and kept
-read-only, and a TargetFunction's values on them are kept by the target
-itself, so every combination measured against one target reuses them.
+read-only, and a TargetFunction keeps its values on them, and the polynomial
+part b0 + a0 . x [+ 0.5 x^T A0 x] that the builders copy from it, so every
+combination measured against one target reuses them.
+
+The sup goes in two steps: a per-pair pass (the grid max and its best
+points, or the whole line sup) and the refinement of those points.
+finish_reports refines consecutive cells whose combinations stack
+(core.stack_key) in one batch, each row against its own combination, with
+the same probes and the same values as one cell alone; measure_report and
+linf_error are the one-cell case.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import rng as _rng
-from .core import _L1_TOL, CubeDomain
+from .core import _DENSE_BLOCK_ELEMS, _L1_TOL, CubeDomain, stack_evaluator, stack_key
 from .errors import UsageError
 from .quadrature import MAX_RULE_POINTS, panel_rule, tensor_grid, uniform_cube_rule
 from .spectral import TargetFunction
@@ -35,9 +44,11 @@ __all__ = [
     "l2_error",
     "linf_error",
     "check_grid_sizes",
+    "finish_reports",
     "fit_rate",
     "lower_bound_floor",
     "measure_report",
+    "start_report",
 ]
 
 DEFAULT_L2_NODES = {1: 64, 2: 64, 3: 64}
@@ -47,6 +58,7 @@ _LINE_NODES = 4  # Gauss-Legendre nodes per panel: exact to degree 7 >= 2(s-1) +
 _LINE_MESH = 0.1  # panel width cap times the target's largest ||omega_j||_1
 _LINE_MIN_DENSITY_SCALE = 1e-4
 _SUP_RTOL, _SUP_SPLIT, _SUP_ROUNDS = 1e-13, 4, 40
+_REFINE_TOP = 10  # grid points each refinement starts from
 
 
 @dataclass(frozen=True)
@@ -82,6 +94,12 @@ def _target_values(target, key, points: np.ndarray) -> np.ndarray:
     if isinstance(target, TargetFunction):
         return target.values_on(key, points)
     return target.evaluate_batch(points)
+
+
+def _comb_values(target, comb, key, points: np.ndarray) -> np.ndarray:
+    """comb on a fixed point set, from the target's kept polynomial part when comb shares it."""
+    poly = target.polynomial_on(key, points, comb) if isinstance(target, TargetFunction) else None
+    return comb.evaluate_batch(points, polynomial=poly)
 
 
 @lru_cache(maxsize=1)
@@ -153,7 +171,7 @@ def _l2_cube(target, comb, n: int | None) -> float:
     else:
         points, weights = _sobol_rule()
         key = ("l2", "sobol")
-    diff = _target_values(target, key, points) - comb.evaluate_batch(points)
+    diff = _target_values(target, key, points) - _comb_values(target, comb, key, points)
     return float(np.sqrt(np.sum(weights * diff * diff)))
 
 
@@ -248,12 +266,6 @@ def _line_linf(target, comb, line) -> float:
     return best
 
 
-def _abs_diff_fn(target, comb):
-    def fn(points):
-        return np.abs(target.evaluate_batch(points) - comb.evaluate_batch(points))
-    return fn
-
-
 @lru_cache(maxsize=16)
 def _sup_grid(d: int, per_axis: int) -> np.ndarray:
     """The sup-norm point set: a tensor grid with the boundary, plus random probes at d = 4."""
@@ -269,66 +281,145 @@ def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest values, ascending by value; the set of np.argsort(vals)[-k:].
 
     A partial sort finds them; a tie at the k-th value falls back to the full
-    sort, so the chosen set is always the full sort's.
+    sort, so the chosen set is always the full sort's.  k = 0 gives none.
     """
+    if k == 0:
+        return np.zeros(0, dtype=np.intp)
     idx = np.argpartition(vals, -k)[-k:]
     if np.count_nonzero(vals >= vals[idx].min()) > k:
         return np.argsort(vals)[-k:]
     return idx[np.argsort(vals[idx])]
 
 
-def linf_error(target, comb, grid: int | None = None, refine_top: int = 10) -> float:
-    """Sup-norm estimate: exact to _SUP_RTOL on the pair's common line; otherwise
-    grid max plus ternary refinement, never below the grid max."""
+@dataclass(frozen=True, eq=False)
+class _SupPass:
+    """A pair's sup before refinement: value is the grid max, or the exact sup
+    on the pair's line.  starts (k, d) are the points the refinement raises it
+    from, None when there is nothing to refine; comb is kept for them."""
+
+    value: float
+    comb: object = None
+    starts: np.ndarray | None = None
+    spacing: float = 0.0
+
+    @property
+    def key(self):
+        """Passes with one key can be refined in one batch; None for one that goes alone."""
+        if self.starts is None:
+            return None
+        comb_key = stack_key(self.comb)
+        return None if comb_key is None else (comb_key, self.starts.shape, self.spacing)
+
+
+def _sup_pass(target, comb, grid: int | None, refine_top: int) -> _SupPass:
+    """The per-pair part of linf_error: the whole sup on the pair's common
+    line, else the grid max and its refine_top best points."""
+    if refine_top < 0:
+        raise UsageError(f"refine_top must be nonnegative, got {refine_top}")
     per_axis = DEFAULT_LINF_GRID.get(target.d) if grid is None else int(grid)
     line = _checked_line(target, comb, "linf_error", linf_grid=per_axis)
     if line is not None:
-        return _line_linf(target, comb, line)
-    return _linf_cube(target, comb, per_axis, refine_top)
+        return _SupPass(_line_linf(target, comb, line))
+    return _cube_pass(target, comb, per_axis, refine_top)
 
 
-def _linf_cube(target, comb, per_axis: int, refine_top: int = 10) -> float:
-    """Grid max on the per_axis^d grid plus ternary refinement of its best points."""
+def _cube_pass(target, comb, per_axis: int, refine_top: int = _REFINE_TOP) -> _SupPass:
+    """Grid max on the per_axis^d grid, and its refine_top best points to refine."""
     points = _sup_grid(target.d, per_axis)
-    vals = np.abs(_target_values(target, ("sup", per_axis), points)
-                  - comb.evaluate_batch(points))
-    best = float(vals.max())
-    k = min(refine_top, points.shape[0])
-    top = points[_top_k(vals, k)]
-    spacing = 2.0 / (per_axis - 1)
-    return max(best, _ternary_refine(_abs_diff_fn(target, comb), top, spacing))
+    key = ("sup", per_axis)
+    vals = np.abs(_target_values(target, key, points) - _comb_values(target, comb, key, points))
+    top = _top_k(vals, min(refine_top, points.shape[0]))
+    if top.size == 0:
+        return _SupPass(float(vals.max()))
+    return _SupPass(float(vals.max()), comb, points[top], 2.0 / (per_axis - 1))
+
+
+def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_TOP) -> float:
+    """Sup-norm estimate: exact to _SUP_RTOL on the pair's common line; otherwise
+    the grid max raised by a ternary refinement from its refine_top best points
+    (0: the grid max alone), never below the grid max."""
+    return next(_sups(target, [_sup_pass(target, comb, grid, refine_top)]))
+
+
+def _abs_diff_fn(target, combs):
+    """|target - comb| at probes of shape (cells, n, d), each cell's rows against
+    its own combination and, for the target, as in a call of their own."""
+    comb_values = stack_evaluator(combs)
+
+    def fn(probes):
+        if isinstance(target, TargetFunction):
+            tvals = target.evaluate_batch(probes)
+        else:
+            tvals = np.stack([target.evaluate_batch(p) for p in probes])
+        return np.abs(tvals - comb_values(probes))
+    return fn
+
+
+def _sups(target, passes):
+    """Each pass's sup, in order: its value, raised by the ternary refinement of its starts.
+
+    Consecutive passes with one key are refined in one batch while their
+    probes x terms stay within the dense term sum's block budget; every other
+    pass is a batch of one.
+    """
+    batch: list[_SupPass] = []
+    for p in passes:
+        if batch and not _joins(batch, p):
+            yield from _refined(target, batch)
+            batch = []
+        batch.append(p)
+    if batch:
+        yield from _refined(target, batch)
+
+
+def _joins(batch: list[_SupPass], p: _SupPass) -> bool:
+    """Whether p shares the batch's key, with the batch's probes x terms then
+    still within the dense term sum's block budget."""
+    return (p.key is not None and p.key == batch[0].key
+            and (len(batch) + 1) * 2 * p.starts.shape[0] * p.comb.term_count
+            <= _DENSE_BLOCK_ELEMS)
+
+
+def _refined(target, batch: list[_SupPass]) -> list[float]:
+    if batch[0].starts is None:
+        return [batch[0].value]
+    seen = _ternary_refine(_abs_diff_fn(target, [p.comb for p in batch]),
+                           np.stack([p.starts for p in batch]), batch[0].spacing)
+    return [max(p.value, float(v)) for p, v in zip(batch, seen)]
 
 
 def _ternary_refine(fn, pts: np.ndarray, spacing: float, passes: int = 2,
-                    iters: int = 40) -> float:
-    """Cyclic per-axis ternary search from each start point; returns the max seen.
+                    iters: int = 40) -> np.ndarray:
+    """Cyclic per-axis ternary search from each start point of each cell; returns
+    each cell's max seen.
 
-    Both probes of an iteration go to fn in one call, through one probe
-    buffer whose first n rows carry the lower probe and the rest the upper.
+    pts has shape (cells, k, d), and fn maps probes of shape (cells, n, d) to
+    values of shape (cells, n).  Both probes of an iteration go to fn in one
+    call, through one probe buffer whose first k rows per cell carry the lower
+    probe and the rest the upper.
     """
     x = pts.copy()
-    seen = float(fn(x).max())
-    n, d = x.shape
-    probes = np.empty((2 * n, d))
+    seen = fn(x).max(axis=1)
+    _, n, d = x.shape
+    probes = np.empty((x.shape[0], 2 * n, d))
     for _ in range(passes):
         for ax in range(d):
-            probes[:n] = x
-            probes[n:] = x
-            lo = np.clip(x[:, ax] - spacing, -1.0, 1.0)
-            hi = np.clip(x[:, ax] + spacing, -1.0, 1.0)
+            probes[:, :n] = x
+            probes[:, n:] = x
+            lo = np.clip(x[..., ax] - spacing, -1.0, 1.0)
+            hi = np.clip(x[..., ax] + spacing, -1.0, 1.0)
             for _ in range(iters):
                 m1 = lo + (hi - lo) / 3.0
                 m2 = hi - (hi - lo) / 3.0
-                probes[:n, ax] = m1
-                probes[n:, ax] = m2
+                probes[:, :n, ax] = m1
+                probes[:, n:, ax] = m2
                 v = fn(probes)
-                v1, v2 = v[:n], v[n:]
-                seen = max(seen, float(v.max()))
-                keep_hi = v2 >= v1
+                np.maximum(seen, v.max(axis=1), out=seen)
+                keep_hi = v[:, n:] >= v[:, :n]
                 lo = np.where(keep_hi, m1, lo)
                 hi = np.where(keep_hi, hi, m2)
-            x[:, ax] = 0.5 * (lo + hi)
-            seen = max(seen, float(fn(x).max()))
+            x[..., ax] = 0.5 * (lo + hi)
+            np.maximum(seen, fn(x).max(axis=1), out=seen)
     return seen
 
 
@@ -390,9 +481,34 @@ def lower_bound_floor(m: int, d: int, s: int, A: float) -> float:
 def measure_report(target, comb, m: int, method: str, seed: int,
                    l2_nodes: int | None = None, linf_grid: int | None = None) -> ErrorReport:
     """Bundle both error norms and the size stats of a built combination."""
-    return ErrorReport(
-        m=int(m), method=method, seed=int(seed),
-        l2=l2_error(target, comb, nodes=l2_nodes),
-        linf=linf_error(target, comb, grid=linf_grid),
-        terms=comb.term_count, sparsity=comb.inner_sparsity_max,
-    )
+    started = start_report(target, comb, m, method, seed, l2_nodes, linf_grid)
+    return next(finish_reports(target, [started]))
+
+
+def start_report(target, comb, m: int, method: str, seed: int,
+                 l2_nodes: int | None = None, linf_grid: int | None = None):
+    """The per-cell part of measure_report: its report with the sup pass's value
+    as linf, and that pass, for finish_reports."""
+    l2 = l2_error(target, comb, nodes=l2_nodes)
+    sup = _sup_pass(target, comb, linf_grid, _REFINE_TOP)
+    report = ErrorReport(m=int(m), method=method, seed=int(seed), l2=l2, linf=sup.value,
+                         terms=comb.term_count, sparsity=comb.inner_sparsity_max)
+    return report, sup
+
+
+def finish_reports(target, started):
+    """The measure_report of each start_report result, in order, refining the
+    sup of consecutive cells in batches.  An item that is not a start_report
+    result (such as a builder error's message) comes back as it is.
+    `started` is read lazily, one batch ahead of what has been yielded.
+    """
+    pending = deque()
+
+    def passes():
+        for item in started:
+            pending.append(item)
+            yield item[1] if isinstance(item, tuple) else _SupPass(0.0)
+
+    for sup in _sups(target, passes()):
+        item = pending.popleft()
+        yield replace(item[0], linf=sup) if isinstance(item, tuple) else item

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as _rng
-from .core import _L1_TOL, RidgeAtom, _atoms, half_quadratic
+from .core import _L1_TOL, RidgeAtom, _atoms, half_quadratic, polynomial_part
 from .errors import UsageError
 from .quadrature import _leggauss
 
@@ -126,6 +126,14 @@ def _force_unit_l1(a: np.ndarray) -> np.ndarray:
 
 # --- spectral measures and targets ---
 
+# row x frequency entries per block of SpectralMeasure.evaluate_batch; a 65^3
+# grid at J <= 3 is one block.  Blocks of rows hold whole groups of _ROW_GROUP
+# rows, so a BLAS kernel that takes rows in groups sees each row where an
+# unblocked call puts it
+_EVAL_BLOCK_ELEMS = 1 << 20
+_ROW_GROUP = 64
+
+
 def _json_numbers(value, key: str):
     """value, a JSON number or a list of them: not true, "0.5" or a nested list."""
     for v in value if type(value) is list else [value]:
@@ -174,8 +182,26 @@ class SpectralMeasure:
         return self.omegas.shape[0]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        """f at each row of points (n, d), or of each set in a stack (c, n, d).
+
+        The rows (the sets, for a stack) go in blocks of at most
+        _EVAL_BLOCK_ELEMS row x frequency entries, so memory stays bounded
+        whatever J.  Each block does an unblocked call's operations, and each
+        set of a stack gets its own matmuls, as an (n, d) call would.
+        """
         points = np.asarray(points, dtype=float)
-        return np.cos(points @ self.omegas.T + self.phases) @ self.mags
+        step = max(1, _EVAL_BLOCK_ELEMS // (self.size * math.prod(points.shape[1:-1])))
+        if points.ndim == 2:
+            step = max(_ROW_GROUP, step - step % _ROW_GROUP)
+        out = np.empty(points.shape[:-1])
+        buf = np.empty((min(step, points.shape[0]), *points.shape[1:-1], self.size))
+        for lo in range(0, points.shape[0], step):
+            blk = points[lo:lo + step]
+            Z = np.matmul(blk, self.omegas.T, out=buf[:blk.shape[0]])
+            Z += self.phases
+            np.cos(Z, out=Z)
+            np.matmul(Z, self.mags, out=out[lo:lo + blk.shape[0]])
+        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -217,15 +243,24 @@ def v_fs(meas: SpectralMeasure, s: int) -> float:
     return float((meas.mags * c**s).sum())
 
 
+def _same_bits(x, y) -> bool:
+    """Equal shapes and bytes, so -0.0 and 0.0 differ."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 @dataclass(frozen=True, eq=False)
 class TargetFunction:
     """A target with batch evaluation and its exact expansion data at the origin.
 
     `values_on` keeps the target's values on the fixed point sets that every
-    error measurement reuses; the memo lives and dies with the instance.
+    error measurement reuses, and `polynomial_on` the polynomial part that
+    the builders copy from it; the memo lives and dies with the instance.
     `line` is (u, max_j c_j, sum_j mag_j c_j), c_j = ||omega_j||_1, when every
     nonzero frequency is +-c_j u for one unit-l1 u, so the target is a ridge
     function of u . x; it is None otherwise and for a directly built target.
+    `_fn` takes what evaluate_batch takes, stacks included, as
+    SpectralMeasure.evaluate_batch does.
     """
 
     d: int
@@ -266,24 +301,49 @@ class TargetFunction:
         return cls.from_measure(sine_ridge_measure(theta))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        """The target at each row of points (n, d), or of each set in a stack
+        (c, n, d), which _fn evaluates set by set.  UsageError when _fn gives
+        back another shape than points.shape[:-1], as an _fn written for
+        (n, d) input alone does for a stack."""
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.d:
-            raise UsageError(f"points must have shape (n, {self.d})")
-        return np.asarray(self._fn(points), dtype=float)
+        if points.ndim not in (2, 3) or points.shape[-1] != self.d:
+            raise UsageError(f"points must have shape (n, {self.d}) or (c, n, {self.d})")
+        vals = np.asarray(self._fn(points), dtype=float)
+        if vals.shape != points.shape[:-1]:
+            raise UsageError(f"the target function gave shape {vals.shape} for points of shape "
+                             f"{points.shape}; it must give {points.shape[:-1]}")
+        return vals
 
-    def values_on(self, key, points: np.ndarray) -> np.ndarray:
-        """evaluate_batch(points), computed once per key and kept read-only.
-
-        key must name the fixed point set `points`.  The lock makes a second
-        thread wait for the first fill instead of reading a partial one.
-        """
+    def _kept(self, key, compute) -> np.ndarray:
+        """compute(), run once per key and kept read-only.  The lock makes a
+        second thread wait for the first fill instead of reading a partial one."""
         with self._memo_lock:
             vals = self._memo.get(key)
             if vals is None:
-                vals = self.evaluate_batch(points)
+                vals = compute()
                 vals.setflags(write=False)
                 self._memo[key] = vals
         return vals
+
+    def values_on(self, key, points: np.ndarray) -> np.ndarray:
+        """evaluate_batch(points), computed once per key; key must name the
+        fixed point set `points`."""
+        return self._kept(key, lambda: self.evaluate_batch(points))
+
+    def polynomial_on(self, key, points: np.ndarray, comb) -> np.ndarray | None:
+        """comb's polynomial part (core.polynomial_part) at the fixed point set
+        `points`, computed once per key and kind, or None.
+
+        It is kept for a combination whose b0, a0 and A0 (if any) are bit for
+        bit the target's, as every builder copies them; None for any other.
+        """
+        quadratic = comb.A0 is not None
+        if not (_same_bits(comb.b0, self.b0) and _same_bits(comb.a0, self.a0)
+                and (not quadratic or _same_bits(comb.A0, self.A0))):
+            return None
+        A0 = self.A0 if quadratic else None
+        return self._kept(("polynomial", quadratic, key),
+                          lambda: polynomial_part(points, self.b0, self.a0, A0))
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,12 @@ import pytest
 from ridgecomb import RidgeAtom, RidgeCombination, build_from_config, cli
 from ridgecomb.cli import main
 from ridgecomb.errors import BuilderError
-from ridgecomb.metrics import CSV_HEADER, lower_bound_floor
+from ridgecomb.metrics import CSV_HEADER, lower_bound_floor, measure_report
+from ridgecomb.spectral import TargetFunction
 from ridgecomb.targets import resolve_target
+
+TWO_FREQUENCY = {"dim": 2, "atoms": [{"omega": [1.0, 0.5], "mag": 0.8, "phase": 0.4},
+                                     {"omega": [-0.7, 1.3], "mag": 0.5, "phase": -1.1}]}
 
 
 def read_bytes_map(out: Path) -> dict:
@@ -413,6 +418,55 @@ class TestRateSweep:
         rows = (out / "results.csv").read_text().splitlines()[1:]
         failed = [r for r in rows if r.split(",")[7] != "ok"]
         assert failed == [f"8,iid,3,,,0,0,builder-error,{lower_bound_floor(8, 1, 2, 1.0):.12e}"]
+
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_cells_run_at_most_a_window_ahead_of_the_reader(self, workers):
+        started = []
+        cells = [(k,) for k in range(40)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for k, got in enumerate(cli._in_order(pool, lambda c: started.append(c) or -c,
+                                                  cells, ahead=2 * workers)):
+                assert got == -k
+                assert len(started) <= k + 2 * workers
+
+    def test_sweep_rows_equal_per_cell_reports(self, tmp_path):
+        # a non-collinear spectrum, so every cell's sup is refined; at m = 64
+        # the iid cells, on 4 directions, take the grouped path
+        spec = tmp_path / "two.json"
+        spec.write_text(json.dumps(TWO_FREQUENCY))
+        out = tmp_path / "s"
+        assert main(["rate-sweep", "--target", f"cosine-sum:{spec}", "--s", "3",
+                     "--methods", "iid,stratified,sparse", "--m", "2,16,64", "--seeds", "10",
+                     "--m0", "2", "--workers", "2", "--out", str(out)]) == 0
+        rows = (out / "results.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3 * 3 * 10
+        target, rep = resolve_target(f"cosine-sum:{spec}", 3)
+        for row in rows:
+            m, method, seed = row.split(",")[:3]
+            comb = build_from_config(rep, target, {"method": method, "m": int(m),
+                                                   "seed": int(seed), "m0": 2})
+            report = measure_report(target, comb, int(m), method, int(seed))
+            assert row.startswith(report.csv_row() + ",ok,")
+
+    def test_sweep_refines_each_run_of_stacking_cells_once(self, tmp_path, monkeypatch):
+        # iid cells of 4, 8 and 16 terms on 4 directions take the dense path;
+        # each term count's 10 seeds are one batch, refined by one probe call
+        # per step: 1 + 2 passes x 2 axes x (40 + 1) = 165
+        spec = tmp_path / "two.json"
+        spec.write_text(json.dumps(TWO_FREQUENCY))
+        stacked = []
+        evaluate = TargetFunction.evaluate_batch
+
+        def counting(self, points):
+            if np.ndim(points) == 3:
+                stacked.append(len(points))
+            return evaluate(self, points)
+
+        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
+        assert main(["rate-sweep", "--target", f"cosine-sum:{spec}", "--methods", "iid",
+                     "--m", "4,8,16", "--seeds", "10", "--out", str(tmp_path / "s")]) == 0
+        assert stacked == [10] * (3 * 165)
 
 
 class TestVerify:

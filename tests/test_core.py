@@ -301,7 +301,7 @@ class TestEvaluationPaths:
         outer = c.outer_scale
         naive = sum(b * outer * atom.evaluate_batch(pts) for b, atom in c.terms)
         with mock.patch.object(core, "_DENSE_BLOCK_ELEMS", block):
-            dense = outer * c._dense_term_sum(pts)
+            dense = outer * core._dense_term_sum(pts, c.A.T, c.t, c.coef[:, None], s == 3)
         grouped = outer * c._grouped_term_sum(pts)
         assert np.max(np.abs(dense - naive)) <= 1e-12
         assert np.max(np.abs(grouped - naive)) <= 1e-12
@@ -310,8 +310,31 @@ class TestEvaluationPaths:
     def test_path_follows_direction_repetition(self):
         pts = CubeDomain(2).grid(9)
         shared = dyadic_combination(3, 2, 32, "equal", seed=1)
-        with mock.patch.object(RidgeCombination, "_dense_term_sum", side_effect=AssertionError):
+        with mock.patch.object(core, "_dense_term_sum", side_effect=AssertionError):
             shared.evaluate_batch(pts)
         distinct = dyadic_combination(3, 2, 32, "distinct", seed=1)
         with mock.patch.object(RidgeCombination, "_grouped_term_sum", side_effect=AssertionError):
             distinct.evaluate_batch(pts)
+
+
+class TestDirections:
+    @given(
+        d=st.integers(min_value=1, max_value=4),
+        m=st.integers(min_value=0, max_value=40),
+        pool=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_lexsort_matches_np_unique(self, d, m, pool, seed):
+        # rows drawn from a small pool repeat; zeros get random signs, which
+        # np.unique counts as equal
+        gen = np.random.default_rng(seed)
+        rows = gen.choice([0.0, 0.25, -0.25], size=(pool, d))[gen.integers(0, pool, size=m)]
+        A = np.where(rows == 0.0, gen.choice([0.0, -0.0], size=rows.shape), rows)
+        c = RidgeCombination.from_arrays(d, 2, 0.0, np.zeros(d), None, 1.0,
+                                         np.ones(m), np.ones(m), A, np.zeros(m))
+        dirs, inverse = c._directions
+        want_dirs, want_inverse = np.unique(A, axis=0, return_inverse=True)
+        assert dirs.shape == want_dirs.shape and np.array_equal(dirs, want_dirs)
+        assert inverse.dtype == want_inverse.dtype
+        assert np.array_equal(inverse, want_inverse.ravel())

@@ -32,7 +32,8 @@ from ridgecomb import (
     spectral_representation,
     target_of,
 )
-from ridgecomb import rng
+from ridgecomb import core, metrics, rng, spectral
+from ridgecomb.core import _DENSE_BLOCK_ELEMS, stack_key
 from ridgecomb.metrics import (
     CSV_HEADER,
     DEFAULT_L2_NODES,
@@ -40,12 +41,16 @@ from ridgecomb.metrics import (
     LINF_RANDOM_POINTS_D4,
     _abs_diff_fn,
     _checked_line,
+    _cube_pass,
     _l2_cube,
-    _linf_cube,
     _sobol_rule,
     _sup_grid,
+    _sup_pass,
+    _sups,
     _ternary_refine,
     _top_k,
+    finish_reports,
+    start_report,
 )
 from ridgecomb.quadrature import panel_rule, uniform_cube_rule
 from ridgecomb.spectral import TargetFunction, sine_ridge_measure
@@ -119,6 +124,11 @@ class TestL2Error:
         assert peak < 64 * 2**20
 
 
+def abs_diff(target, comb):
+    """|target - comb| at the rows of a (n, d) point array."""
+    return lambda points: np.abs(target.evaluate_batch(points) - comb.evaluate_batch(points))
+
+
 def ternary_refine_per_probe(fn, pts, spacing, passes=2, iters=40):
     """The sup refinement with one fn call per probe: the batched one's reference."""
     x = pts.copy()
@@ -181,7 +191,7 @@ def linf_error_uncached(target, comb, refine_top=10):
     if d == 4:
         gen = rng.stream(0, rng.PROBE)
         points = np.vstack([points, gen.uniform(-1.0, 1.0, size=(LINF_RANDOM_POINTS_D4, 4))])
-    fn = _abs_diff_fn(target, comb)
+    fn = abs_diff(target, comb)
     vals = fn(points)
     top = points[np.argsort(vals)[-refine_top:]]
     return max(float(vals.max()), ternary_refine_per_probe(fn, top, 2.0 / (per_axis - 1)))
@@ -194,15 +204,15 @@ def cube_l2(target, comb):
 
 def cube_linf(target, comb):
     """linf_error at its default grid, always on the d-dimensional path."""
-    return _linf_cube(target, comb, DEFAULT_LINF_GRID[target.d])
+    return next(_sups(target, [_cube_pass(target, comb, DEFAULT_LINF_GRID[target.d])]))
 
 
-def cosine_target(d):
-    """A 2-frequency cosine-sum representation at dimension d, s = 3."""
+def cosine_target(d, s=3):
+    """A 2-frequency cosine-sum representation at dimension d and its target."""
     gen = np.random.default_rng(0)
     meas = SpectralMeasure(omegas=np.pi / 2 * gen.integers(-2, 3, size=(2, d)) + 0.5,
                            mags=[0.7, 0.4], phases=[0.3, -2.0])
-    rep = spectral_representation(meas, 3)
+    rep = spectral_representation(meas, s)
     return rep, target_of(rep)
 
 
@@ -223,7 +233,8 @@ class TestCachedPointSets:
         measure_report(tgt, build_iid(rep, 8, tgt, seed=0), 8, "iid", 0)
         arrays = [_sup_grid(4, DEFAULT_LINF_GRID[4]), *_sobol_rule(),
                   *tgt._memo.values()]
-        assert len(arrays) == 5
+        # the target's values and its kept polynomial part on both point sets
+        assert len(arrays) == 7
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
@@ -248,7 +259,7 @@ class TestCachedPointSets:
         rep, tgt = cosine_target(2)
         measure_report(tgt, build_iid(rep, 8, tgt, seed=0), 8, "iid", 0)
         refs = [weakref.ref(tgt)] + [weakref.ref(v) for v in tgt._memo.values()]
-        assert len(refs) == 3
+        assert len(refs) == 5
         del rep, tgt
         gc.collect()
         assert all(r() is None for r in refs)
@@ -292,8 +303,8 @@ class TestLinfError:
         tgt, comb = refinement_cases()[case]
         gen = np.random.default_rng(case)
         pts = gen.uniform(-1.0, 1.0, size=(10, tgt.d))
-        fn = _abs_diff_fn(tgt, comb)
-        assert _ternary_refine(fn, pts, 2.0 / 64) == ternary_refine_per_probe(fn, pts, 2.0 / 64)
+        batched = _ternary_refine(_abs_diff_fn(tgt, [comb]), pts[None], 2.0 / 64)
+        assert batched.tolist() == [ternary_refine_per_probe(abs_diff(tgt, comb), pts, 2.0 / 64)]
 
     @pytest.mark.parametrize("case", range(4))
     def test_equals_the_uncached_reference(self, case):
@@ -324,6 +335,20 @@ class TestLinfError:
         c = single_ramp(0.3)
         assert linf_error(c, c) == 0.0
 
+    def test_refine_top_zero_is_the_grid_max(self, monkeypatch):
+        rep, tgt = cosine_target(2)
+        comb = build_iid(rep, 16, tgt, seed=0)
+        points = _sup_grid(2, DEFAULT_LINF_GRID[2])
+        grid_max = float(abs_diff(tgt, comb)(points).max())
+        assert _top_k(np.arange(5.0), 0).size == 0
+        monkeypatch.setattr("ridgecomb.metrics._ternary_refine", None)  # never called
+        assert linf_error(tgt, comb, refine_top=0) == grid_max
+
+    def test_negative_refine_top_is_refused(self):
+        rep, tgt = cosine_target(2)
+        with pytest.raises(UsageError, match="refine_top"):
+            linf_error(tgt, build_iid(rep, 16, tgt, seed=0), refine_top=-1)
+
     def test_parallel_ramp_pair_hits_threshold_gap(self):
         # sup |(x-0.2)_+ - (x-0.5)_+| = 0.3, attained on [0.5, 1]
         got = linf_error(single_ramp(0.2), single_ramp(0.5))
@@ -351,6 +376,174 @@ class TestLinfError:
         for seed in range(5):
             comb = build_iid(rep, 32, tgt, seed=seed)
             assert linf_error(tgt, comb) >= l2_error(tgt, comb) - 1e-12
+
+
+class DuckTarget:
+    """A target that is not a TargetFunction: d and an (n, d) evaluate_batch only."""
+
+    def __init__(self, target):
+        self.d = target.d
+        self._target = target
+
+    def evaluate_batch(self, points):
+        if np.ndim(points) != 2:
+            raise ValueError("points must be an (n, d) array")
+        return self._target.evaluate_batch(points)
+
+
+def mixed_cells(rep, tgt):
+    """Builds of rep against tgt in a sweep-like order: iid and sparse cells of 12
+    terms, which stack, fractional stratified cells of other term counts, and
+    an iid cell of 64 terms on at most 4 directions, which takes the grouped path."""
+    d = tgt.d
+    return [build_iid(rep, 12, tgt, seed=1), build_iid(rep, 12, tgt, seed=2),
+            build_sparse(rep, 12, 2, tgt, seed=3),
+            build_stratified(rep, 4, 4 ** (-1.0 / d), "fractional", tgt, seed=4),
+            build_stratified(rep, 8, 8 ** (-1.0 / d), "fractional", tgt, seed=5),
+            build_iid(rep, 64, tgt, seed=6),
+            build_iid(rep, 8, tgt, seed=7), build_iid(rep, 8, tgt, seed=8)]
+
+
+def refined_one_by_one(tgt, sup, per_probe=True):
+    """A pass's sup from the one-cell refinement and, with per_probe, from the
+    per-probe reference (else None)."""
+    if sup.starts is None:
+        return sup.value, sup.value
+    one = _ternary_refine(_abs_diff_fn(tgt, [sup.comb]), sup.starts[None], sup.spacing)[0]
+    if not per_probe:
+        return max(sup.value, float(one)), None
+    ref = ternary_refine_per_probe(abs_diff(tgt, sup.comb), sup.starts, sup.spacing)
+    return max(sup.value, float(one)), max(sup.value, ref)
+
+
+class TestBatchedRefinement:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_batches_equal_the_per_cell_refinement(self, d, s):
+        rep, tgt = cosine_target(d, s)
+        combs = mixed_cells(rep, tgt)
+        grid = {2: 33, 3: 17, 4: 9}[d]
+        assert len({c.term_count for c in combs}) >= 4
+        assert stack_key(combs[5]) is None and combs[5]._grouped
+        for target in (tgt, DuckTarget(tgt)) if d == 2 else (tgt,):
+            # 8 starts: the per-probe reference's two 8-row calls and the
+            # refinement's 16-row call fall into the same BLAS row groups.  At
+            # the default 10, a 10-row call can round a term sum of 8 or more
+            # terms otherwise than rows 10-19 of a 20-row call, so there the
+            # one-cell refinement is the exact reference
+            for top in (8, 10):
+                passes = [_sup_pass(target, c, grid, top) for c in combs]
+                keys = [p.key for p in passes]
+                assert keys[0] is not None and keys[0] == keys[1] == keys[2]  # a batch of three
+                batched = list(_sups(target, passes))
+                for p, got in zip(passes, batched):
+                    one, ref = refined_one_by_one(target, p, per_probe=top == 8)
+                    assert got == one and (top != 8 or one == ref)
+        assert batched == [linf_error(tgt, c, grid=grid) for c in combs]
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_a_pair_on_its_line_between_stacked_cells(self, s):
+        # the sine ridge's own builds lie on its line; builds from a cosine
+        # spectrum, with the sine ridge's polynomial part, do not
+        sine = spectral_representation(sine_ridge_measure((1, 1)), s)
+        tgt = target_of(sine)
+        rep, _ = cosine_target(2, s)
+        combs = [build_iid(rep, 16, tgt, seed=1), build_iid(sine, 16, tgt, seed=2),
+                 build_iid(rep, 16, tgt, seed=3), build_iid(rep, 16, tgt, seed=4)]
+        passes = [_sup_pass(tgt, c, None, 10) for c in combs]
+        assert passes[1].starts is None and passes[1].comb is None
+        batched = list(_sups(tgt, passes))
+        for p, got in zip(passes, batched):
+            assert (got, got) == refined_one_by_one(tgt, p)
+        assert batched[1] == linf_error(tgt, combs[1])
+
+    def test_batches_stay_within_the_dense_block_budget(self, monkeypatch):
+        # 1000 terms on distinct directions: 20 probes x 1000 terms per cell, so
+        # at most three cells fit the 2^16-element budget
+        rep, tgt = cosine_target(2)
+        gen = np.random.default_rng(0)
+
+        def spread(seed):
+            A = gen.standard_normal((1000, 2))
+            A /= np.abs(A).sum(axis=1, keepdims=True)
+            return RidgeCombination.from_arrays(2, 3, tgt.b0, tgt.a0, tgt.A0, 1.0,
+                                                gen.uniform(-1, 1, 1000), np.ones(1000), A,
+                                                gen.uniform(0, 1, 1000))
+
+        combs = [spread(seed) for seed in range(7)]
+        sizes = []
+        evaluator = metrics.stack_evaluator
+
+        def recording(batch):
+            sizes.append(len(batch))
+            return evaluator(batch)
+
+        monkeypatch.setattr(metrics, "stack_evaluator", recording)
+        passes = [_sup_pass(tgt, c, 33, 10) for c in combs]
+        batched = list(_sups(tgt, passes))
+        assert sizes == [3, 3, 1]
+        assert all(n * 20 * 1000 <= _DENSE_BLOCK_ELEMS for n in sizes)
+        for p, got in zip(passes, batched):
+            assert (got, got) == refined_one_by_one(tgt, p)
+
+
+    def test_a_direct_target_must_take_stacks(self):
+        rep, tgt = cosine_target(2)
+        combs = [build_iid(rep, 12, tgt, seed=seed) for seed in range(3)]
+
+        def direct(fn):
+            return TargetFunction(d=2, b0=tgt.b0, a0=tgt.a0, A0=tgt.A0, _fn=fn)
+
+        # written for (n, d) input alone: a stack of probes is refused, not misread
+        by_columns = direct(lambda p: np.cos(p[:, 0]) + p[:, 1])
+        assert by_columns.evaluate_batch(np.zeros((5, 2))).shape == (5,)
+        with pytest.raises(UsageError, match="must give"):
+            by_columns.evaluate_batch(np.zeros((3, 5, 2)))
+        with pytest.raises(UsageError, match="must give"):
+            linf_error(by_columns, combs[0], grid=33)
+        # written over the last axis: stacked and one by one agree
+        by_last_axis = direct(lambda p: np.cos(p[..., 0]) + p[..., 1])
+        passes = [_sup_pass(by_last_axis, c, 33, 10) for c in combs]
+        assert passes[0].key == passes[2].key
+        for p, got in zip(passes, _sups(by_last_axis, passes)):
+            assert got == refined_one_by_one(by_last_axis, p, per_probe=False)[0]
+
+
+class TestSharedPolynomialPart:
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_a_copied_part_is_shared_and_an_ulp_off_one_is_not(self, s):
+        rep, tgt = cosine_target(3, s)
+        comb = build_iid(rep, 16, tgt, seed=0)
+        a0 = comb.a0.copy()
+        a0[1] = np.nextafter(a0[1], np.inf)
+        off = RidgeCombination.from_arrays(3, s, comb.b0, a0, comb.A0, comb.v,
+                                           comb.coef, comb.sign, comb.A, comb.t)
+        points, _ = uniform_cube_rule(3, 64)
+        key = ("l2", 64)
+        kept = tgt.polynomial_on(key, points, comb)
+        assert kept is not None and tgt.polynomial_on(key, points, off) is None
+        assert np.array_equal(comb.evaluate_batch(points, polynomial=kept),
+                              comb.evaluate_batch(points))
+        for c in (comb, off):
+            assert l2_error(tgt, c) == l2_error_uncached(tgt, c)
+            assert linf_error(tgt, c) == linf_error_uncached(tgt, c)
+
+    def test_a_sweep_computes_each_part_once(self, monkeypatch):
+        rep, tgt = cosine_target(3)
+        large = []
+        polynomial_part = core.polynomial_part
+
+        def counting(points, *args):
+            if points.shape[-2] > 1000:
+                large.append(points.shape[-2])
+            return polynomial_part(points, *args)
+
+        monkeypatch.setattr(core, "polynomial_part", counting)
+        monkeypatch.setattr(spectral, "polynomial_part", counting)
+        started = [start_report(tgt, build_iid(rep, m, tgt, seed=seed), m, "iid", seed)
+                   for m in (4, 8) for seed in range(5)]
+        list(finish_reports(tgt, started))
+        assert sorted(large) == [64**3, DEFAULT_LINF_GRID[3] ** 3]
 
 
 def sine_pair(theta, s, method, m, seed=0):

@@ -1,6 +1,7 @@
 """Spectral measures, samplable representations, and their oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from ridgecomb import spectral
 from ridgecomb import (
     SpectralMeasure,
     TargetFunction,
@@ -162,6 +164,44 @@ class TestSpectralMeasure:
             SpectralMeasure(omegas=np.array([[1.0], [1.0]]),
                             mags=np.array([1.0, 2.0]),
                             phases=np.array([0.0, 0.1]))  # duplicate frequency
+
+
+def gaussian_spectrum(J: int, d: int, seed: int = 0) -> SpectralMeasure:
+    """J frequencies N(0, 2^2) per coordinate, magnitudes 1/J, uniform phases."""
+    gen = np.random.default_rng(seed)
+    return SpectralMeasure(omegas=gen.normal(0.0, 2.0, size=(J, d)), mags=np.full(J, 1.0 / J),
+                           phases=gen.uniform(-np.pi, np.pi, size=J))
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("J", [1, 3, 17])
+    def test_blocks_and_stacks_give_the_unblocked_values(self, J, monkeypatch):
+        meas = gaussian_spectrum(J, 3)
+        pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(400, 3))
+
+        def unblocked(p):
+            return np.cos(p @ meas.omegas.T + meas.phases) @ meas.mags
+
+        monkeypatch.setattr(spectral, "_EVAL_BLOCK_ELEMS", 100 * J)  # 64-row blocks
+        assert np.array_equal(meas.evaluate_batch(pts), unblocked(pts))
+        stack = pts.reshape(20, 20, 3)  # 5 sets per block
+        assert np.array_equal(meas.evaluate_batch(stack), np.stack([unblocked(p) for p in stack]))
+
+    def test_peak_memory_stays_bounded_as_the_point_count_grows(self):
+        # at J = 2000 an unblocked call on 2^14 points would hold a 256 MiB matrix
+        meas = gaussian_spectrum(2000, 3)
+        peaks = []
+        for n in (2**12, 2**14):
+            pts = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, 3))
+            tracemalloc.start()
+            try:
+                vals = meas.evaluate_batch(pts)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert vals.shape == (n,) and np.all(np.isfinite(vals))
+        assert peaks[1] < 12 * 2**20
+        assert peaks[1] - peaks[0] < 2**20  # the output's growth alone
 
 
 class TestTargetFunction:
