@@ -5,7 +5,8 @@ measure.  The stratified builder partitions atom parameter space into cells of
 small sup-distance diameter, allocates the term budget proportionally to cell
 masses, and samples each cell's conditional measure, which trades the
 m^(-1/2) rate for a better exponent.  Both the masses and the conditional
-draws are closed form, and only the cells the measure reaches are built.
+draws are closed form, and only the cells the measure reaches are built; the
+threshold pieces both read come from one array pass over all 2J components.
 The sparsifier rewrites each inner weight vector as an average of m0 signed
 basis vectors, bounding coordinate count by m0 without touching any other
 field.
@@ -218,21 +219,31 @@ def partition_parameters(d: int, s: int, epsilon: float) -> StratifiedPlan:
     plan = _empty_plan(d, s, epsilon)
     kmag = tensor_grid(np.arange(plan.n_a), d - 1)
     kmag = kmag[kmag.sum(axis=1) * plan.delta_a <= 1.0 + 1e-9]
-    n_sig, K = 1 << d, kmag.shape[0]
-    M = 2 * n_sig * K * plan.n_t
-    if M > MAX_CELLS:
-        raise UsageError(f"partition would have {M} cells; choose a larger epsilon")
-    # both signs of one direction per (orthant, magnitude bins) at the bin midpoints
-    mags = np.column_stack([(kmag + 0.5) * plan.delta_a, np.ones(K)])
+    _check_cell_count(plan, (1 << d) * kmag.shape[0])  # before the directions are built
+    # one direction per (orthant, magnitude bins), at the bin midpoints
+    mags = np.column_stack([(kmag + 0.5) * plan.delta_a, np.ones(kmag.shape[0])])
     a = (2.0 * tensor_grid(np.arange(2), d) - 1.0)[:, None, :] * mags
-    first = plan.cell_codes(np.repeat(np.array([-1, 1]), n_sig * K),
-                            np.vstack([a.reshape(-1, d)] * 2), 0)
-    return replace(plan, code=np.unique(first[:, None] + np.arange(plan.n_t)))
+    return _with_cells(plan, a.reshape(-1, d))
 
 
 def _check_plan_compat(plan: StratifiedPlan, rep: IntegralRepresentation):
     if plan.d != rep.d or plan.s != rep.s:
         raise UsageError("plan and representation disagree on (d, s)")
+
+
+def _check_cell_count(plan: StratifiedPlan, n_dirs: int):
+    """UsageError when both signs of n_dirs directions could reach over MAX_CELLS cells."""
+    if 2 * n_dirs * plan.n_t > MAX_CELLS:
+        raise UsageError(f"partition would have up to {2 * n_dirs * plan.n_t} cells, more than "
+                         f"{MAX_CELLS}; choose a larger epsilon")
+
+
+def _with_cells(plan: StratifiedPlan, dirs: np.ndarray) -> StratifiedPlan:
+    """plan holding every cell both signs of the directions reach: each distinct
+    bin-0 code and the n_t - 1 after it, as the threshold bin is the last digit."""
+    _check_cell_count(plan, dirs.shape[0])
+    first = np.unique(plan.cell_codes(np.array([[-1], [1]]), dirs, 0))
+    return replace(plan, code=(first[:, None] + np.arange(plan.n_t)).ravel())
 
 
 def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
@@ -241,54 +252,50 @@ def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
     Component e has direction rep.dirs[e] and the order-s threshold law on
     u = c_e t + ph_e, t in [0, 1].  The law's zeros split its u-range into
     arcs of constant atom sign, and the threshold-bin edges split it further;
-    each resulting piece lies in one cell, found through plan.cell_codes on
-    the component's direction.  Returns (row, comp, ua, ub, mass): the
+    each resulting piece lies in one cell.  All components go in one pass,
+    ordered by (component, u): a piece's bin is a running count of edges,
+    its arc a running count of zeros.  Returns (row, comp, ua, ub, mass): the
     piece's u-interval and its probability p_e (F(ub) - F(ua)) / (F(ph_e + c_e)
     - F(ph_e)).  Raises BuilderError when a piece with mass has no cell in the plan.
     """
     law = threshold_law(rep.s)
-    t_edges = np.minimum(np.arange(plan.n_t + 1) * plan.delta_t, 1.0)
-    parts = []
-    for e in range(rep.probs.size):
-        u_edges = rep.c[e] * t_edges + rep.ph[e]
-        u_lo, u_hi = u_edges[0], u_edges[-1]
-        k = np.arange(math.floor((u_lo - law.zero) / np.pi) - 1,
-                      math.floor((u_hi - law.zero) / np.pi) + 3)
-        zeros = law.zero + k * np.pi
-        k_first = int(k[np.argmax(zeros > u_lo)])  # the arc just above u_lo is k_first - 1
-        inside = (zeros > u_lo) & (zeros < u_hi)
-        zeros = zeros[inside]
-        # breakpoints in u order, each labelled with the bin it starts; an
-        # edge sorts before a zero it ties with
-        pts = np.concatenate([u_edges, zeros])
-        label = np.concatenate([np.arange(u_edges.size),
-                                np.searchsorted(u_edges, zeros, side="right") - 1])
-        order = np.argsort(pts, kind="stable")
-        pts = pts[order]
-        is_zero = order >= u_edges.size
-        ua, ub = pts[:-1], pts[1:]
-        tbin = np.minimum(label[order][:-1], plan.n_t - 1)
-        arc = k_first - 1 + np.cumsum(is_zero)[:-1]
-        eta = law.sign(law.zero + (arc + 0.5) * np.pi)  # at the arc's midpoint, far from a zero
-        mass = np.where(ub > ua, np.maximum(law.F(ub) - law.F(ua), 0.0), 0.0)
-        mass *= rep.probs[e] / (law.F(u_hi) - law.F(u_lo))
-        row = plan.rows_of_codes(plan.cell_codes(eta, rep.dirs[[e]], tbin))
-        keep = mass > 0
-        if np.any(row[keep] < 0):
-            raise BuilderError("a component's threshold mass fell outside the partition")
-        parts.append((row[keep], np.full(keep.sum(), e), ua[keep], ub[keep], mass[keep]))
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
+    E, n_e = rep.probs.size, plan.n_t + 1
+    t_edges = np.minimum(np.arange(n_e) * plan.delta_t, 1.0)
+    u_edges = rep.c[:, None] * t_edges + rep.ph[:, None]
+    u_lo, u_hi = u_edges[:, 0], u_edges[:, -1]
+    # the zeros zero + k pi around each u-range, as the arange k_lo .. k_hi
+    k_lo = np.floor((u_lo - law.zero) / np.pi).astype(np.int64) - 1
+    n_k = np.floor((u_hi - law.zero) / np.pi).astype(np.int64) + 3 - k_lo
+    zc = np.repeat(np.arange(E), n_k)
+    zeros = law.zero + (k_lo[zc] + np.arange(zc.size) - np.searchsorted(zc, zc)) * np.pi
+    above = zeros > u_lo[zc]
+    k_first = k_lo + np.bincount(zc[~above], minlength=E)  # the arc just above u_lo is k_first - 1
+    inside = above & (zeros < u_hi[zc])
+    zc, zeros = zc[inside], zeros[inside]
+    # breakpoints in (component, u) order; an edge sorts before a zero it ties with
+    pts = np.concatenate([u_edges.ravel(), zeros])
+    comp = np.concatenate([np.repeat(np.arange(E), n_e), zc])
+    order = np.lexsort((pts, comp))
+    pts, comp, is_zero = pts[order], comp[order], order >= E * n_e
+    F = law.F(pts)
+    mass = np.where(pts[1:] > pts[:-1], np.maximum(F[1:] - F[:-1], 0.0), 0.0)
+    mass *= (rep.probs / (law.F(u_hi) - law.F(u_lo)))[comp[:-1]]
+    # a piece starts at every breakpoint but its component's last
+    keep = np.nonzero((comp[:-1] == comp[1:]) & (mass > 0))[0]
+    e = comp[keep]
+    tbin = np.minimum(np.cumsum(~is_zero)[keep] - e * n_e - 1, plan.n_t - 1)
+    arc = k_first[e] - 1 + np.cumsum(is_zero)[keep] - np.searchsorted(zc, e)
+    eta = law.sign(law.zero + (arc + 0.5) * np.pi)  # at the arc's midpoint, far from a zero
+    first = plan.cell_codes(np.array([[-1], [1]]), rep.dirs, 0)  # bin 0, eta = -1 and +1
+    row = plan.rows_of_codes(first[(eta + 1) // 2, e] + tbin)
+    if np.any(row < 0):
+        raise BuilderError("a component's threshold mass fell outside the partition")
+    return row, e, pts[keep], pts[keep + 1], mass[keep]
 
 
 def _reachable_plan(rep: IntegralRepresentation, epsilon: float) -> StratifiedPlan:
     """The cells the representation's components reach: at most 2 x 2J x n_t."""
-    plan = _empty_plan(rep.d, rep.s, epsilon)
-    if 2 * rep.dirs.shape[0] * plan.n_t > MAX_CELLS:
-        raise UsageError(f"partition would have more than {MAX_CELLS} reachable cells; "
-                         "choose a larger epsilon")
-    eta = np.repeat(np.array([-1, 1]), rep.dirs.shape[0])
-    first = plan.cell_codes(eta, np.vstack([rep.dirs, rep.dirs]), 0)
-    return replace(plan, code=np.unique(first[:, None] + np.arange(plan.n_t)))
+    return _with_cells(_empty_plan(rep.d, rep.s, epsilon), rep.dirs)
 
 
 def estimate_masses(plan: StratifiedPlan, rep: IntegralRepresentation,

@@ -84,22 +84,15 @@ class ErrorReport:
 CSV_HEADER = "m,method,seed,l2,linf,terms,sparsity"
 
 
-def _check_pair(target, comb):
-    if target.d != comb.d:
-        raise UsageError(f"dimension mismatch: target d={target.d}, combination d={comb.d}")
+def _check_target(target):
+    if not isinstance(target, TargetFunction):
+        raise UsageError(f"target must be a TargetFunction, got {type(target).__name__}")
 
 
-def _target_values(target, key, points: np.ndarray) -> np.ndarray:
-    """The target on a fixed point set: memoized by a TargetFunction, else evaluated."""
-    if isinstance(target, TargetFunction):
-        return target.values_on(key, points)
-    return target.evaluate_batch(points)
-
-
-def _comb_values(target, comb, key, points: np.ndarray) -> np.ndarray:
-    """comb on a fixed point set, from the target's kept polynomial part when comb shares it."""
-    poly = target.polynomial_on(key, points, comb) if isinstance(target, TargetFunction) else None
-    return comb.evaluate_batch(points, polynomial=poly)
+def _diff_on(target, comb, key, points: np.ndarray) -> np.ndarray:
+    """target - comb on a fixed point set, from the target's kept values and polynomial part."""
+    poly = target.polynomial_on(key, points, comb)
+    return target.values_on(key, points) - comb.evaluate_batch(points, polynomial=poly)
 
 
 @lru_cache(maxsize=1)
@@ -136,11 +129,13 @@ def _checked_line(target, comb, name: str, **sizes):
     within _L1_TOL in l1 (relative for a0 and A0).  Such a pair's error is a
     function of p = u . x alone.
     """
-    _check_pair(target, comb)
+    _check_target(target)
+    if target.d != comb.d:
+        raise UsageError(f"dimension mismatch: target d={target.d}, combination d={comb.d}")
     if target.d > 4:
         raise UsageError(f"{name} supports d <= 4, got d={target.d}")
     check_grid_sizes(target.d, **sizes)
-    line = getattr(target, "line", None)
+    line = target.line
     if line is None:
         return None
     u, sgn = line[0], np.sign(line[0])
@@ -171,7 +166,7 @@ def _l2_cube(target, comb, n: int | None) -> float:
     else:
         points, weights = _sobol_rule()
         key = ("l2", "sobol")
-    diff = _target_values(target, key, points) - _comb_values(target, comb, key, points)
+    diff = _diff_on(target, comb, key, points)
     return float(np.sqrt(np.sum(weights * diff * diff)))
 
 
@@ -327,7 +322,7 @@ def _cube_pass(target, comb, per_axis: int, refine_top: int = _REFINE_TOP) -> _S
     """Grid max on the per_axis^d grid, and its refine_top best points to refine."""
     points = _sup_grid(target.d, per_axis)
     key = ("sup", per_axis)
-    vals = np.abs(_target_values(target, key, points) - _comb_values(target, comb, key, points))
+    vals = np.abs(_diff_on(target, comb, key, points))
     top = _top_k(vals, min(refine_top, points.shape[0]))
     if top.size == 0:
         return _SupPass(float(vals.max()))
@@ -347,11 +342,7 @@ def _abs_diff_fn(target, combs):
     comb_values = stack_evaluator(combs)
 
     def fn(probes):
-        if isinstance(target, TargetFunction):
-            tvals = target.evaluate_batch(probes)
-        else:
-            tvals = np.stack([target.evaluate_batch(p) for p in probes])
-        return np.abs(tvals - comb_values(probes))
+        return np.abs(target.evaluate_batch(probes) - comb_values(probes))
     return fn
 
 
@@ -502,6 +493,7 @@ def finish_reports(target, started):
     result (such as a builder error's message) comes back as it is.
     `started` is read lazily, one batch ahead of what has been yielded.
     """
+    _check_target(target)
     pending = deque()
 
     def passes():

@@ -496,25 +496,19 @@ def sample_simplified_arrays(meas: SpectralMeasure, s: int, n: int, seed: int = 
     scale is v = 2 * v_fs(meas, s).  Returns (b, t, a, v) with array parts of
     shape (n,), (n,), (n, d); a constant target gives empty arrays and v = 0.
     """
-    g = threshold_law(s).g
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise UsageError(f"draw count must be a positive integer, got {n}")
-    moment = v_fs(meas, s)
-    if moment == 0.0:
-        empty = np.zeros(0)
-        return empty, empty, np.zeros((0, meas.d)), 0.0
+    rep = spectral_representation(meas, s)
+    if rep.v == 0.0:
+        return np.zeros(0), np.zeros(0), np.zeros((0, meas.d)), 0.0
     gen = _rng.stream(seed, _rng.ATOMS)
-    c_all = np.abs(meas.omegas).sum(axis=1)
-    keep = np.nonzero(c_all > 0)[0]
-    weights = meas.mags[keep] * c_all[keep] ** s
-    probs = weights / weights.sum()
-    pick = keep[gen.choice(keep.size, size=n, p=probs)]
-    z = 2 * gen.integers(0, 2, size=n) - 1
+    # kept frequency j by mag_j c_j^s, then its flip: component 2j (+1) or 2j + 1 (-1)
+    weights = meas.mags[rep.js[::2]] * rep.c[::2] ** s
+    pick = gen.choice(weights.size, size=n, p=weights / weights.sum())
+    e = 2 * pick + 1 - gen.integers(0, 2, size=n)
     t = gen.random(n)
-    arg = c_all[pick] * t + z * meas.phases[pick]
-    b = g(arg)
-    a = _force_unit_l1((z / c_all[pick])[:, None] * meas.omegas[pick])
-    return b, t, a, 2.0 * moment
+    b = threshold_law(s).g(rep.c[e] * t + rep.ph[e])
+    return b, t, rep.dirs[e], 2.0 * v_fs(meas, s)
 
 
 def sample_atom_simplified(meas: SpectralMeasure, s: int, n: int, seed: int = 0):

@@ -401,6 +401,30 @@ class TestRateSweep:
         assert capsys.readouterr().err.startswith(f"config error: {key} ")
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--epsilon", "1e-7"], "choose a larger epsilon"),
+        (["--epsilon", "1e-300"], "too small to index the cells"),
+        # auto: fractional epsilon 1/m at d = 1; only the largest m is over the cap
+        (["--s", "3", "--m", "4,8,1000000", "--force"], "choose a larger epsilon"),
+    ])
+    def test_small_epsilon_exits_2_before_the_first_cell(self, flags, message, tmp_path,
+                                                         monkeypatch, capsys):
+        calls = []
+        build = cli.build_from_config
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli, "build_from_config", counting)
+        argv = ["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid,stratified",
+                "--m", "4,8,16", "--seeds", "10", "--out", str(tmp_path / "s")]
+        assert main(argv + flags) == 2
+        assert len(calls) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "s").exists()
+
     def test_failed_cell_reports_its_builder_error(self, tmp_path, monkeypatch, capsys):
         build = cli.build_from_config
 

@@ -1,12 +1,13 @@
 """Builders: i.i.d., stratified, and the inner-weight sparsifier."""
 
 import functools
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -36,7 +37,14 @@ from ridgecomb import (
     spectral_representation,
     target_of,
 )
-from ridgecomb.construct import _conditional_draws, _reachable_plan
+from ridgecomb.construct import (
+    MAX_CELLS,
+    _conditional_draws,
+    _reachable_plan,
+    _threshold_pieces,
+)
+from ridgecomb.quadrature import tensor_grid
+from ridgecomb.spectral import threshold_law
 
 
 def two_atom_measure() -> SpectralMeasure:
@@ -359,6 +367,122 @@ class TestIidBuilder:
                 for s in range(8)]
         # v doubles under the folded sampler, so allow its envelope
         assert float(np.mean(errs)) <= 3.0 * 2 * (2 * rep.v) / math.sqrt(128)
+
+
+def threshold_pieces_per_component(plan, rep):
+    """Reference for _threshold_pieces: the same pieces, one component at a time."""
+    law = threshold_law(rep.s)
+    t_edges = np.minimum(np.arange(plan.n_t + 1) * plan.delta_t, 1.0)
+    parts = []
+    for e in range(rep.probs.size):
+        u_edges = rep.c[e] * t_edges + rep.ph[e]
+        u_lo, u_hi = u_edges[0], u_edges[-1]
+        k = np.arange(math.floor((u_lo - law.zero) / np.pi) - 1,
+                      math.floor((u_hi - law.zero) / np.pi) + 3)
+        zeros = law.zero + k * np.pi
+        k_first = int(k[np.argmax(zeros > u_lo)])
+        zeros = zeros[(zeros > u_lo) & (zeros < u_hi)]
+        pts = np.concatenate([u_edges, zeros])
+        label = np.concatenate([np.arange(u_edges.size),
+                                np.searchsorted(u_edges, zeros, side="right") - 1])
+        order = np.argsort(pts, kind="stable")
+        pts = pts[order]
+        ua, ub = pts[:-1], pts[1:]
+        tbin = np.minimum(label[order][:-1], plan.n_t - 1)
+        arc = k_first - 1 + np.cumsum(order >= u_edges.size)[:-1]
+        eta = law.sign(law.zero + (arc + 0.5) * np.pi)
+        mass = np.where(ub > ua, np.maximum(law.F(ub) - law.F(ua), 0.0), 0.0)
+        mass *= rep.probs[e] / (law.F(u_hi) - law.F(u_lo))
+        row = plan.rows_of_codes(plan.cell_codes(eta, rep.dirs[[e]], tbin))
+        keep = mass > 0
+        assert np.all(row[keep] >= 0)
+        parts.append((row[keep], np.full(keep.sum(), e), ua[keep], ub[keep], mass[keep]))
+    return tuple(np.concatenate(cols) for cols in zip(*parts))
+
+
+def codes_by_unique(plan, dirs):
+    """Reference for the cell enumerator: np.unique over every (cell, bin) code."""
+    n = dirs.shape[0]
+    first = plan.cell_codes(np.repeat(np.array([-1, 1]), n), np.vstack([dirs, dirs]), 0)
+    return np.unique(first[:, None] + np.arange(plan.n_t))
+
+
+@st.composite
+def spectra(draw):
+    """Spectra of d = 1..4 and J <= 30: on multiples of pi/2 with phases in
+    {0, +-pi/2, pi}, so that law zeros land on bin edges, or off the grid."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    J = draw(st.integers(min_value=1, max_value=30))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    gen = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        omegas = gen.integers(-4, 5, size=(J, d)) * (np.pi / 2)
+        phases = gen.choice([0.0, np.pi / 2, -np.pi / 2, np.pi], size=J)
+    else:
+        omegas = gen.normal(0.0, 3.0, size=(J, d))
+        phases = gen.uniform(-np.pi, np.pi, size=J)
+    omegas, first = np.unique(omegas, axis=0, return_index=True)
+    assume(np.abs(omegas).sum() > 0)
+    return SpectralMeasure(omegas, gen.uniform(0.1, 1.0, size=first.size), phases[first])
+
+
+class TestOneArrayPass:
+    @given(meas=spectra(), s=st.sampled_from([2, 3]),
+           epsilon=st.floats(min_value=0.03, max_value=2.0))
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_pieces_equal_the_per_component_loop(self, meas, s, epsilon):
+        rep = spectral_representation(meas, s)
+        plan = _reachable_plan(rep, epsilon)
+        got = _threshold_pieces(plan, rep)
+        want = threshold_pieces_per_component(plan, rep)
+        assert len(got) == len(want) == 5
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+    def test_closed_form_cases_equal_the_per_component_loop(self, case):
+        rep, eps = closed_form_case(case)
+        for plan in (_reachable_plan(rep, eps), _reachable_plan(rep, eps / 4)):
+            want = threshold_pieces_per_component(plan, rep)
+            for x, y in zip(_threshold_pieces(plan, rep), want):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @given(meas=spectra(), s=st.sampled_from([2, 3]),
+           epsilon=st.floats(min_value=0.03, max_value=2.0))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_reachable_codes_equal_unique_over_every_code(self, meas, s, epsilon):
+        rep = spectral_representation(meas, s)
+        plan = _reachable_plan(rep, epsilon)
+        want = codes_by_unique(plan, rep.dirs)
+        assert plan.code.dtype == want.dtype and plan.code.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_partition_codes_equal_unique_over_every_code(self, d, s):
+        plan = layout_plan(d, s)
+        kmag = tensor_grid(np.arange(plan.n_a), d - 1)
+        kmag = kmag[kmag.sum(axis=1) * plan.delta_a <= 1.0 + 1e-9]
+        mags = np.column_stack([(kmag + 0.5) * plan.delta_a, np.ones(kmag.shape[0])])
+        signs = 2.0 * np.array(list(itertools.product([0, 1], repeat=d))) - 1.0
+        dirs = (signs[:, None, :] * mags).reshape(-1, d)
+        assert plan.code.tobytes() == codes_by_unique(plan, dirs).tobytes()
+
+    def test_shared_directions_share_cells(self):
+        # omega and 2 omega have one direction, so 2J = 4 components reach
+        # the cells of 2 directions
+        rep, eps = closed_form_case("parallel-d3-s2")
+        plan = _reachable_plan(rep, eps)
+        assert plan.M == 2 * 2 * plan.n_t
+        assert plan.code.tobytes() == codes_by_unique(plan, rep.dirs).tobytes()
+
+    def test_cell_cap_counts_both_signs_of_every_direction(self):
+        # sine-ridge:1 has 2 components: 4 x n_t cells at most
+        rep = exact_sine_representation((1,))
+        n_t_at_cap = MAX_CELLS // 4
+        eps = 4.0 / (n_t_at_cap - 0.5)  # delta_t = eps / 4 just above 1 / n_t_at_cap
+        assert _reachable_plan(rep, eps).M == 4 * n_t_at_cap
+        with pytest.raises(UsageError, match="choose a larger epsilon"):
+            _reachable_plan(rep, 4.0 / (n_t_at_cap + 0.5))
 
 
 class TestStratifiedBuilder:

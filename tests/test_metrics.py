@@ -66,6 +66,16 @@ def single_ramp(t: float, a: float = 1.0) -> RidgeCombination:
                             terms=((1.0, atom),))
 
 
+def comb_target(c):
+    """The combination c as a directly built TargetFunction, evaluated set by set on a stack."""
+    def fn(points):
+        if points.ndim == 2:
+            return c.evaluate_batch(points)
+        return np.stack([c.evaluate_batch(p) for p in points])
+    A0 = np.zeros((c.d, c.d)) if c.A0 is None else c.A0
+    return TargetFunction(d=c.d, b0=c.b0, a0=c.a0, A0=A0, _fn=fn)
+
+
 class TestL2Error:
     def test_matched_constant_is_zero(self):
         rep = exact_sine_representation((1,))
@@ -333,7 +343,7 @@ class TestLinfError:
 
     def test_identical_pair_is_zero(self):
         c = single_ramp(0.3)
-        assert linf_error(c, c) == 0.0
+        assert linf_error(comb_target(c), c) == 0.0
 
     def test_refine_top_zero_is_the_grid_max(self, monkeypatch):
         rep, tgt = cosine_target(2)
@@ -351,7 +361,7 @@ class TestLinfError:
 
     def test_parallel_ramp_pair_hits_threshold_gap(self):
         # sup |(x-0.2)_+ - (x-0.5)_+| = 0.3, attained on [0.5, 1]
-        got = linf_error(single_ramp(0.2), single_ramp(0.5))
+        got = linf_error(comb_target(single_ramp(0.2)), single_ramp(0.5))
         assert got == pytest.approx(0.3, abs=1e-6)
 
     def test_refinement_recovers_off_grid_interior_maximum(self):
@@ -366,9 +376,9 @@ class TestLinfError:
         # 100000^3 points would need petabytes; the cap is the tensor L2 rule's
         c = make_affine(3, 2, 0.0, np.zeros(3))
         with pytest.raises(UsageError, match="linf_grid"):
-            linf_error(c, c, grid=100000)
+            linf_error(comb_target(c), c, grid=100000)
         with pytest.raises(UsageError, match="l2_nodes"):
-            l2_error(c, c, nodes=5000)
+            l2_error(comb_target(c), c, nodes=5000)
 
     def test_sup_dominates_l2(self):
         rep = exact_sine_representation((1, 1))
@@ -376,6 +386,11 @@ class TestLinfError:
         for seed in range(5):
             comb = build_iid(rep, 32, tgt, seed=seed)
             assert linf_error(tgt, comb) >= l2_error(tgt, comb) - 1e-12
+
+
+def direct_target(tgt):
+    """tgt's values as a directly built TargetFunction: no line, no kept values of its own."""
+    return TargetFunction(d=tgt.d, b0=tgt.b0, a0=tgt.a0, A0=tgt.A0, _fn=tgt.evaluate_batch)
 
 
 class DuckTarget:
@@ -425,7 +440,7 @@ class TestBatchedRefinement:
         grid = {2: 33, 3: 17, 4: 9}[d]
         assert len({c.term_count for c in combs}) >= 4
         assert stack_key(combs[5]) is None and combs[5]._grouped
-        for target in (tgt, DuckTarget(tgt)) if d == 2 else (tgt,):
+        for target in (tgt, direct_target(tgt)) if d == 2 else (tgt,):
             # 8 starts: the per-probe reference's two 8-row calls and the
             # refinement's 16-row call fall into the same BLAS row groups.  At
             # the default 10, a 10-row call can round a term sum of 8 or more
@@ -730,3 +745,16 @@ class TestReport:
         assert int(fields[5]) == comb.term_count
         assert int(fields[6]) == comb.inner_sparsity_max
         assert rpt.l2 <= rpt.linf
+
+    def test_a_target_that_is_not_a_target_function_is_refused(self):
+        rep = exact_sine_representation((1, 1))
+        tgt = target_of(rep)
+        comb = build_iid(rep, 16, tgt, seed=3)
+        duck = DuckTarget(tgt)
+        started = start_report(tgt, comb, 16, "iid", 3)
+        for measure in (lambda: l2_error(duck, comb), lambda: linf_error(duck, comb),
+                        lambda: measure_report(duck, comb, 16, "iid", 3),
+                        lambda: start_report(duck, comb, 16, "iid", 3),
+                        lambda: list(finish_reports(duck, [started]))):
+            with pytest.raises(UsageError, match="must be a TargetFunction, got DuckTarget"):
+                measure()

@@ -25,13 +25,41 @@ from ridgecomb import (
     verify_ramp_identity,
     verify_square_identity,
 )
+from ridgecomb import rng as _rng
 from ridgecomb.spectral import (
+    _force_unit_l1,
     abs_cos_integral,
     abs_cos_integral_inv,
     abs_sin_integral,
     abs_sin_integral_inv,
     threshold_law,
 )
+
+
+def simplified_by_frequency(meas, s, n, seed=0):
+    """Reference simplified sampler: a kept frequency by mag c^s, a uniform
+    flip z, t uniform, and the direction z omega / c normalized per draw."""
+    moment = v_fs(meas, s)
+    if moment == 0.0:
+        empty = np.zeros(0)
+        return empty, empty, np.zeros((0, meas.d)), 0.0
+    gen = _rng.stream(seed, _rng.ATOMS)
+    c_all = np.abs(meas.omegas).sum(axis=1)
+    keep = np.nonzero(c_all > 0)[0]
+    weights = meas.mags[keep] * c_all[keep] ** s
+    pick = keep[gen.choice(keep.size, size=n, p=weights / weights.sum())]
+    z = 2 * gen.integers(0, 2, size=n) - 1
+    t = gen.random(n)
+    b = threshold_law(s).g(c_all[pick] * t + z * meas.phases[pick])
+    a = _force_unit_l1((z / c_all[pick])[:, None] * meas.omegas[pick])
+    return b, t, a, 2.0 * moment
+
+
+def assert_same_draws(got, want):
+    """(b, t, a, v) equal bit for bit, shapes included."""
+    for x, y in zip(got, want, strict=True):
+        x, y = np.asarray(x), np.asarray(y)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def two_atom_measure() -> SpectralMeasure:
@@ -351,6 +379,35 @@ class TestSampling:
         stat = float(((counts - expected) ** 2 / expected).sum())
         assert stat < chi2.ppf(0.99, df=1)
         assert v == pytest.approx(2 * v_fs(meas, s))
+
+    @given(d=st.integers(min_value=1, max_value=4), s=st.sampled_from([2, 3]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=1, max_value=300))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_simplified_draws_equal_the_frequency_sampler(self, d, s, seed, n):
+        # the sampler on the component table gives the bits of the sampler that
+        # drew a frequency and a flip and normalized its own direction;
+        # frequency 0 is zero in half the cases, and on multiples of pi/2
+        # with phases in {0, +-pi/2, pi} in the other half
+        gen = np.random.default_rng(seed)
+        J = int(gen.integers(1, 9))
+        grid = seed % 2 == 0
+        omegas = (gen.integers(-3, 4, size=(J, d)) * (np.pi / 2) if grid
+                  else gen.normal(0.0, 2.0, size=(J, d)))
+        omegas[0] = 0.0 if seed % 4 < 2 else omegas[0]
+        omegas = np.unique(omegas, axis=0)
+        J = omegas.shape[0]
+        phases = (gen.choice([0.0, np.pi / 2, -np.pi / 2, np.pi], size=J) if grid
+                  else gen.uniform(-np.pi, np.pi, size=J))
+        meas = SpectralMeasure(omegas, gen.uniform(0.1, 1.0, size=J), phases)
+        assert_same_draws(sample_simplified_arrays(meas, s, n, seed=seed),
+                          simplified_by_frequency(meas, s, n, seed=seed))
+
+    def test_simplified_constant_target_draws_nothing(self):
+        meas = SpectralMeasure(omegas=[[0.0, 0.0]], mags=[1.5], phases=[0.3])
+        got = sample_simplified_arrays(meas, 3, 16, seed=2)
+        assert got[0].size == 0 and got[3] == 0.0
+        assert_same_draws(got, simplified_by_frequency(meas, 3, 16, seed=2))
 
     def test_simplified_unbiased_at_a_point(self):
         # 1e6 one-term estimates of sin(pi x) - pi x at x = 0.37, within 3 SE
