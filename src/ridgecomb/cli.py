@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as _rng
-from .construct import _check_cell_count, _empty_plan, build_from_config, default_epsilon
+from .construct import build_from_config, default_epsilon, stratified_geometry
 from .errors import BuilderError, UsageError
 from .metrics import (
     CSV_HEADER,
@@ -288,7 +288,7 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
     if "stratified" in methods and rep.v > 0:  # the smallest epsilon has the most cells
         eps = resolved["epsilon"]
         eps = default_epsilon(ms[-1], rep.d, resolved["mode"]) if eps == "auto" else eps
-        _check_cell_count(_empty_plan(rep.d, s, eps), rep.dirs.shape[0])
+        stratified_geometry(rep, eps)
 
     def run_cell(method: str, m: int, seed: int):
         # build, L2 and the per-pair sup pass; the sup refinement follows in batches

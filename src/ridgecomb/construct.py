@@ -5,8 +5,8 @@ measure.  The stratified builder partitions atom parameter space into cells of
 small sup-distance diameter, allocates the term budget proportionally to cell
 masses, and samples each cell's conditional measure, which trades the
 m^(-1/2) rate for a better exponent.  Both the masses and the conditional
-draws are closed form, and only the cells the measure reaches are built; the
-threshold pieces both read come from one array pass over all 2J components.
+draws are closed form, and only the cells that carry mass exist: they are the
+runs of the threshold pieces that one array pass finds over all 2J components.
 The sparsifier rewrites each inner weight vector as an average of m0 signed
 basis vectors, bounding coordinate count by m0 without touching any other
 field.
@@ -88,7 +88,7 @@ def build_simplified(meas, s: int, m: int, target: TargetFunction,
 
 # --- stratified partition ---
 
-# cap on the cells of a full partition, and on the cells a builder reaches
+# cap on the cells of a full partition, and on the 2 x 2J x n_t a build could reach
 MAX_CELLS = 5 * 10**6
 
 
@@ -102,8 +102,8 @@ class StratifiedPlan:
     and decoded by the eta, sigma, kmag and tbin properties.  Callers may rely
     on one fact of the layout: the threshold bin is the last digit, so a
     (sign, direction) pair's n_t cells have consecutive codes.  A plan holds
-    the full partition (partition_parameters) or only the cells a
-    representation reaches (build_stratified) as sorted unique codes, with
+    the full partition (partition_parameters) or only the cells that carry a
+    representation's mass (build_stratified) as sorted unique codes, with
     L, m_alloc and n_draw parallel to them.
     """
 
@@ -217,13 +217,26 @@ def _empty_plan(d: int, s: int, epsilon) -> StratifiedPlan:
 def partition_parameters(d: int, s: int, epsilon: float) -> StratifiedPlan:
     """Enumerate the full cell partition for diameter target epsilon (no masses yet)."""
     plan = _empty_plan(d, s, epsilon)
+    _check_cell_count(plan, (1 << d) * _magnitude_vectors(plan))  # before any grid is built
     kmag = tensor_grid(np.arange(plan.n_a), d - 1)
     kmag = kmag[kmag.sum(axis=1) * plan.delta_a <= 1.0 + 1e-9]
-    _check_cell_count(plan, (1 << d) * kmag.shape[0])  # before the directions are built
     # one direction per (orthant, magnitude bins), at the bin midpoints
     mags = np.column_stack([(kmag + 0.5) * plan.delta_a, np.ones(kmag.shape[0])])
     a = (2.0 * tensor_grid(np.arange(2), d) - 1.0)[:, None, :] * mags
-    return _with_cells(plan, a.reshape(-1, d))
+    # each distinct bin-0 code heads n_t consecutive codes: the threshold bin is the last digit
+    first = np.unique(plan.cell_codes(np.array([[-1], [1]]), a.reshape(-1, d), 0))
+    return replace(plan, code=(first[:, None] + np.arange(plan.n_t)).ravel())
+
+
+def _magnitude_vectors(plan: StratifiedPlan) -> int:
+    """How many k in [0, n_a)^(d-1) pass the grid's sum(k) delta_a <= 1 + 1e-9,
+    by inclusion-exclusion over the axes with k_i >= n_a; no grid is built."""
+    r, n_a = plan.d - 1, plan.n_a
+    top = math.floor((1.0 + 1e-9) / plan.delta_a) + 1
+    while top * plan.delta_a > 1.0 + 1e-9:  # the largest sum(k) the grid's float test passes
+        top -= 1
+    return sum((-1) ** j * math.comb(r, j) * math.comb(top - j * n_a + r, r)
+               for j in range(r + 1) if j * n_a <= top)
 
 
 def _check_plan_compat(plan: StratifiedPlan, rep: IntegralRepresentation):
@@ -238,12 +251,11 @@ def _check_cell_count(plan: StratifiedPlan, n_dirs: int):
                          f"{MAX_CELLS}; choose a larger epsilon")
 
 
-def _with_cells(plan: StratifiedPlan, dirs: np.ndarray) -> StratifiedPlan:
-    """plan holding every cell both signs of the directions reach: each distinct
-    bin-0 code and the n_t - 1 after it, as the threshold bin is the last digit."""
-    _check_cell_count(plan, dirs.shape[0])
-    first = np.unique(plan.cell_codes(np.array([[-1], [1]]), dirs, 0))
-    return replace(plan, code=(first[:, None] + np.arange(plan.n_t)).ravel())
+def stratified_geometry(rep: IntegralRepresentation, epsilon) -> StratifiedPlan:
+    """rep's cell geometry at epsilon, with no cells, after the MAX_CELLS check."""
+    plan = _empty_plan(rep.d, rep.s, epsilon)
+    _check_cell_count(plan, rep.dirs.shape[0])
+    return plan
 
 
 def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
@@ -254,9 +266,9 @@ def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
     arcs of constant atom sign, and the threshold-bin edges split it further;
     each resulting piece lies in one cell.  All components go in one pass,
     ordered by (component, u): a piece's bin is a running count of edges,
-    its arc a running count of zeros.  Returns (row, comp, ua, ub, mass): the
-    piece's u-interval and its probability p_e (F(ub) - F(ua)) / (F(ph_e + c_e)
-    - F(ph_e)).  Raises BuilderError when a piece with mass has no cell in the plan.
+    its arc a running count of zeros.  Returns (code, comp, ua, ub, mass) stably
+    sorted by cell code, so each cell's pieces form one run: the piece's cell, its
+    u-interval and its probability p_e (F(ub) - F(ua)) / (F(ph_e + c_e) - F(ph_e)).
     """
     law = threshold_law(rep.s)
     E, n_e = rep.probs.size, plan.n_t + 1
@@ -287,15 +299,27 @@ def _threshold_pieces(plan: StratifiedPlan, rep: IntegralRepresentation):
     arc = k_first[e] - 1 + np.cumsum(is_zero)[keep] - np.searchsorted(zc, e)
     eta = law.sign(law.zero + (arc + 0.5) * np.pi)  # at the arc's midpoint, far from a zero
     first = plan.cell_codes(np.array([[-1], [1]]), rep.dirs, 0)  # bin 0, eta = -1 and +1
-    row = plan.rows_of_codes(first[(eta + 1) // 2, e] + tbin)
-    if np.any(row < 0):
-        raise BuilderError("a component's threshold mass fell outside the partition")
-    return row, e, pts[keep], pts[keep + 1], mass[keep]
+    code = first[(eta + 1) // 2, e] + tbin
+    order = np.argsort(code, kind="stable")
+    keep, e = keep[order], e[order]
+    return code[order], e, pts[keep], pts[keep + 1], mass[keep]
 
 
-def _reachable_plan(rep: IntegralRepresentation, epsilon: float) -> StratifiedPlan:
-    """The cells the representation's components reach: at most 2 x 2J x n_t."""
-    return _with_cells(_empty_plan(rep.d, rep.s, epsilon), rep.dirs)
+def _normalized(L: np.ndarray) -> np.ndarray:
+    total = L.sum()
+    assert abs(total - 1.0) <= 1e-9
+    return L / total
+
+
+def _occupied_plan(rep: IntegralRepresentation, epsilon):
+    """The cells that carry rep's mass at epsilon, one per run of its sorted
+    threshold pieces, with their masses; and the pieces."""
+    plan = stratified_geometry(rep, epsilon)
+    pieces = _threshold_pieces(plan, rep)
+    code, _, _, _, mass = pieces
+    new = np.diff(code, prepend=-1) != 0
+    L = _normalized(np.bincount(np.cumsum(new) - 1, weights=mass))
+    return replace(plan, code=code[new], L=L), pieces
 
 
 def estimate_masses(plan: StratifiedPlan, rep: IntegralRepresentation,
@@ -329,11 +353,11 @@ def exact_sine_masses(plan: StratifiedPlan, rep: IntegralRepresentation) -> Stra
     _check_plan_compat(plan, rep)
     if rep.v == 0.0:
         raise UsageError("representation has zero spectral mass; no cell carries any")
-    row, _, _, _, mass = _threshold_pieces(plan, rep)
-    L = np.bincount(row, weights=mass, minlength=plan.M)
-    total = L.sum()
-    assert abs(total - 1.0) <= 1e-9
-    return replace(plan, L=L / total)
+    code, _, _, _, mass = _threshold_pieces(plan, rep)
+    row = plan.rows_of_codes(code)
+    if np.any(row < 0):
+        raise BuilderError("a component's threshold mass fell outside the partition")
+    return replace(plan, L=_normalized(np.bincount(row, weights=mass, minlength=plan.M)))
 
 
 def allocate(plan: StratifiedPlan, m: int, mode: str, seed: int = 0) -> StratifiedPlan:
@@ -375,18 +399,18 @@ def allocate(plan: StratifiedPlan, m: int, mode: str, seed: int = 0) -> Stratifi
 
 # --- conditional sampling within cells ---
 
-def _conditional_draws(gen, rep, plan: StratifiedPlan, need: np.ndarray):
+def _conditional_draws(gen, rep, plan: StratifiedPlan, pieces, need: np.ndarray):
     """need[k] inverse-CDF draws from each cell's conditional law.
 
-    A draw picks one of its cell's pieces by mass (so a component by its
-    mass in the cell, then an arc), then u by F^-1 within the piece.
+    plan's cells are the runs of the sorted pieces.  A draw picks one of its
+    cell's pieces by mass (so a component by its mass in the cell, then an arc),
+    then u by F^-1 within the piece.
     """
-    row, comp, ua, ub, mass = _threshold_pieces(plan, rep)
-    order = np.argsort(row, kind="stable")
-    row, comp, ua, ub = row[order], comp[order], ua[order], ub[order]
-    cum = np.cumsum(mass[order])
-    first = np.searchsorted(row, np.arange(plan.M))
-    last = np.searchsorted(row, np.arange(plan.M), side="right") - 1
+    code, comp, ua, ub, mass = pieces
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    assert np.array_equal(code[first], plan.code)
+    last = np.append(first[1:], code.size) - 1
+    cum = np.cumsum(mass)
     below = np.where(first > 0, cum[np.maximum(first - 1, 0)], 0.0)
 
     rows = np.repeat(np.arange(plan.M), need)
@@ -417,8 +441,8 @@ def _into_bins(t: np.ndarray, plan: StratifiedPlan, rows: np.ndarray) -> np.ndar
 
 def build_stratified(rep: IntegralRepresentation, m: int, epsilon: float, mode: str,
                      target: TargetFunction, seed: int = 0) -> RidgeCombination:
-    """Stratified build: reachable cells, closed-form masses, allocation, then
-    inverse-CDF draws within each cell.
+    """Stratified build: the cells that carry mass with their closed-form
+    masses, allocation, then inverse-CDF draws within each cell.
 
     Each cell's n_k draws carry coefficient eta * m_k/n_k (eta when signed).
     The stored scale is v * (terms/m) so that evaluation, which divides by
@@ -428,10 +452,10 @@ def build_stratified(rep: IntegralRepresentation, m: int, epsilon: float, mode: 
     _check_build_args(rep, m, target)
     if rep.v == 0.0:
         return _combination(rep.s, target, 0.0, (), (), (), ())
-    plan = exact_sine_masses(_reachable_plan(rep, epsilon), rep)
+    plan, pieces = _occupied_plan(rep, epsilon)
     alloc = allocate(plan, int(m), mode, seed=seed)
     gen = _rng.stream(seed, _rng.ATOMS)
-    rows, eta, t, a = _conditional_draws(gen, rep, alloc, alloc.n_draw)
+    rows, eta, t, a = _conditional_draws(gen, rep, alloc, pieces, alloc.n_draw)
     coeffs = alloc.m_alloc[rows] / alloc.n_draw[rows] * eta
     v_stored = rep.v * rows.size / float(m)
     return _combination(rep.s, target, v_stored, coeffs, eta, a, t)

@@ -37,11 +37,15 @@ from ridgecomb import (
     spectral_representation,
     target_of,
 )
+from ridgecomb import construct
 from ridgecomb.construct import (
     MAX_CELLS,
     _conditional_draws,
-    _reachable_plan,
+    _empty_plan,
+    _magnitude_vectors,
+    _occupied_plan,
     _threshold_pieces,
+    stratified_geometry,
 )
 from ridgecomb.quadrature import tensor_grid
 from ridgecomb.spectral import threshold_law
@@ -150,6 +154,27 @@ class TestPartition:
             partition_parameters(1, 2, 0.0)
         with pytest.raises(UsageError):
             partition_parameters(3, 2, 0.004)  # cell count blows past the cap
+
+    def test_size_guard_runs_before_the_magnitude_grid(self):
+        # the n_a^(d-1) grid here would take 309 GiB; the count of its rows does not
+        with pytest.raises(UsageError, match="choose a larger epsilon"):
+            partition_parameters(4, 2, 0.004)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_magnitude_count_equals_the_filtered_grid(self, d):
+        # off-grid epsilons and ones at which 1 / delta_a is an integer, so that
+        # sums land on the 1 + 1e-9 boundary; every grid here fits in memory
+        lo = {1: 0.01, 2: 0.01, 3: 0.05, 4: 0.25}[d]
+        for s in (2, 3):
+            lip = 1.0 if s == 2 else 2.0
+            per_delta_a = {1: 4.0, 2: 4.0, 3: 6.4, 4: 9.6}[d] * lip  # epsilon / delta_a
+            for eps in [*np.geomspace(lo, 4.0, 15), *(per_delta_a / np.arange(2, 40))]:
+                if eps < lo:
+                    continue
+                plan = _empty_plan(d, s, eps)
+                kmag = tensor_grid(np.arange(plan.n_a), d - 1)
+                want = int(np.count_nonzero(kmag.sum(axis=1) * plan.delta_a <= 1.0 + 1e-9))
+                assert _magnitude_vectors(plan) == want, (s, eps)
 
 
 # name -> (measure or sine-ridge theta, order s, epsilon)
@@ -370,7 +395,8 @@ class TestIidBuilder:
 
 
 def threshold_pieces_per_component(plan, rep):
-    """Reference for _threshold_pieces: the same pieces, one component at a time."""
+    """Reference for _threshold_pieces: the same pieces, one component at a
+    time, then stably sorted by cell code."""
     law = threshold_law(rep.s)
     t_edges = np.minimum(np.arange(plan.n_t + 1) * plan.delta_t, 1.0)
     parts = []
@@ -393,11 +419,12 @@ def threshold_pieces_per_component(plan, rep):
         eta = law.sign(law.zero + (arc + 0.5) * np.pi)
         mass = np.where(ub > ua, np.maximum(law.F(ub) - law.F(ua), 0.0), 0.0)
         mass *= rep.probs[e] / (law.F(u_hi) - law.F(u_lo))
-        row = plan.rows_of_codes(plan.cell_codes(eta, rep.dirs[[e]], tbin))
+        code = plan.cell_codes(eta, rep.dirs[[e]], tbin)
         keep = mass > 0
-        assert np.all(row[keep] >= 0)
-        parts.append((row[keep], np.full(keep.sum(), e), ua[keep], ub[keep], mass[keep]))
-    return tuple(np.concatenate(cols) for cols in zip(*parts))
+        parts.append((code[keep], np.full(keep.sum(), e), ua[keep], ub[keep], mass[keep]))
+    cols = tuple(np.concatenate(col) for col in zip(*parts))
+    order = np.argsort(cols[0], kind="stable")
+    return tuple(col[order] for col in cols)
 
 
 def codes_by_unique(plan, dirs):
@@ -432,7 +459,7 @@ class TestOneArrayPass:
     @settings(derandomize=True, deadline=None, max_examples=150)
     def test_pieces_equal_the_per_component_loop(self, meas, s, epsilon):
         rep = spectral_representation(meas, s)
-        plan = _reachable_plan(rep, epsilon)
+        plan = stratified_geometry(rep, epsilon)
         got = _threshold_pieces(plan, rep)
         want = threshold_pieces_per_component(plan, rep)
         assert len(got) == len(want) == 5
@@ -442,7 +469,7 @@ class TestOneArrayPass:
     @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
     def test_closed_form_cases_equal_the_per_component_loop(self, case):
         rep, eps = closed_form_case(case)
-        for plan in (_reachable_plan(rep, eps), _reachable_plan(rep, eps / 4)):
+        for plan in (stratified_geometry(rep, eps), stratified_geometry(rep, eps / 4)):
             want = threshold_pieces_per_component(plan, rep)
             for x, y in zip(_threshold_pieces(plan, rep), want):
                 assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
@@ -450,11 +477,14 @@ class TestOneArrayPass:
     @given(meas=spectra(), s=st.sampled_from([2, 3]),
            epsilon=st.floats(min_value=0.03, max_value=2.0))
     @settings(derandomize=True, deadline=None, max_examples=60)
-    def test_reachable_codes_equal_unique_over_every_code(self, meas, s, epsilon):
+    def test_occupied_cells_are_the_runs_of_the_pieces(self, meas, s, epsilon):
+        # one cell per distinct piece code, each among the codes both signs
+        # of the directions reach, each with positive mass
         rep = spectral_representation(meas, s)
-        plan = _reachable_plan(rep, epsilon)
-        want = codes_by_unique(plan, rep.dirs)
-        assert plan.code.dtype == want.dtype and plan.code.tobytes() == want.tobytes()
+        plan, pieces = _occupied_plan(rep, epsilon)
+        assert plan.code.tobytes() == np.unique(pieces[0]).tobytes()
+        assert np.all(np.isin(plan.code, codes_by_unique(plan, rep.dirs)))
+        assert np.all(plan.L > 0) and abs(plan.L.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("s", [2, 3])
@@ -469,20 +499,54 @@ class TestOneArrayPass:
 
     def test_shared_directions_share_cells(self):
         # omega and 2 omega have one direction, so 2J = 4 components reach
-        # the cells of 2 directions
+        # the cells of 2 directions, and both frequencies' pieces share cells
         rep, eps = closed_form_case("parallel-d3-s2")
-        plan = _reachable_plan(rep, eps)
-        assert plan.M == 2 * 2 * plan.n_t
-        assert plan.code.tobytes() == codes_by_unique(plan, rep.dirs).tobytes()
+        plan, (code, comp, _, _, _) = _occupied_plan(rep, eps)
+        reach = codes_by_unique(plan, rep.dirs)
+        assert reach.size == 2 * 2 * plan.n_t
+        assert np.all(np.isin(plan.code, reach))
+        assert np.intersect1d(code[comp == 0], code[comp == 2]).size > 0
 
     def test_cell_cap_counts_both_signs_of_every_direction(self):
         # sine-ridge:1 has 2 components: 4 x n_t cells at most
         rep = exact_sine_representation((1,))
         n_t_at_cap = MAX_CELLS // 4
         eps = 4.0 / (n_t_at_cap - 0.5)  # delta_t = eps / 4 just above 1 / n_t_at_cap
-        assert _reachable_plan(rep, eps).M == 4 * n_t_at_cap
+        assert 2 * rep.dirs.shape[0] * stratified_geometry(rep, eps).n_t == 4 * n_t_at_cap
+        over = 4.0 / (n_t_at_cap + 0.5)
         with pytest.raises(UsageError, match="choose a larger epsilon"):
-            _reachable_plan(rep, 4.0 / (n_t_at_cap + 0.5))
+            stratified_geometry(rep, over)
+        with pytest.raises(UsageError, match="choose a larger epsilon"):
+            build_stratified(rep, 16, over, "signed", target_of(rep))
+
+    @given(meas=spectra(), s=st.sampled_from([2, 3]),
+           scale=st.floats(min_value=1.0, max_value=4.0))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_occupied_cells_are_the_partition_cells_with_mass(self, meas, s, scale):
+        # epsilons at which the full partition has at most a few tens of thousands of cells
+        rep = spectral_representation(meas, s)
+        eps = scale * {1: 0.02, 2: 0.3, 3: 0.9, 4: 2.0}[rep.d]
+        plan, _ = _occupied_plan(rep, eps)
+        full = exact_sine_masses(partition_parameters(rep.d, s, eps), rep)
+        assert plan.code.tobytes() == full.code[full.L > 0].tobytes()
+        assert np.abs(plan.L - full.L[full.L > 0]).max() <= 1e-15
+
+    def test_one_pieces_pass_per_build(self, monkeypatch):
+        calls = []
+        real = construct._threshold_pieces
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(construct, "_threshold_pieces", counted)
+        builds = 0
+        for case in sorted(CLOSED_FORM_CASES):
+            rep, eps = closed_form_case(case)
+            for mode in ("signed", "fractional"):
+                build_stratified(rep, 64, eps / 4, mode, target_of(rep), seed=1)
+                builds += 1
+                assert len(calls) == builds
 
 
 class TestStratifiedBuilder:
@@ -530,10 +594,10 @@ class TestStratifiedBuilder:
     @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
     def test_conditional_draws_land_in_their_own_cells(self, case):
         rep, eps = closed_form_case(case)
-        plan = allocate(exact_sine_masses(_reachable_plan(rep, eps / 4), rep), 64,
-                        "fractional")
+        plan, pieces = _occupied_plan(rep, eps / 4)
+        plan = allocate(plan, 64, "fractional")
         need = np.full(plan.M, 50)
-        rows, eta, t, a = _conditional_draws(np.random.default_rng(1), rep, plan, need)
+        rows, eta, t, a = _conditional_draws(np.random.default_rng(1), rep, plan, pieces, need)
         assert np.array_equal(rows, np.repeat(np.arange(plan.M), 50))
         assert np.array_equal(eta, plan.eta[rows])
         assert np.array_equal(plan.rows_of_codes(plan.membership_codes(eta, t, a)), rows)
@@ -543,11 +607,12 @@ class TestStratifiedBuilder:
     def test_conditional_thresholds_follow_the_truncated_law(self, case):
         # KS test in the three heaviest cells, 4000 draws each, level 0.001
         rep, eps = closed_form_case(case)
-        plan = allocate(exact_sine_masses(_reachable_plan(rep, eps), rep), 64, "fractional")
+        plan, pieces = _occupied_plan(rep, eps)
+        plan = allocate(plan, 64, "fractional")
         heavy = np.argsort(plan.L)[-3:]
         need = np.zeros(plan.M, dtype=np.int64)
         need[heavy] = 4000
-        rows, _, t, _ = _conditional_draws(np.random.default_rng(2), rep, plan, need)
+        rows, _, t, _ = _conditional_draws(np.random.default_rng(2), rep, plan, pieces, need)
         for row in heavy:
             cdf = truncated_law_cdf(rep, plan, row)
             assert stats.kstest(t[rows == row], cdf).pvalue > 1e-3
@@ -557,7 +622,7 @@ class TestStratifiedBuilder:
         rep = exact_sine_representation((1,))
         tgt = target_of(rep)
         comb = build_stratified(rep, 1024, 1.0 / 1024, "fractional", tgt, seed=0)
-        assert 1024 <= comb.term_count <= 1024 + _reachable_plan(rep, 1.0 / 1024).M
+        assert 1024 <= comb.term_count <= 1024 + _occupied_plan(rep, 1.0 / 1024)[0].M
 
     def test_paired_sup_error_beats_iid(self):
         # epsilon = m^(-1/3): stratified mean sup error under iid's at every m
