@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -32,17 +31,15 @@ import numpy as np
 
 from . import __version__
 from . import rng as _rng
-from .construct import build_from_config, default_epsilon, stratified_geometry
+from .construct import build_from_config, stratified_epsilon, stratified_geometry
 from .errors import BuilderError, UsageError
 from .metrics import (
     CSV_HEADER,
     check_grid_sizes,
-    finish_reports,
     fit_rate,
     l2_error,
     lower_bound_floor,
     measure_report,
-    start_report,
 )
 from .packing import (
     BINARY_ENTROPY_QUARTER,
@@ -239,21 +236,6 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 # --- rate sweep ---
 
-def _in_order(pool, fn, cells, ahead: int):
-    """fn(*cell) for each cell, run in the pool and yielded in cell order.
-
-    At most `ahead` cells are submitted and not yet read, so a slow reader
-    holds back the pool instead of gathering every finished cell's result.
-    """
-    running = deque()
-    for cell in cells:
-        if len(running) == ahead:
-            yield running.popleft().result()
-        running.append(pool.submit(fn, *cell))
-    while running:
-        yield running.popleft().result()
-
-
 def cmd_rate_sweep(args: argparse.Namespace) -> int:
     cfg = _merged(args)
     resolved, grid_sizes, force = _shared_settings(cfg, "rate-sweep")
@@ -286,23 +268,19 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
     target, rep = _resolve(resolved, 0, grid_sizes)
     s = resolved["s"]
     if "stratified" in methods and rep.v > 0:  # the smallest epsilon has the most cells
-        eps = resolved["epsilon"]
-        eps = default_epsilon(ms[-1], rep.d, resolved["mode"]) if eps == "auto" else eps
-        stratified_geometry(rep, eps)
+        stratified_geometry(rep, stratified_epsilon(resolved["epsilon"], ms[-1], rep.d,
+                                                    resolved["mode"]))
 
     def run_cell(method: str, m: int, seed: int):
-        # build, L2 and the per-pair sup pass; the sup refinement follows in batches
         try:
             comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
         except BuilderError as exc:
             return str(exc)
-        return start_report(target, comb, m, method, seed, **grid_sizes)
+        return measure_report(target, comb, m, method, seed, **grid_sizes)
 
     cells = [(method, m, seed) for method in methods for m in ms for seed in seeds]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # batches form in cell order, so the bytes do not depend on the worker count
-        started = _in_order(pool, run_cell, cells, ahead=2 * workers)
-        reports = list(finish_reports(target, started))
+        reports = list(pool.map(lambda c: run_cell(*c), cells))
     rows = []
     for (method, m, seed), rpt in zip(cells, reports):
         floor = lower_bound_floor(m, target.d, s, 1.0)

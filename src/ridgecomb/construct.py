@@ -517,6 +517,13 @@ def default_epsilon(m: int, d: int, mode: str) -> float:
     raise UsageError(f"mode must be 'signed' or 'fractional', got {mode!r}")
 
 
+def stratified_epsilon(epsilon, m: int, d: int, mode: str) -> float:
+    """A stratified build's cell diameter: epsilon, or default_epsilon for "auto" or None."""
+    if epsilon is None or epsilon == "auto":
+        return default_epsilon(m, d, mode)
+    return float(epsilon)
+
+
 def build_from_config(rep: IntegralRepresentation, target: TargetFunction,
                       config: dict) -> RidgeCombination:
     """Dispatch on {method, m, epsilon?, mode?, m0?, seed}."""
@@ -534,9 +541,8 @@ def build_from_config(rep: IntegralRepresentation, target: TargetFunction,
     if method == "iid":
         return build_iid(rep, m, target, seed=seed)
     if method == "stratified":
-        if epsilon is None or epsilon == "auto":
-            epsilon = default_epsilon(m, rep.d, mode)
-        return build_stratified(rep, m, float(epsilon), mode, target, seed=seed)
+        return build_stratified(rep, m, stratified_epsilon(epsilon, m, rep.d, mode), mode,
+                                target, seed=seed)
     if method == "sparse":
         if m0 is None or m0 == "auto":
             m0 = math.ceil(math.sqrt(m))

@@ -94,23 +94,18 @@ def _atoms(sign: np.ndarray, A: np.ndarray, t: np.ndarray, s: int) -> list[Ridge
 
 
 def half_quadratic(points: np.ndarray, A0: np.ndarray) -> np.ndarray:
-    """0.5 x^T A0 x at each row x of points, accumulated one column at a time.
-
-    Leading axes broadcast: points (c, n, d) with A0 (c, d, d) gives (c, n),
-    each slice by the operations of its own two-dimensional call.
-    """
+    """0.5 x^T A0 x at each row x of points, accumulated one column at a time."""
     Q = points @ A0
-    acc = Q[..., 0] * points[..., 0]
-    for j in range(1, points.shape[-1]):
-        acc += Q[..., j] * points[..., j]
+    acc = Q[:, 0] * points[:, 0]
+    for j in range(1, points.shape[1]):
+        acc += Q[:, j] * points[:, j]
     return 0.5 * acc
 
 
 def polynomial_part(points: np.ndarray, b0, a0: np.ndarray, A0: np.ndarray | None) -> np.ndarray:
     """b0 + a0 . x [+ 0.5 x^T A0 x] at each row x of points: a combination's part
-    outside its terms.  Leading axes broadcast as in half_quadratic, with b0 of
-    shape (c, 1) and a0 of shape (c, d) for points (c, n, d)."""
-    out = b0 + np.matmul(points, a0[..., None])[..., 0]
+    outside its terms."""
+    out = b0 + np.matmul(points, a0[:, None])[:, 0]
     if A0 is not None:
         out += half_quadratic(points, A0)
     return out
@@ -121,24 +116,22 @@ def _dense_term_sum(points: np.ndarray, At: np.ndarray, T: np.ndarray, B: np.nda
     """sum_k b_k (a_k . x - t_k)_+^(s-1) over blocks of points, O(n m) time, bounded memory.
 
     points (n, d), At (d, m) = A.T, T (m,) and B (m, 1) = coef[:, None], with
-    square for s = 3.  Leading axes broadcast: points (c, n, d) with At
-    (c, d, m), T (c, 1, m) and B (c, m, 1) gives (c, n), each slice in the
-    blocks of rows and by the BLAS calls of its own two-dimensional call.
+    square for s = 3.
     """
-    n, m = points.shape[-2], At.shape[-1]
+    n, m = points.shape[0], At.shape[1]
     step = max(1, _DENSE_BLOCK_ELEMS // m)
-    buf = np.empty((*points.shape[:-2], min(step, n), m))
-    acc = np.empty((*points.shape[:-2], n, 1))
+    buf = np.empty((min(step, n), m))
+    acc = np.empty((n, 1))
     for lo in range(0, n, step):
-        blk = points[..., lo:lo + step, :]
-        rows = blk.shape[-2]
-        Z = np.matmul(blk, At, out=buf[..., :rows, :])
+        blk = points[lo:lo + step]
+        rows = blk.shape[0]
+        Z = np.matmul(blk, At, out=buf[:rows])
         Z -= T
         np.maximum(Z, 0.0, out=Z)
         if square:
             Z *= Z
-        np.matmul(Z, B, out=acc[..., lo:lo + rows, :])
-    return acc[..., 0]
+        np.matmul(Z, B, out=acc[lo:lo + rows])
+    return acc[:, 0]
 
 
 # Lipschitz factor of an order-s atom in ||a||_1 + |t| under the sup norm on the
@@ -379,44 +372,6 @@ class RidgeCombination:
     @classmethod
     def load(cls, path) -> "RidgeCombination":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def stack_key(comb: RidgeCombination):
-    """Combinations with one key can share a stack_evaluator; None for one that
-    is evaluated alone (no terms, or the grouped term sum)."""
-    if not comb.term_count or comb._grouped:
-        return None
-    return (comb.d, comb.s, comb.term_count, comb.A0 is None)
-
-
-def stack_evaluator(combs):
-    """The function taking points of shape (len(combs), n, d) to
-    combs[i].evaluate_batch(points[i]), stacked to shape (len(combs), n).
-
-    A combination without a stack_key goes alone, through evaluate_batch.
-    Combinations with one stack_key, with n x terms each within
-    _DENSE_BLOCK_ELEMS, have their arrays stacked once and go through
-    _dense_term_sum over the stack, so every row gets the value its own
-    combination gives it.
-    """
-    if stack_key(combs[0]) is None:
-        (comb,) = combs
-        return lambda points: comb.evaluate_batch(points[0])[None]
-    b0 = np.array([c.b0 for c in combs])[:, None]
-    a0 = np.stack([c.a0 for c in combs])
-    A0 = None if combs[0].A0 is None else np.stack([c.A0 for c in combs])
-    At = np.stack([c.A for c in combs]).transpose(0, 2, 1)  # each slice is evaluate_batch's A.T
-    T = np.stack([c.t for c in combs])[:, None, :]
-    B = np.stack([c.coef for c in combs])[..., None]
-    scale = np.array([c.outer_scale for c in combs])[:, None]
-    square = combs[0].s == 3
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        out = polynomial_part(points, b0, a0, A0)
-        out += scale * _dense_term_sum(points, At, T, B, square)
-        return out
-
-    return evaluate
 
 
 def make_affine(d: int, s: int, b0: float, a0, A0=None, v: float = 0.0) -> RidgeCombination:

@@ -6,34 +6,26 @@ error h(u . x), whose norms are taken exactly on p = u . x in [-1, 1]: L2 by
 composite Gauss-Legendre against the density of u . x, split at every kink,
 and the sup by refining the combination's polynomial pieces.  Other pairs
 use tensor Gauss-Legendre L2 up to d = 3, a fixed Sobol point set at d = 4,
-and a grid maximum sharpened by a per-axis ternary refinement around the
-best grid cells, a lower bound on the true sup.
+and a grid maximum sharpened by a per-axis coarse-to-fine scan around the
+best grid points, a lower bound on the true sup.
 
 The quadrature rules and sup grids are built once per process and kept
 read-only, and a TargetFunction keeps its values on them, and the polynomial
 part b0 + a0 . x [+ 0.5 x^T A0 x] that the builders copy from it, so every
 combination measured against one target reuses them.
-
-The sup goes in two steps: a per-pair pass (the grid max and its best
-points, or the whole line sup) and the refinement of those points.
-finish_reports refines consecutive cells whose combinations stack
-(core.stack_key) in one batch, each row against its own combination, with
-the same probes and the same values as one cell alone; measure_report and
-linf_error are the one-cell case.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import rng as _rng
-from .core import _DENSE_BLOCK_ELEMS, _L1_TOL, CubeDomain, stack_evaluator, stack_key
+from .core import _L1_TOL, CubeDomain
 from .errors import UsageError
 from .quadrature import MAX_RULE_POINTS, panel_rule, tensor_grid, uniform_cube_rule
 from .spectral import TargetFunction
@@ -44,11 +36,9 @@ __all__ = [
     "l2_error",
     "linf_error",
     "check_grid_sizes",
-    "finish_reports",
     "fit_rate",
     "lower_bound_floor",
     "measure_report",
-    "start_report",
 ]
 
 DEFAULT_L2_NODES = {1: 64, 2: 64, 3: 64}
@@ -59,6 +49,10 @@ _LINE_MESH = 0.1  # panel width cap times the target's largest ||omega_j||_1
 _LINE_MIN_DENSITY_SCALE = 1e-4
 _SUP_RTOL, _SUP_SPLIT, _SUP_ROUNDS = 1e-13, 4, 40
 _REFINE_TOP = 10  # grid points each refinement starts from
+# the scan: per axis, _SCAN_SAMPLES points across the window, _SCAN_LEVELS
+# times, the window shrinking to +-one sample step around the best; each axis
+# _SCAN_PASSES times
+_SCAN_SAMPLES, _SCAN_LEVELS, _SCAN_PASSES = 33, 4, 2
 
 
 @dataclass(frozen=True)
@@ -286,131 +280,54 @@ def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
     return idx[np.argsort(vals[idx])]
 
 
-@dataclass(frozen=True, eq=False)
-class _SupPass:
-    """A pair's sup before refinement: value is the grid max, or the exact sup
-    on the pair's line.  starts (k, d) are the points the refinement raises it
-    from, None when there is nothing to refine; comb is kept for them."""
-
-    value: float
-    comb: object = None
-    starts: np.ndarray | None = None
-    spacing: float = 0.0
-
-    @property
-    def key(self):
-        """Passes with one key can be refined in one batch; None for one that goes alone."""
-        if self.starts is None:
-            return None
-        comb_key = stack_key(self.comb)
-        return None if comb_key is None else (comb_key, self.starts.shape, self.spacing)
-
-
-def _sup_pass(target, comb, grid: int | None, refine_top: int) -> _SupPass:
-    """The per-pair part of linf_error: the whole sup on the pair's common
-    line, else the grid max and its refine_top best points."""
+def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_TOP) -> float:
+    """Sup-norm estimate: exact to _SUP_RTOL on the pair's common line; otherwise
+    the grid max raised by a coarse-to-fine scan from its refine_top best points
+    (0: the grid max alone), never below the grid max."""
     if refine_top < 0:
         raise UsageError(f"refine_top must be nonnegative, got {refine_top}")
     per_axis = DEFAULT_LINF_GRID.get(target.d) if grid is None else int(grid)
     line = _checked_line(target, comb, "linf_error", linf_grid=per_axis)
     if line is not None:
-        return _SupPass(_line_linf(target, comb, line))
-    return _cube_pass(target, comb, per_axis, refine_top)
-
-
-def _cube_pass(target, comb, per_axis: int, refine_top: int = _REFINE_TOP) -> _SupPass:
-    """Grid max on the per_axis^d grid, and its refine_top best points to refine."""
+        return _line_linf(target, comb, line)
     points = _sup_grid(target.d, per_axis)
-    key = ("sup", per_axis)
-    vals = np.abs(_diff_on(target, comb, key, points))
+    vals = np.abs(_diff_on(target, comb, ("sup", per_axis), points))
     top = _top_k(vals, min(refine_top, points.shape[0]))
     if top.size == 0:
-        return _SupPass(float(vals.max()))
-    return _SupPass(float(vals.max()), comb, points[top], 2.0 / (per_axis - 1))
-
-
-def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_TOP) -> float:
-    """Sup-norm estimate: exact to _SUP_RTOL on the pair's common line; otherwise
-    the grid max raised by a ternary refinement from its refine_top best points
-    (0: the grid max alone), never below the grid max."""
-    return next(_sups(target, [_sup_pass(target, comb, grid, refine_top)]))
-
-
-def _abs_diff_fn(target, combs):
-    """|target - comb| at probes of shape (cells, n, d), each cell's rows against
-    its own combination and, for the target, as in a call of their own."""
-    comb_values = stack_evaluator(combs)
+        return float(vals.max())
 
     def fn(probes):
-        return np.abs(target.evaluate_batch(probes) - comb_values(probes))
-    return fn
+        return np.abs(target.evaluate_batch(probes) - comb.evaluate_batch(probes))
+    return max(float(vals.max()), _scan_refine(fn, points[top], 2.0 / (per_axis - 1)))
 
 
-def _sups(target, passes):
-    """Each pass's sup, in order: its value, raised by the ternary refinement of its starts.
+def _scan_refine(fn, starts: np.ndarray, spacing: float) -> float:
+    """The max of fn seen by a cyclic per-axis coarse-to-fine scan from each start.
 
-    Consecutive passes with one key are refined in one batch while their
-    probes x terms stay within the dense term sum's block budget; every other
-    pass is a batch of one.
+    On each axis a start's window is its coordinate +-spacing, within the
+    cube.  Each level samples _SCAN_SAMPLES evenly spaced points across the
+    window, moves the start to its best sample and narrows the window to
+    +-one sample step around it.  fn maps probes (n, d) to values (n,); every
+    start's samples of a level go to it in one call.
     """
-    batch: list[_SupPass] = []
-    for p in passes:
-        if batch and not _joins(batch, p):
-            yield from _refined(target, batch)
-            batch = []
-        batch.append(p)
-    if batch:
-        yield from _refined(target, batch)
-
-
-def _joins(batch: list[_SupPass], p: _SupPass) -> bool:
-    """Whether p shares the batch's key, with the batch's probes x terms then
-    still within the dense term sum's block budget."""
-    return (p.key is not None and p.key == batch[0].key
-            and (len(batch) + 1) * 2 * p.starts.shape[0] * p.comb.term_count
-            <= _DENSE_BLOCK_ELEMS)
-
-
-def _refined(target, batch: list[_SupPass]) -> list[float]:
-    if batch[0].starts is None:
-        return [batch[0].value]
-    seen = _ternary_refine(_abs_diff_fn(target, [p.comb for p in batch]),
-                           np.stack([p.starts for p in batch]), batch[0].spacing)
-    return [max(p.value, float(v)) for p, v in zip(batch, seen)]
-
-
-def _ternary_refine(fn, pts: np.ndarray, spacing: float, passes: int = 2,
-                    iters: int = 40) -> np.ndarray:
-    """Cyclic per-axis ternary search from each start point of each cell; returns
-    each cell's max seen.
-
-    pts has shape (cells, k, d), and fn maps probes of shape (cells, n, d) to
-    values of shape (cells, n).  Both probes of an iteration go to fn in one
-    call, through one probe buffer whose first k rows per cell carry the lower
-    probe and the rest the upper.
-    """
-    x = pts.copy()
-    seen = fn(x).max(axis=1)
-    _, n, d = x.shape
-    probes = np.empty((x.shape[0], 2 * n, d))
-    for _ in range(passes):
+    x = starts.copy()
+    k, d = x.shape
+    frac = np.linspace(0.0, 1.0, _SCAN_SAMPLES)
+    rows = np.arange(k)
+    seen = -math.inf
+    for _ in range(_SCAN_PASSES):
         for ax in range(d):
-            probes[:, :n] = x
-            probes[:, n:] = x
-            lo = np.clip(x[..., ax] - spacing, -1.0, 1.0)
-            hi = np.clip(x[..., ax] + spacing, -1.0, 1.0)
-            for _ in range(iters):
-                m1 = lo + (hi - lo) / 3.0
-                m2 = hi - (hi - lo) / 3.0
-                probes[:, :n, ax] = m1
-                probes[:, n:, ax] = m2
-                v = fn(probes)
-                np.maximum(seen, v.max(axis=1), out=seen)
-                keep_hi = v[:, n:] >= v[:, :n]
-                lo = np.where(keep_hi, m1, lo)
-                hi = np.where(keep_hi, hi, m2)
-            x[..., ax] = 0.5 * (lo + hi)
-            np.maximum(seen, fn(x).max(axis=1), out=seen)
+            probes = np.repeat(x, _SCAN_SAMPLES, axis=0)
+            lo = np.clip(x[:, ax] - spacing, -1.0, 1.0)
+            hi = np.clip(x[:, ax] + spacing, -1.0, 1.0)
+            for _ in range(_SCAN_LEVELS):
+                q = lo[:, None] + (hi - lo)[:, None] * frac
+                probes[:, ax] = q.ravel()
+                v = fn(probes).reshape(k, _SCAN_SAMPLES)
+                seen = max(seen, float(v.max()))
+                x[:, ax] = q[rows, v.argmax(axis=1)]
+                step = (hi - lo) / (_SCAN_SAMPLES - 1)
+                lo, hi = np.maximum(lo, x[:, ax] - step), np.minimum(hi, x[:, ax] + step)
     return seen
 
 
@@ -472,35 +389,7 @@ def lower_bound_floor(m: int, d: int, s: int, A: float) -> float:
 def measure_report(target, comb, m: int, method: str, seed: int,
                    l2_nodes: int | None = None, linf_grid: int | None = None) -> ErrorReport:
     """Bundle both error norms and the size stats of a built combination."""
-    started = start_report(target, comb, m, method, seed, l2_nodes, linf_grid)
-    return next(finish_reports(target, [started]))
-
-
-def start_report(target, comb, m: int, method: str, seed: int,
-                 l2_nodes: int | None = None, linf_grid: int | None = None):
-    """The per-cell part of measure_report: its report with the sup pass's value
-    as linf, and that pass, for finish_reports."""
-    l2 = l2_error(target, comb, nodes=l2_nodes)
-    sup = _sup_pass(target, comb, linf_grid, _REFINE_TOP)
-    report = ErrorReport(m=int(m), method=method, seed=int(seed), l2=l2, linf=sup.value,
-                         terms=comb.term_count, sparsity=comb.inner_sparsity_max)
-    return report, sup
-
-
-def finish_reports(target, started):
-    """The measure_report of each start_report result, in order, refining the
-    sup of consecutive cells in batches.  An item that is not a start_report
-    result (such as a builder error's message) comes back as it is.
-    `started` is read lazily, one batch ahead of what has been yielded.
-    """
-    _check_target(target)
-    pending = deque()
-
-    def passes():
-        for item in started:
-            pending.append(item)
-            yield item[1] if isinstance(item, tuple) else _SupPass(0.0)
-
-    for sup in _sups(target, passes()):
-        item = pending.popleft()
-        yield replace(item[0], linf=sup) if isinstance(item, tuple) else item
+    return ErrorReport(m=int(m), method=method, seed=int(seed),
+                       l2=l2_error(target, comb, nodes=l2_nodes),
+                       linf=linf_error(target, comb, grid=linf_grid),
+                       terms=comb.term_count, sparsity=comb.inner_sparsity_max)

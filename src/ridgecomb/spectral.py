@@ -182,19 +182,16 @@ class SpectralMeasure:
         return self.omegas.shape[0]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """f at each row of points (n, d), or of each set in a stack (c, n, d).
+        """f at each row of points (n, d).
 
-        The rows (the sets, for a stack) go in blocks of at most
-        _EVAL_BLOCK_ELEMS row x frequency entries, so memory stays bounded
-        whatever J.  Each block does an unblocked call's operations, and each
-        set of a stack gets its own matmuls, as an (n, d) call would.
+        The rows go in blocks of at most _EVAL_BLOCK_ELEMS row x frequency
+        entries, so memory stays bounded whatever J.  Each block does an
+        unblocked call's operations.
         """
         points = np.asarray(points, dtype=float)
-        step = max(1, _EVAL_BLOCK_ELEMS // (self.size * math.prod(points.shape[1:-1])))
-        if points.ndim == 2:
-            step = max(_ROW_GROUP, step - step % _ROW_GROUP)
-        out = np.empty(points.shape[:-1])
-        buf = np.empty((min(step, points.shape[0]), *points.shape[1:-1], self.size))
+        step = max(_ROW_GROUP, _EVAL_BLOCK_ELEMS // self.size // _ROW_GROUP * _ROW_GROUP)
+        out = np.empty(points.shape[0])
+        buf = np.empty((min(step, points.shape[0]), self.size))
         for lo in range(0, points.shape[0], step):
             blk = points[lo:lo + step]
             Z = np.matmul(blk, self.omegas.T, out=buf[:blk.shape[0]])
@@ -259,8 +256,6 @@ class TargetFunction:
     `line` is (u, max_j c_j, sum_j mag_j c_j), c_j = ||omega_j||_1, when every
     nonzero frequency is +-c_j u for one unit-l1 u, so the target is a ridge
     function of u . x; it is None otherwise and for a directly built target.
-    `_fn` takes what evaluate_batch takes, stacks included, as
-    SpectralMeasure.evaluate_batch does.
     """
 
     d: int
@@ -301,17 +296,15 @@ class TargetFunction:
         return cls.from_measure(sine_ridge_measure(theta))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """The target at each row of points (n, d), or of each set in a stack
-        (c, n, d), which _fn evaluates set by set.  UsageError when _fn gives
-        back another shape than points.shape[:-1], as an _fn written for
-        (n, d) input alone does for a stack."""
+        """The target at each row of points (n, d).  UsageError when _fn gives
+        back another shape than (n,)."""
         points = np.asarray(points, dtype=float)
-        if points.ndim not in (2, 3) or points.shape[-1] != self.d:
-            raise UsageError(f"points must have shape (n, {self.d}) or (c, n, {self.d})")
+        if points.ndim != 2 or points.shape[1] != self.d:
+            raise UsageError(f"points must have shape (n, {self.d})")
         vals = np.asarray(self._fn(points), dtype=float)
-        if vals.shape != points.shape[:-1]:
+        if vals.shape != points.shape[:1]:
             raise UsageError(f"the target function gave shape {vals.shape} for points of shape "
-                             f"{points.shape}; it must give {points.shape[:-1]}")
+                             f"{points.shape}; it must give {points.shape[:1]}")
         return vals
 
     def _kept(self, key, compute) -> np.ndarray:
