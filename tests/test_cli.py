@@ -460,6 +460,45 @@ class TestRateSweep:
             report = measure_report(target, comb, int(m), method, int(seed))
             assert row.startswith(report.csv_row() + ",ok,")
 
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_sweep_files_are_identical_across_worker_counts(self, workers, tmp_path):
+        # cube pairs, so every cell's sup goes through the scan; cells finish
+        # out of order under several workers, yet the files must not change
+        spec = tmp_path / "two.json"
+        spec.write_text(json.dumps(TWO_FREQUENCY))
+        files = []
+        for n in (1, workers):
+            out = tmp_path / f"w{n}"
+            assert main(["rate-sweep", "--target", f"cosine-sum:{spec}", "--s", "3",
+                         "--methods", "iid,sparse", "--m", "2,8,16", "--seeds", "10",
+                         "--m0", "2", "--workers", str(n), "--out", str(out)]) == 0
+            files.append({name: (out / name).read_bytes()
+                          for name in ("results.csv", "fits.json")})
+        assert files[0] == files[1]
+
+    @pytest.mark.parametrize("command", ["build", "rate-sweep"])
+    def test_each_cell_is_measured_once_through_measure_report(self, command, tmp_path,
+                                                               monkeypatch):
+        calls = []
+
+        def counting(target, comb, m, method, seed, **sizes):
+            calls.append((m, method, seed))
+            return measure_report(target, comb, m, method, seed, **sizes)
+
+        monkeypatch.setattr(cli, "measure_report", counting)
+        out = tmp_path / "o"
+        if command == "build":
+            argv = ["build", "--target", "sine-ridge:1,1", "--method", "iid", "--m", "8",
+                    "--seed", "3", "--out", str(out)]
+            cells = [(8, "iid", 3)]
+        else:
+            argv = ["rate-sweep", "--target", "sine-ridge:1,1", "--methods", "iid,stratified",
+                    "--m", "4,8,16", "--seeds", "10", "--workers", "2", "--out", str(out)]
+            cells = [(m, method, seed) for method in ("iid", "stratified")
+                     for m in (4, 8, 16) for seed in range(10)]
+        assert main(argv) == 0
+        assert sorted(calls) == sorted(cells)
+
 
 class TestVerify:
     @pytest.mark.parametrize("which", ["identities", "sine-family", "packing"])

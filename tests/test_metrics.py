@@ -375,18 +375,64 @@ class TestLinfError:
         got = linf_error(tgt, zero, grid=19)
         assert got == pytest.approx(1.0 / (4 * math.pi), abs=1e-6)
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     def test_scan_recovers_off_grid_interior_maximum(self, d):
         # prod_k cos(w_k (x_k - c_k)) peaks at 1 at the interior point c, which
         # lies off the sup grid; the target has no line, so the cube path runs
-        c = np.array([0.1234567, -0.3141593, 0.2718282])[:d]
-        w = np.array([3.0, 2.0, 2.5])[:d]
+        c = np.array([0.1234567, -0.3141593, 0.2718282, 0.5772157])[:d]
+        w = np.array([3.0, 2.0, 2.5, 1.5])[:d]
         tgt = TargetFunction(d=d, b0=0.0, a0=np.zeros(d), A0=np.zeros((d, d)),
                              _fn=lambda p: np.prod(np.cos(w * (p - c)), axis=1))
         zero = make_affine(d, 2, 0.0, np.zeros(d))
         assert tgt.line is None
         assert linf_error(tgt, zero, refine_top=0) < 1.0 - 1e-6  # the grid max alone
         assert linf_error(tgt, zero) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scan_recovers_a_maximum_on_a_face(self, d):
+        # the last factor peaks outside the cube, at 1.2, so the sup lies on the
+        # face x_d = 1 with its other coordinates off the grid: the windows
+        # there are cut to the cube
+        c = np.array([0.1234567, -0.3141593, 0.2718282, 1.2])[-d:]
+        w = np.array([3.0, 2.0, 2.5, 1.0])[-d:]
+        tgt = TargetFunction(d=d, b0=0.0, a0=np.zeros(d), A0=np.zeros((d, d)),
+                             _fn=lambda p: np.prod(np.cos(w * (p - c)), axis=1))
+        zero = make_affine(d, 2, 0.0, np.zeros(d))
+        assert linf_error(tgt, zero) == pytest.approx(math.cos(0.2), abs=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_scan_probes_stay_in_the_cube(self, d):
+        # starts on the corners, on a face and inside, with a window wider than
+        # the cube on the largest
+        gen = np.random.default_rng(d)
+        starts = np.vstack([np.full((1, d), -1.0), np.full((1, d), 1.0),
+                            np.r_[1.0, np.zeros(d - 1)][None], gen.uniform(-1, 1, (3, d))])
+        lo, hi = [], []
+
+        def fn(probes):
+            lo.append(probes.min())
+            hi.append(probes.max())
+            return -np.sum((probes - 0.3) ** 2, axis=1)
+
+        for spacing in (2.0 / (DEFAULT_LINF_GRID[d] - 1), 0.5, 3.0):
+            _scan_refine(fn, starts, spacing)
+        assert min(lo) >= -1.0 and max(hi) <= 1.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_scan_makes_a_fixed_number_of_calls(self, d):
+        # passes x axes x levels calls, every start's samples in each: 24 at d = 3
+        rep, tgt = cosine_target(d)
+        comb = build_iid(rep, 16, tgt, seed=0)
+        rows = []
+        diff = abs_diff(tgt, comb)
+
+        def fn(probes):
+            rows.append(probes.shape[0])
+            return diff(probes)
+
+        starts = _sup_grid(d, DEFAULT_LINF_GRID[d])[:_REFINE_TOP]
+        _scan_refine(fn, starts, 2.0 / (DEFAULT_LINF_GRID[d] - 1))
+        assert rows == [_REFINE_TOP * _SCAN_SAMPLES] * (_SCAN_PASSES * d * _SCAN_LEVELS)
 
     def test_a_target_function_of_the_wrong_shape_is_refused(self):
         rep, tgt = cosine_target(2)
