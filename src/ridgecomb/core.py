@@ -19,6 +19,12 @@ sums of b, b t and b t^2 are kept; at a projection p the direction contributes
 p S0 - S1 (s = 2) or p^2 S0 - 2 p S1 + S2 (s = 3) over its terms with t < p,
 found by one binary search.  Otherwise the points are taken in blocks of about
 2^16 points x terms, so memory stays bounded whatever the term count.
+
+On a tensor grid of one axis (evaluate_batch's `axis`), a term whose inner
+vector has support S is constant along the other coordinates.  So the terms
+are grouped by support, each group's sum, by either way, runs on the |S|-fold
+grid of the axis and is broadcast over the rest: an l0-sparse term with
+|S| = m0 < d costs n^(m0/d) evaluations instead of n.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .quadrature import tensor_grid
 
 _L1_TOL = 1e-12
 _DENSE_BLOCK_ELEMS = 1 << 16  # points x terms per block of the dense term sum
+_TERMS_MAJOR_MAX = 8  # dense blocks of at most this many terms are laid out terms x points
 _GROUPED_MIN_REPEAT = 8  # grouped term sum when terms >= this x distinct directions
 
 
@@ -116,21 +123,32 @@ def _dense_term_sum(points: np.ndarray, At: np.ndarray, T: np.ndarray, B: np.nda
     """sum_k b_k (a_k . x - t_k)_+^(s-1) over blocks of points, O(n m) time, bounded memory.
 
     points (n, d), At (d, m) = A.T, T (m,) and B (m, 1) = coef[:, None], with
-    square for s = 3.
+    square for s = 3.  The thresholds are tiled once to the block shape.  A
+    block is points x terms, or terms x points when m <= _TERMS_MAJOR_MAX, so
+    that its long axis is the contiguous one.
     """
     n, m = points.shape[0], At.shape[1]
     step = max(1, _DENSE_BLOCK_ELEMS // m)
-    buf = np.empty((min(step, n), m))
+    major, width = m <= _TERMS_MAJOR_MAX, min(step, n)
+    buf = np.empty(width * m)
+    tiled = np.tile(T[:, None], width) if major else np.tile(T, (width, 1))
     acc = np.empty((n, 1))
     for lo in range(0, n, step):
         blk = points[lo:lo + step]
         rows = blk.shape[0]
-        Z = np.matmul(blk, At, out=buf[:rows])
-        Z -= T
+        if major:
+            Z = np.matmul(At.T, blk.T, out=buf[:m * rows].reshape(m, rows))
+            Z -= tiled[:, :rows]
+        else:
+            Z = np.matmul(blk, At, out=buf[:rows * m].reshape(rows, m))
+            Z -= tiled[:rows]
         np.maximum(Z, 0.0, out=Z)
         if square:
             Z *= Z
-        np.matmul(Z, B, out=acc[lo:lo + rows])
+        if major:
+            np.matmul(B[:, 0], Z, out=acc[lo:lo + rows, 0])
+        else:
+            np.matmul(Z, B, out=acc[lo:lo + rows])
     return acc[:, 0]
 
 
@@ -316,26 +334,64 @@ class RidgeCombination:
                 acc += (p * S[0, i] - 2.0 * S[1, i]) * p + S[2, i]
         return acc
 
-    def evaluate_batch(self, points: np.ndarray, polynomial: np.ndarray | None = None) -> np.ndarray:
-        """The combination at each row of points.
+    def _term_sum(self, points: np.ndarray) -> np.ndarray:
+        """sum_k b_k (a_k . x - t_k)_+^(s-1) at each row of points, grouped or dense."""
+        if self._grouped:
+            return self._grouped_term_sum(points)
+        return _dense_term_sum(points, self.A.T, self.t, self.coef[:, None], self.s == 3)
+
+    @cached_property
+    def _supports(self) -> tuple[tuple[np.ndarray, "RidgeCombination"], ...]:
+        """Per nonempty support S of the inner vectors, in support-code order:
+        (S, a combination of the terms with support S, their a_k cut to S).
+
+        A term with a = 0 is (-t)_+^(s-1) = 0 and belongs to no group.
+        """
+        nonzero = self.A != 0
+        code = nonzero @ (1 << np.arange(self.d))
+        groups = []
+        for c in np.unique(code[code > 0]):
+            idx = np.flatnonzero(code == c)
+            S = np.flatnonzero(nonzero[idx[0]])
+            groups.append((S, RidgeCombination.from_arrays(
+                S.size, self.s, 0.0, np.zeros(S.size), None, self.v, self.coef[idx],
+                self.sign[idx], self.A[idx][:, S], self.t[idx])))
+        return tuple(groups)
+
+    def evaluate_batch(self, points: np.ndarray, polynomial: np.ndarray | None = None,
+                       axis: np.ndarray | None = None) -> np.ndarray:
+        """The combination at each row of points (n, d).
 
         `polynomial`, when given, must be polynomial_part of this combination's
-        b0, a0 and A0 at these points; the sum starts from a copy of it.
+        b0, a0 and A0 at these points, shape (n,); the sum starts from a copy of it.
+        `axis`, when given, says that points is tensor_grid(axis, d).  Then the
+        terms whose inner vectors share a support S are summed on
+        tensor_grid(axis, |S|) and broadcast along the other coordinates: an
+        l0-sparse term costs len(axis)^|S| evaluations, not n.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.d:
             raise UsageError(f"points must have shape (n, {self.d})")
+        n = points.shape[0]
         if polynomial is None:
             out = polynomial_part(points, self.b0, self.a0, self.A0)
         else:
-            out = polynomial.copy()
-        if self.term_count:
-            if self._grouped:
-                out += self.outer_scale * self._grouped_term_sum(points)
-            else:
-                out += self.outer_scale * _dense_term_sum(points, self.A.T, self.t,
-                                                          self.coef[:, None], self.s == 3)
-        return out
+            out = np.array(polynomial, dtype=float)
+            if out.shape != (n,):
+                raise UsageError(f"polynomial must have shape ({n},), got {out.shape}")
+        if axis is None:
+            if self.term_count:
+                out += self.outer_scale * self._term_sum(points)
+            return out
+        k = np.size(axis)
+        if np.ndim(axis) != 1 or n != k**self.d:
+            raise UsageError(f"with axis of shape {np.shape(axis)}, points must be "
+                             f"tensor_grid(axis, {self.d}), got shape {points.shape}")
+        view = out.reshape((k,) * self.d)
+        for S, sub in self._supports:
+            T = sub._term_sum(points if S.size == self.d else tensor_grid(axis, S.size))
+            view += self.outer_scale * T.reshape([k if j in S else 1 for j in range(self.d)])
+        return view.reshape(n)
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)

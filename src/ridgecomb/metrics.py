@@ -12,7 +12,9 @@ best grid points, a lower bound on the true sup.
 The quadrature rules and sup grids are built once per process and kept
 read-only, and a TargetFunction keeps its values on them, and the polynomial
 part b0 + a0 . x [+ 0.5 x^T A0 x] that the builders copy from it, so every
-combination measured against one target reuses them.
+combination measured against one target reuses them.  Up to d = 3 both point
+sets are tensor grids of one axis, which they pass to the combination, so
+that each term is evaluated only on the coordinates its inner vector uses.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from . import rng as _rng
 from .core import _L1_TOL, CubeDomain
 from .errors import UsageError
-from .quadrature import MAX_RULE_POINTS, panel_rule, tensor_grid, uniform_cube_rule
+from .quadrature import MAX_RULE_POINTS, _leggauss, panel_rule, tensor_grid, uniform_cube_rule
 from .spectral import TargetFunction
 
 __all__ = [
@@ -83,10 +85,11 @@ def _check_target(target):
         raise UsageError(f"target must be a TargetFunction, got {type(target).__name__}")
 
 
-def _diff_on(target, comb, key, points: np.ndarray) -> np.ndarray:
-    """target - comb on a fixed point set, from the target's kept values and polynomial part."""
+def _diff_on(target, comb, key, points: np.ndarray, axis: np.ndarray | None) -> np.ndarray:
+    """target - comb on a fixed point set, from the target's kept values and polynomial
+    part; axis, when given, is the 1-d axis whose tensor grid the points are."""
     poly = target.polynomial_on(key, points, comb)
-    return target.values_on(key, points) - comb.evaluate_batch(points, polynomial=poly)
+    return target.values_on(key, points) - comb.evaluate_batch(points, poly, axis)
 
 
 @lru_cache(maxsize=1)
@@ -156,11 +159,11 @@ def _l2_cube(target, comb, n: int | None) -> float:
     """L2 by the tensor rule of n nodes per axis (d <= 3) or the Sobol rule (d = 4)."""
     if target.d <= 3:
         points, weights = uniform_cube_rule(target.d, n)
-        key = ("l2", n)
+        key, axis = ("l2", n), _leggauss(n)[0]
     else:
         points, weights = _sobol_rule()
-        key = ("l2", "sobol")
-    diff = _diff_on(target, comb, key, points)
+        key, axis = ("l2", "sobol"), None
+    diff = _diff_on(target, comb, key, points, axis)
     return float(np.sqrt(np.sum(weights * diff * diff)))
 
 
@@ -291,7 +294,8 @@ def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_
     if line is not None:
         return _line_linf(target, comb, line)
     points = _sup_grid(target.d, per_axis)
-    vals = np.abs(_diff_on(target, comb, ("sup", per_axis), points))
+    axis = np.linspace(-1.0, 1.0, per_axis) if target.d <= 3 else None
+    vals = np.abs(_diff_on(target, comb, ("sup", per_axis), points, axis))
     top = _top_k(vals, min(refine_top, points.shape[0]))
     if top.size == 0:
         return float(vals.max())

@@ -1,6 +1,7 @@
 """Atoms, combinations, and their evaluation semantics."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ridgecomb import core
+from ridgecomb import core, quadrature
 from ridgecomb import (
     CubeDomain,
     RidgeAtom,
@@ -17,6 +18,11 @@ from ridgecomb import (
     atom_sup_distance,
     make_affine,
 )
+
+
+# tracemalloc peak of one evaluation on the 64^3 rule with a quadratic part:
+# 6.0-12.0 MiB measured at m = 4 and 4096, with and without the tensor axis
+_EVAL_PEAK_BOUND = 16 * 2**20
 
 
 def unit_atom(sign=1, a=(1.0,), t=0.5, s=2) -> RidgeAtom:
@@ -306,6 +312,108 @@ class TestEvaluationPaths:
         assert np.max(np.abs(dense - naive)) <= 1e-12
         assert np.max(np.abs(grouped - naive)) <= 1e-12
         assert np.max(np.abs(c.evaluate_batch(pts) - naive)) <= 1e-12
+
+    @given(
+        s=st.sampled_from([2, 3]),
+        d=st.integers(min_value=1, max_value=3),
+        m=st.integers(min_value=1, max_value=40),
+        layout=st.sampled_from(["equal", "few", "distinct"]),
+        rule=st.sampled_from(["gauss", "uniform"]),
+        zero_term=st.booleans(),
+        seed=st.integers(min_value=0, max_value=10**6),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    def test_tensor_path_matches_the_per_atom_sum(self, s, d, m, layout, rule, zero_term, seed):
+        # multinomial directions have zero components, so the supports mix
+        c = dyadic_combination(s, d, m, layout, seed)
+        gen = np.random.default_rng(seed)
+        b, A, t = c.coef, c.A, c.t
+        if zero_term:  # a = 0: (0 - t)_+^(s-1) is the zero term
+            b, A, t = np.append(b, 0.5), np.vstack([A, np.zeros(d)]), np.append(t, 0.0)
+        c = RidgeCombination.from_arrays(d, s, 0.25, gen.uniform(-1.0, 1.0, d), None, c.v,
+                                         b, np.ones(b.size), A, t)
+        n = 17 if d <= 2 else 9
+        axis = np.polynomial.legendre.leggauss(n)[0] if rule == "gauss" else np.linspace(-1, 1, n)
+        pts = quadrature.tensor_grid(axis, d)
+        naive = core.polynomial_part(pts, c.b0, c.a0, None) + sum(
+            coef * c.outer_scale * atom.evaluate_batch(pts) for coef, atom in c.terms)
+        tensor = c.evaluate_batch(pts, axis=axis)
+        assert np.max(np.abs(tensor - naive)) <= 1e-12
+        if np.all(c.A != 0):
+            assert np.array_equal(tensor, c.evaluate_batch(pts))
+
+    @pytest.mark.parametrize("layout", ["equal", "distinct"])  # grouped, dense
+    @pytest.mark.parametrize("m0", [2, 3])
+    def test_each_support_group_runs_on_its_own_sub_grid(self, layout, m0):
+        gen = np.random.default_rng(m0)
+        m = 96  # 3 supports of m0 = 2 coordinates; one of m0 = 3
+        supports = [S for S in ([0, 1], [0, 2], [1, 2], [0, 1, 2]) if len(S) == m0]
+        # "equal": one direction per support; "distinct": one per term
+        keys = np.arange(m) % len(supports) if layout == "equal" else np.arange(m)
+        A = np.zeros((m, 3))
+        for k in range(m):
+            A[k, supports[k % len(supports)]] = np.random.default_rng(keys[k]).uniform(0.1, 1, m0)
+        A /= np.abs(A).sum(axis=1, keepdims=True)
+        c = RidgeCombination.from_arrays(3, 3, 0.0, np.zeros(3), None, 1.0, gen.uniform(-1, 1, m),
+                                         np.ones(m), A, gen.uniform(0.0, 1.0, m))
+        axis = np.polynomial.legendre.leggauss(64)[0]
+        pts, _ = quadrature.uniform_cube_rule(3, 64)
+        rows = []
+        dense, grouped = core._dense_term_sum, RidgeCombination._grouped_term_sum
+
+        def dense_rows(points, *args):
+            rows.append(("dense", points.shape[0]))
+            return dense(points, *args)
+
+        def grouped_rows(self, points):
+            rows.append(("grouped", points.shape[0]))
+            return grouped(self, points)
+
+        with mock.patch.object(core, "_dense_term_sum", dense_rows), \
+                mock.patch.object(RidgeCombination, "_grouped_term_sum", grouped_rows):
+            c.evaluate_batch(pts, axis=axis)
+        kernel = "grouped" if layout == "equal" else "dense"
+        assert rows == [(kernel, 64**m0)] * len(supports)
+
+    def test_tensor_points_must_be_the_axis_grid(self):
+        c = dyadic_combination(2, 2, 8, "distinct", seed=0)
+        axis = np.linspace(-1.0, 1.0, 5)
+        for pts in (quadrature.tensor_grid(axis, 2)[:-1], quadrature.tensor_grid(axis[:4], 2)):
+            with pytest.raises(UsageError):
+                c.evaluate_batch(pts, axis=axis)
+        with pytest.raises(UsageError):
+            c.evaluate_batch(quadrature.tensor_grid(axis, 2), axis=axis[:, None])
+
+    @pytest.mark.parametrize("comb", ["affine", "terms"])
+    def test_a_polynomial_of_the_wrong_length_is_refused(self, comb):
+        c = (make_affine(2, 2, 0.5, [0.1, 0.2]) if comb == "affine"
+             else dyadic_combination(2, 2, 8, "few", seed=0))
+        pts = CubeDomain(2).grid(5)
+        poly = core.polynomial_part(pts, c.b0, c.a0, None)
+        assert np.array_equal(c.evaluate_batch(pts, poly), c.evaluate_batch(pts))
+        for bad in (poly[:-1], np.append(poly, 0.0), poly[:, None]):
+            with pytest.raises(UsageError):
+                c.evaluate_batch(pts, bad)
+
+    @pytest.mark.parametrize("m", [4, 4096])  # terms x points blocks, points x terms blocks
+    @pytest.mark.parametrize("tensor", [False, True])
+    def test_evaluation_memory_is_bounded(self, m, tensor):
+        # 4096 terms at 64^3 points would be 8 GiB as one points x terms array
+        gen = np.random.default_rng(m)
+        A = gen.uniform(-1.0, 1.0, size=(m, 3))
+        A /= np.abs(A).sum(axis=1, keepdims=True)
+        c = RidgeCombination.from_arrays(3, 3, 0.1, gen.uniform(-1, 1, 3), np.eye(3), 1.0,
+                                         gen.uniform(-1, 1, m), np.ones(m), A, gen.uniform(0, 1, m))
+        assert c._directions[0].shape[0] == m  # the dense path
+        pts, _ = quadrature.uniform_cube_rule(3, 64)
+        axis = np.polynomial.legendre.leggauss(64)[0] if tensor else None
+        tracemalloc.start()
+        try:
+            c.evaluate_batch(pts, axis=axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _EVAL_PEAK_BOUND
 
     def test_path_follows_direction_repetition(self):
         pts = CubeDomain(2).grid(9)

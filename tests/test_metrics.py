@@ -93,6 +93,15 @@ class TestL2Error:
         assert abs(l2_error(tgt, affine, nodes=64)
                    - l2_error(tgt, affine, nodes=128)) < 1e-10
 
+    @pytest.mark.parametrize("d, m0", [(2, 1), (3, 1), (3, 2)])
+    def test_sparse_terms_match_the_uncached_reference(self, d, m0):
+        # m0 < d: each support group is summed on its own sub-grid of the rule's
+        # axis, in another order than the reference's sum over every node
+        rep, tgt = cosine_target(d)
+        comb = build_sparse(rep, 16, m0, tgt, seed=5)
+        assert comb.inner_sparsity_max == m0 and len(comb._supports) > 1
+        assert l2_error(tgt, comb) == pytest.approx(l2_error_uncached(tgt, comb), rel=1e-13)
+
     def test_d4_quasirandom_path(self):
         rep = exact_sine_representation((1, 1, 1, 1))
         tgt = target_of(rep)
