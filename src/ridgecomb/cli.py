@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +235,62 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 # --- rate sweep ---
 
+# (rep, target, resolved, grid_sizes) of the sweep that is running, set by
+# _sweep_init in this process and again in each worker process
+_sweep_context: tuple | None = None
+
+
+def _sweep_init(rep, target, resolved: dict, grid_sizes: dict) -> None:
+    global _sweep_context
+    _sweep_context = (rep, target, resolved, grid_sizes)
+
+
+def _sweep_cell(cell: tuple[str, int, int]):
+    """One (method, m, seed) cell: its report, or the message of the BuilderError
+    that stopped its build."""
+    method, m, seed = cell
+    rep, target, resolved, grid_sizes = _sweep_context
+    try:
+        comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
+    except BuilderError as exc:
+        return str(exc)
+    return measure_report(target, comb, m, method, seed, **grid_sizes)
+
+
+def _run_cells(cells: list, workers: int, context: tuple) -> list:
+    """`_sweep_cell` of every cell, in order.
+
+    The first cell runs in this process, so the target's kept values on the
+    fixed point sets and the cached rules exist before up to `workers` worker
+    processes are forked for the rest.  Forked, not spawned, workers inherit
+    those values instead of computing them again.  One worker, or a platform
+    without fork, runs every cell here.  A worker that dies (say, to the OOM
+    killer) ends the sweep with a BuilderError.
+    """
+    global _sweep_context
+    _sweep_init(*context)
+    try:
+        if workers == 1:
+            return list(map(_sweep_cell, cells))
+        # imported here: at the top they would slow every command's start
+        import multiprocessing
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return list(map(_sweep_cell, cells))
+        reports = [_sweep_cell(cells[0])]
+        try:
+            with ProcessPoolExecutor(min(workers, len(cells) - 1),
+                                     mp_context=multiprocessing.get_context("fork"),
+                                     initializer=_sweep_init, initargs=context) as pool:
+                reports += pool.map(_sweep_cell, cells[1:])
+        except BrokenProcessPool as exc:
+            raise BuilderError(f"a sweep worker process ended ({exc})") from None
+        return reports
+    finally:
+        _sweep_context = None
+
+
 def cmd_rate_sweep(args: argparse.Namespace) -> int:
     cfg = _merged(args)
     resolved, grid_sizes, force = _shared_settings(cfg, "rate-sweep")
@@ -271,16 +326,8 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
         stratified_geometry(rep, stratified_epsilon(resolved["epsilon"], ms[-1], rep.d,
                                                     resolved["mode"]))
 
-    def run_cell(method: str, m: int, seed: int):
-        try:
-            comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
-        except BuilderError as exc:
-            return str(exc)
-        return measure_report(target, comb, m, method, seed, **grid_sizes)
-
     cells = [(method, m, seed) for method in methods for m in ms for seed in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(lambda c: run_cell(*c), cells))
+    reports = _run_cells(cells, workers, (rep, target, resolved, grid_sizes))
     rows = []
     for (method, m, seed), rpt in zip(cells, reports):
         floor = lower_bound_floor(m, target.d, s, 1.0)
@@ -490,7 +537,8 @@ def make_parser() -> argparse.ArgumentParser:
     ps.add_argument("--m", help="comma list of term budgets (at least 3)")
     ps.add_argument("--seeds", help="comma list of seeds, or a bare count")
     ps.add_argument("--workers", type=int,
-                    help="thread pool size (default: 4, or the CPU count if lower)")
+                    help="cells run at once, in worker processes forked after the "
+                         "first cell (default: 4, or the CPU count if lower)")
     ps.set_defaults(func=cmd_rate_sweep)
 
     pv = sub.add_parser("verify", help="run a fixed-tolerance check suite")

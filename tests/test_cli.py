@@ -11,12 +11,19 @@ import pytest
 
 from ridgecomb import RidgeAtom, RidgeCombination, build_from_config, cli
 from ridgecomb.cli import main
-from ridgecomb.errors import BuilderError
+from ridgecomb.errors import BuilderError, UsageError
 from ridgecomb.metrics import CSV_HEADER, lower_bound_floor, measure_report
 from ridgecomb.targets import resolve_target
 
 TWO_FREQUENCY = {"dim": 2, "atoms": [{"omega": [1.0, 0.5], "mag": 0.8, "phase": 0.4},
                                      {"omega": [-0.7, 1.3], "mag": 0.5, "phase": -1.1}]}
+
+
+def _src_env() -> dict:
+    """The environment of a fresh process that imports ridgecomb from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def read_bytes_map(out: Path) -> dict:
@@ -476,13 +483,85 @@ class TestRateSweep:
                           for name in ("results.csv", "fits.json")})
         assert files[0] == files[1]
 
+    def test_dead_worker_process_exits_3_with_one_line(self, tmp_path):
+        # a fresh process, so a hang fails on the timeout and anything a dying
+        # worker prints is seen; one cell after the first ends its worker
+        child = """if True:
+            import os, sys
+            from ridgecomb import cli
+            build = cli.build_from_config
+
+            def dying(rep, target, bcfg):
+                if (bcfg["method"], bcfg["m"], bcfg["seed"]) == ("iid", 8, 3):
+                    os._exit(1)
+                return build(rep, target, bcfg)
+
+            cli.build_from_config = dying
+            sys.exit(cli.main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                               "--m", "4,8,16", "--seeds", "10", "--workers", "2",
+                               "--out", sys.argv[1]]))
+        """
+        out = tmp_path / "s"
+        proc = subprocess.run([sys.executable, "-c", child, str(out)], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("builder failure: a sweep worker process ended (")
+        assert not out.exists()
+
+    def test_usage_error_in_a_cell_is_the_same_at_any_worker_count(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        build = cli.build_from_config
+
+        def refusing(rep, target, bcfg):
+            if (bcfg["method"], bcfg["m"], bcfg["seed"]) == ("iid", 8, 3):
+                raise UsageError("cell refused")
+            return build(rep, target, bcfg)
+
+        monkeypatch.setattr(cli, "build_from_config", refusing)
+        results = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            rc = main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                       "--m", "4,8,16", "--seeds", "10", "--workers", str(workers),
+                       "--out", str(out)])
+            results.append((rc, capsys.readouterr().err, out.exists()))
+        assert results[0] == results[1] == (2, "config error: cell refused\n", False)
+
+    def test_without_fork_every_cell_runs_in_this_process(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        calls = []
+        build = cli.build_from_config
+
+        def counting(rep, target, bcfg):
+            calls.append((bcfg["method"], bcfg["m"], bcfg["seed"]))
+            return build(rep, target, bcfg)
+
+        monkeypatch.setattr(cli, "build_from_config", counting)
+        files = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                         "--m", "4,8,16", "--seeds", "10", "--workers", str(workers),
+                         "--out", str(out)]) == 0
+            files.append((out / "results.csv").read_bytes())
+        cells = [("iid", m, seed) for m in (4, 8, 16) for seed in range(10)]
+        assert calls == cells + cells
+        assert files[0] == files[1]
+
     @pytest.mark.parametrize("command", ["build", "rate-sweep"])
     def test_each_cell_is_measured_once_through_measure_report(self, command, tmp_path,
                                                                monkeypatch):
-        calls = []
+        # one line per call, appended to a file: the sweep's worker processes
+        # cannot reach a list in this one
+        log = tmp_path / "calls.log"
 
         def counting(target, comb, m, method, seed, **sizes):
-            calls.append((m, method, seed))
+            with open(log, "a") as fh:
+                fh.write(f"{m},{method},{seed}\n")
             return measure_report(target, comb, m, method, seed, **sizes)
 
         monkeypatch.setattr(cli, "measure_report", counting)
@@ -497,6 +576,8 @@ class TestRateSweep:
             cells = [(m, method, seed) for method in ("iid", "stratified")
                      for m in (4, 8, 16) for seed in range(10)]
         assert main(argv) == 0
+        calls = [(int(m), method, int(seed)) for m, method, seed in
+                 (line.split(",") for line in log.read_text().splitlines())]
         assert sorted(calls) == sorted(cells)
 
 
@@ -538,12 +619,19 @@ class TestColdStart:
             print(json.dumps({"rcs": rcs, "scipy": sorted(
                 k for k in sys.modules if k == "scipy" or k.startswith("scipy."))}))
         """
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=env,
+        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=_src_env(),
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout.splitlines()[-1])
         assert doc["rcs"] == [0, 0, 0]
         assert doc["scipy"] == []
+
+    def test_import_leaves_the_worker_pool_unloaded(self):
+        # rate-sweep imports its process pool when it runs; importing the CLI
+        # must not, since every command pays for what the import loads
+        child = ("import json, sys, ridgecomb.cli; print(json.dumps(sorted(k for k in "
+                 "('multiprocessing', 'concurrent.futures.process') if k in sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", child], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
