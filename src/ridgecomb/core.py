@@ -45,6 +45,7 @@ _L1_TOL = 1e-12
 _DENSE_BLOCK_ELEMS = 1 << 16  # points x terms per block of the dense term sum
 _TERMS_MAJOR_MAX = 8  # dense blocks of at most this many terms are laid out terms x points
 _GROUPED_MIN_REPEAT = 8  # grouped term sum when terms >= this x distinct directions
+_SAVE_BLOCK = 1024  # terms formatted per write of save, so its memory does not grow with m
 
 
 def _numeric(x, what: str) -> np.ndarray:
@@ -150,6 +151,32 @@ def _dense_term_sum(points: np.ndarray, At: np.ndarray, T: np.ndarray, B: np.nda
         else:
             np.matmul(Z, B, out=acc[lo:lo + rows])
     return acc[:, 0]
+
+
+def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first of each distinct row of keys (n, k), the rows in
+    lexicographic order, and each row's index among them, as np.unique(keys,
+    axis=0) returns them: one lexsort and a diff of neighbouring sorted rows."""
+    order = np.lexsort(keys.T[::-1])  # the last key is the primary one
+    rows = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _texts(values: np.ndarray, fmt) -> list[str]:
+    """fmt of each entry of values (n,), or each row of values (n, k), called once
+    per distinct bit pattern, so -0.0 and 0.0 get their own texts as under repr."""
+    values = np.ascontiguousarray(values)
+    first, inverse = _distinct_rows(values.view(np.int64).reshape(values.shape[0], -1))
+    texts = np.array(list(map(fmt, values[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def _row_text(row: list[float]) -> str:
+    return f"[{', '.join(map(repr, row))}]"
 
 
 # Lipschitz factor of an order-s atom in ||a||_1 + |t| under the sup norm on the
@@ -285,16 +312,10 @@ class RidgeCombination:
     def _directions(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct inner vectors (rows) and each term's row index among them.
 
-        The rows in lexicographic order, as np.unique(A, axis=0) gives them,
-        found by one lexsort and a diff of neighbouring sorted rows.
+        The rows in lexicographic order, as np.unique(A, axis=0) gives them.
         """
-        order = np.lexsort(self.A.T[::-1])  # the last key is the primary one
-        rows = self.A[order]
-        new = np.ones(order.size, dtype=bool)
-        np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
-        inverse = np.empty(order.size, dtype=np.intp)
-        inverse[order] = np.cumsum(new) - 1
-        return rows[new], inverse
+        first, inverse = _distinct_rows(self.A)
+        return self.A[first], inverse
 
     @cached_property
     def _grouped(self) -> bool:
@@ -399,11 +420,16 @@ class RidgeCombination:
 
     # --- serialization ---
 
-    def to_json_dict(self) -> dict:
+    def _json_head(self) -> dict:
+        """The document's fields before its terms."""
         doc = {"version": 1, "dim": self.d, "order": self.s, "b0": self.b0, "a0": self.a0.tolist()}
         if self.s == 3:
             doc["A0"] = None if self.A0 is None else self.A0.tolist()
         doc["v"] = self.v
+        return doc
+
+    def to_json_dict(self) -> dict:
+        doc = self._json_head()
         cols = (self.coef.tolist(), self.sign.tolist(), self.A.tolist(), self.t.tolist())
         doc["terms"] = [{"b": b, "sign": sign, "a": a, "t": t} for b, sign, a, t in zip(*cols)]
         return doc
@@ -423,7 +449,22 @@ class RidgeCombination:
         return cls.from_arrays(d, s, b0, a0, A0, v, coef, sign, A, t)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()) + "\n")
+        """Write json.dumps(self.to_json_dict()) + "\\n", streamed from the term arrays.
+
+        The terms go out _SAVE_BLOCK at a time.  In each block every distinct
+        coefficient, threshold and inner vector is formatted once with repr,
+        which is the text the json encoder writes for a finite float.
+        """
+        with Path(path).open("w") as f:
+            f.write(f'{json.dumps(self._json_head())[:-1]}, "terms": [')
+            for lo in range(0, self.term_count, _SAVE_BLOCK):
+                blk = slice(lo, lo + _SAVE_BLOCK)
+                cols = (_texts(self.coef[blk], repr), self.sign[blk].tolist(),
+                        _texts(self.A[blk], _row_text), _texts(self.t[blk], repr))
+                f.write(", " if lo else "")
+                f.write(", ".join([f'{{"b": {b}, "sign": {sign}, "a": {a}, "t": {t}}}'
+                                   for b, sign, a, t in zip(*cols)]))
+            f.write("]}\n")
 
     @classmethod
     def load(cls, path) -> "RidgeCombination":

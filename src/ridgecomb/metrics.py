@@ -69,8 +69,10 @@ class ErrorReport:
 
     def __post_init__(self):
         for name in ("m", "seed", "l2", "linf", "terms", "sparsity"):
-            if getattr(self, name) < 0:
-                raise UsageError(f"ErrorReport field {name} must be nonnegative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise UsageError(f"ErrorReport field {name} must be finite and "
+                                 f"nonnegative, got {value}")
 
     def csv_row(self) -> str:
         return (f"{self.m},{self.method},{self.seed},"
@@ -355,8 +357,8 @@ def fit_rate(points) -> RateFit:
     """OLS of log error on log m; slope is the empirical rate exponent."""
     kept = []
     for m, err in points:
-        if err <= 0:
-            warnings.warn(f"fit_rate: dropping nonpositive error {err} at m={m}",
+        if not 0 < err < math.inf:  # NaN fails too
+            warnings.warn(f"fit_rate: dropping nonpositive or non-finite error {err} at m={m}",
                           stacklevel=2)
             continue
         if m <= 0:

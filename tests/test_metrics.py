@@ -42,6 +42,7 @@ from ridgecomb.metrics import (
     DEFAULT_L2_NODES,
     DEFAULT_LINF_GRID,
     LINF_RANDOM_POINTS_D4,
+    ErrorReport,
     _checked_line,
     _l2_cube,
     _scan_refine,
@@ -635,6 +636,14 @@ class TestFitRate:
             fit = fit_rate([(4, 1.0), (8, 0.0), (16, 0.5), (64, 0.25)])
         assert fit.n == 3
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_errors_dropped_with_warning(self, bad):
+        with pytest.warns(UserWarning, match="non-finite"):
+            fit = fit_rate([(4, bad), (8, 0.1), (16, 0.05), (32, 0.025)])
+        assert fit.n == 3 and fit.slope == pytest.approx(-1.0, abs=1e-12)
+        with pytest.warns(UserWarning), pytest.raises(UsageError, match="3 usable points"):
+            fit_rate([(4, bad), (8, 0.1), (16, 0.05)])
+
     def test_too_few_points_rejected(self):
         with pytest.raises(UsageError):
             fit_rate([(4, 1.0), (8, 0.5)])
@@ -702,6 +711,14 @@ class TestReport:
         assert int(fields[5]) == comb.term_count
         assert int(fields[6]) == comb.inner_sparsity_max
         assert rpt.l2 <= rpt.linf
+
+    @pytest.mark.parametrize("field", ["l2", "linf"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    def test_a_non_finite_or_negative_error_is_refused(self, field, bad):
+        fields = dict(m=16, method="iid", seed=3, l2=0.1, linf=0.2, terms=16, sparsity=1)
+        with pytest.raises(UsageError, match=f"field {field} must be finite and nonnegative"):
+            ErrorReport(**{**fields, field: bad})
+        assert ErrorReport(**{**fields, field: 0.0}).csv_row()
 
     def test_a_target_that_is_not_a_target_function_is_refused(self):
         rep = exact_sine_representation((1, 1))
