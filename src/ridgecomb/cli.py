@@ -260,10 +260,10 @@ def _sweep_cell(cell: tuple[str, int, int]):
 def _run_cells(cells: list, workers: int, context: tuple) -> list:
     """`_sweep_cell` of every cell, in order.
 
-    The first cell runs in this process, so the target's kept values on the
-    fixed point sets and the cached rules exist before up to `workers` worker
-    processes are forked for the rest.  Forked, not spawned, workers inherit
-    those values instead of computing them again.  One worker, or a platform
+    The first cell runs in this process, so the target's kept residual on
+    the fixed point sets and the cached rules exist before up to `workers`
+    worker processes are forked for the rest.  Forked, not spawned, workers
+    inherit those arrays instead of computing them again.  One worker, or a platform
     without fork, runs every cell here.  A worker that dies (say, to the OOM
     killer) ends the sweep with a BuilderError.
     """

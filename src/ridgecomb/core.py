@@ -20,11 +20,15 @@ p S0 - S1 (s = 2) or p^2 S0 - 2 p S1 + S2 (s = 3) over its terms with t < p,
 found by one binary search.  Otherwise the points are taken in blocks of about
 2^16 points x terms, so memory stays bounded whatever the term count.
 
-On a tensor grid of one axis (evaluate_batch's `axis`), a term whose inner
-vector has support S is constant along the other coordinates.  So the terms
-are grouped by support, each group's sum, by either way, runs on the |S|-fold
-grid of the axis and is broadcast over the rest: an l0-sparse term with
-|S| = m0 < d costs n^(m0/d) evaluations instead of n.
+subtract_terms takes the term sum from an array in place, which is how the
+error measurement takes a combination from the target's kept residual.  On
+a tensor grid of one axis (its `axis`), a term whose inner vector has support
+S is constant along the other coordinates.  So the terms are grouped by
+support, each group's sum runs on the |S|-fold grid of the axis and is
+broadcast over the rest: an l0-sparse term with |S| = m0 < d costs n^(m0/d)
+evaluations instead of n.  There a dense group goes slab by slab of its first
+coordinate, a_k . x - t_k = a_k0 x_0 + (the rest, formed once), and a
+full-support group goes into the output in place.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .quadrature import tensor_grid
 _L1_TOL = 1e-12
 _DENSE_BLOCK_ELEMS = 1 << 16  # points x terms per block of the dense term sum
 _TERMS_MAJOR_MAX = 8  # dense blocks of at most this many terms are laid out terms x points
+_ROW_PAD = 8  # entries between the rows of a tensor-grid block
 _GROUPED_MIN_REPEAT = 8  # grouped term sum when terms >= this x distinct directions
 _SAVE_BLOCK = 1024  # terms formatted per write of save, so its memory does not grow with m
 
@@ -151,6 +156,39 @@ def _dense_term_sum(points: np.ndarray, At: np.ndarray, T: np.ndarray, B: np.nda
         else:
             np.matmul(Z, B, out=acc[lo:lo + rows])
     return acc[:, 0]
+
+
+def _dense_tensor_sum(out: np.ndarray, axis: np.ndarray, A: np.ndarray, T: np.ndarray,
+                      B: np.ndarray, square: bool, scale: float) -> None:
+    """out += scale sum_k b_k (a_k . x - t_k)_+^(s-1) on tensor_grid(axis, r), in place.
+
+    out (k, k^(r-1)) is the grid's values by first coordinate, A (m, r), T (m,)
+    and B (m,).  a_k . x - t_k = a_k0 x_0 + (a_k . x_rest - t_k): the second part
+    is formed once per block of terms, and each slab of x_0 values adds the
+    first in one broadcast, so no block takes a matmul or a tiled threshold.
+    A block is terms x points, at most about _DENSE_BLOCK_ELEMS entries or one
+    term on one slab.
+    """
+    k, rest = out.shape
+    per = max(1, -(-_DENSE_BLOCK_ELEMS // rest))
+    width, slabs = min(B.size, per), max(1, per // B.size)
+    tail = tensor_grid(axis, A.shape[1] - 1)
+    cols = min(slabs, k) * rest
+    # rows _ROW_PAD entries apart, so that a power-of-2 row length does not map
+    # every term's row of a block to the same cache sets
+    buf = np.empty((width, cols + _ROW_PAD))
+    for lo in range(0, B.size, width):
+        a, b = A[lo:lo + width], B[lo:lo + width]
+        R = a[:, 1:] @ tail.T
+        R -= T[lo:lo + width, None]
+        for s0 in range(0, k, slabs):
+            x = axis[s0:s0 + slabs]
+            Z = buf[:b.size, :x.size * rest]
+            np.add(R[:, None, :], (a[:, :1] * x)[:, :, None], out=Z.reshape(b.size, x.size, rest))
+            np.maximum(Z, 0.0, out=Z)
+            if square:
+                Z *= Z
+            out[s0:s0 + x.size] += scale * (b @ Z).reshape(x.size, rest)
 
 
 def _distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,40 +417,58 @@ class RidgeCombination:
                 self.sign[idx], self.A[idx][:, S], self.t[idx])))
         return tuple(groups)
 
-    def evaluate_batch(self, points: np.ndarray, polynomial: np.ndarray | None = None,
-                       axis: np.ndarray | None = None) -> np.ndarray:
-        """The combination at each row of points (n, d).
+    def _checked_points(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.d:
+            raise UsageError(f"points must have shape (n, {self.d})")
+        return points
 
-        `polynomial`, when given, must be polynomial_part of this combination's
-        b0, a0 and A0 at these points, shape (n,); the sum starts from a copy of it.
+    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        """The combination at each row of points (n, d)."""
+        points = self._checked_points(points)
+        out = polynomial_part(points, self.b0, self.a0, self.A0)
+        if self.term_count:
+            out += self.outer_scale * self._term_sum(points)
+        return out
+
+    def subtract_terms(self, out: np.ndarray, points: np.ndarray,
+                       axis: np.ndarray | None = None) -> np.ndarray:
+        """out minus the term sum (the combination less its polynomial part) at
+        each row of points, in place; returns out, a contiguous float array of
+        shape (n,).
+
         `axis`, when given, says that points is tensor_grid(axis, d).  Then the
         terms whose inner vectors share a support S are summed on
         tensor_grid(axis, |S|) and broadcast along the other coordinates: an
         l0-sparse term costs len(axis)^|S| evaluations, not n.
         """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.d:
-            raise UsageError(f"points must have shape (n, {self.d})")
-        n = points.shape[0]
-        if polynomial is None:
-            out = polynomial_part(points, self.b0, self.a0, self.A0)
-        else:
-            out = np.array(polynomial, dtype=float)
-            if out.shape != (n,):
-                raise UsageError(f"polynomial must have shape ({n},), got {out.shape}")
+        points = self._checked_points(points)
+        if not (isinstance(out, np.ndarray) and out.dtype == float
+                and out.shape == points.shape[:1] and out.flags.c_contiguous):
+            raise UsageError(f"out must be a contiguous float array of shape "
+                             f"({points.shape[0]},)")
         if axis is None:
             if self.term_count:
-                out += self.outer_scale * self._term_sum(points)
+                out -= self.outer_scale * self._term_sum(points)
             return out
-        k = np.size(axis)
-        if np.ndim(axis) != 1 or n != k**self.d:
+        k, d = np.size(axis), self.d
+        if np.ndim(axis) != 1 or points.shape[0] != k**d:
             raise UsageError(f"with axis of shape {np.shape(axis)}, points must be "
-                             f"tensor_grid(axis, {self.d}), got shape {points.shape}")
-        view = out.reshape((k,) * self.d)
+                             f"tensor_grid(axis, {d}), got shape {points.shape}")
+        axis, view = np.asarray(axis, dtype=float), out.reshape((k,) * d)
         for S, sub in self._supports:
-            T = sub._term_sum(points if S.size == self.d else tensor_grid(axis, S.size))
-            view += self.outer_scale * T.reshape([k if j in S else 1 for j in range(self.d)])
-        return view.reshape(n)
+            shape = [k if j in S else 1 for j in range(d)]
+            if sub._grouped:
+                T = sub._grouped_term_sum(points if S.size == d else tensor_grid(axis, S.size))
+                T *= self.outer_scale
+                view -= T.reshape(shape)
+                continue
+            # a full-support group goes into out itself, a smaller one into its sub-grid
+            grid = out.reshape(k, -1) if S.size == d else np.zeros((k, k ** (S.size - 1)))
+            _dense_tensor_sum(grid, axis, sub.A, sub.t, sub.coef, self.s == 3, -self.outer_scale)
+            if S.size < d:
+                view += grid.reshape(shape)
+        return out
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)

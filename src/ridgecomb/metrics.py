@@ -10,11 +10,13 @@ and a grid maximum sharpened by a per-axis coarse-to-fine scan around the
 best grid points, a lower bound on the true sup.
 
 The quadrature rules and sup grids are built once per process and kept
-read-only, and a TargetFunction keeps its values on them, and the polynomial
-part b0 + a0 . x [+ 0.5 x^T A0 x] that the builders copy from it, so every
-combination measured against one target reuses them.  Up to d = 3 both point
-sets are tensor grids of one axis, which they pass to the combination, so
-that each term is evaluated only on the coordinates its inner vector uses.
+read-only, and a TargetFunction keeps one array on each: its residual, the
+target less the polynomial part b0 + a0 . x [+ 0.5 x^T A0 x] that the
+builders copy from it.  Every combination measured against the target takes
+a copy of that residual and subtracts its terms in place.  Up to d = 3 both
+point sets are tensor grids of one axis: a target built from a measure
+computes its values there from per-axis factors, and the combination
+evaluates each term only on the coordinates its inner vector uses.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import rng as _rng
-from .core import _L1_TOL, CubeDomain
+from .core import _L1_TOL, CubeDomain, polynomial_part
 from .errors import UsageError
 from .quadrature import MAX_RULE_POINTS, _leggauss, panel_rule, tensor_grid, uniform_cube_rule
 from .spectral import TargetFunction
@@ -51,6 +53,7 @@ _LINE_MESH = 0.1  # panel width cap times the target's largest ||omega_j||_1
 _LINE_MIN_DENSITY_SCALE = 1e-4
 _SUP_RTOL, _SUP_SPLIT, _SUP_ROUNDS = 1e-13, 4, 40
 _REFINE_TOP = 10  # grid points each refinement starts from
+_TOP_BLOCK = 256  # values per block maximum of _top_k
 # the scan: per axis, _SCAN_SAMPLES points across the window, _SCAN_LEVELS
 # times, the window shrinking to +-one sample step around the best; each axis
 # _SCAN_PASSES times
@@ -88,10 +91,17 @@ def _check_target(target):
 
 
 def _diff_on(target, comb, key, points: np.ndarray, axis: np.ndarray | None) -> np.ndarray:
-    """target - comb on a fixed point set, from the target's kept values and polynomial
-    part; axis, when given, is the 1-d axis whose tensor grid the points are."""
-    poly = target.polynomial_on(key, points, comb)
-    return target.values_on(key, points) - comb.evaluate_batch(points, poly, axis)
+    """target - comb on a fixed point set, as a new array: a copy of the
+    target's kept residual, less the difference of comb's polynomial part from
+    the target's (zero for a builder's combination), less comb's terms, in
+    place; axis, when given, is the 1-d axis whose tensor grid the points are."""
+    quadratic = comb.A0 is not None
+    diff = target.residual_on(key, points, quadratic, axis).copy()
+    db0, da0 = comb.b0 - target.b0, comb.a0 - target.a0
+    dA0 = comb.A0 - target.A0 if quadratic else None
+    if db0 != 0.0 or np.any(da0) or (quadratic and np.any(dA0)):
+        diff -= polynomial_part(points, db0, da0, dA0)
+    return comb.subtract_terms(diff, points, axis)
 
 
 @lru_cache(maxsize=1)
@@ -150,15 +160,26 @@ def _checked_line(target, comb, name: str, **sizes):
     return None
 
 
+def _l2_nodes(target, nodes) -> int | None:
+    return DEFAULT_L2_NODES.get(target.d) if nodes is None else int(nodes)
+
+
+def _linf_grid(target, grid) -> int | None:
+    return DEFAULT_LINF_GRID.get(target.d) if grid is None else int(grid)
+
+
 def l2_error(target, comb, nodes: int | None = None) -> float:
     """||target - comb|| in L2 of the uniform probability measure on the cube."""
-    n = DEFAULT_L2_NODES.get(target.d) if nodes is None else int(nodes)
+    n = _l2_nodes(target, nodes)
     line = _checked_line(target, comb, "l2_error", l2_nodes=n)
-    return _l2_cube(target, comb, n) if line is None else _line_l2(target, comb, line)
+    if line is None:
+        return _l2_cube(target, comb, n)
+    return _line_l2(target, line, *_line_pieces(comb, line))
 
 
 def _l2_cube(target, comb, n: int | None) -> float:
-    """L2 by the tensor rule of n nodes per axis (d <= 3) or the Sobol rule (d = 4)."""
+    """L2 by the tensor rule of n nodes per axis (d <= 3) or the Sobol rule (d = 4);
+    the difference is squared in place and contracted with the weights."""
     if target.d <= 3:
         points, weights = uniform_cube_rule(target.d, n)
         key, axis = ("l2", n), _leggauss(n)[0]
@@ -166,7 +187,8 @@ def _l2_cube(target, comb, n: int | None) -> float:
         points, weights = _sobol_rule()
         key, axis = ("l2", "sobol"), None
     diff = _diff_on(target, comb, key, points, axis)
-    return float(np.sqrt(np.sum(weights * diff * diff)))
+    diff *= diff
+    return float(np.sqrt(weights @ diff))
 
 
 def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray) -> np.ndarray:
@@ -218,20 +240,20 @@ def _density(u: np.ndarray, p: np.ndarray):
     return (z @ np.prod(signs, axis=1)) / (math.factorial(c.size - 1) * np.prod(2.0 * c))
 
 
-def _line_l2(target, comb, line) -> float:
-    """L2 on the line: the integral of (target - comb)^2 rho by composite
-    Gauss-Legendre, exact for comb^2 rho, whose degree is at most 7."""
-    edges, C = _line_pieces(comb, line)
+def _line_l2(target, line, edges: np.ndarray, C: np.ndarray) -> float:
+    """L2 on the line, from comb's _line_pieces: the integral of (target -
+    comb)^2 rho by composite Gauss-Legendre, exact for comb^2 rho, whose
+    degree is at most 7."""
     p, w = panel_rule(edges, _LINE_NODES)
     p, w = p.reshape(-1, _LINE_NODES), w.reshape(-1, _LINE_NODES)
     diff = _line_diff(target, line, C, np.arange(p.shape[0])[:, None], p)
     return float(np.sqrt(np.sum(w * _density(line[0], p) * diff * diff)))
 
 
-def _line_linf(target, comb, line) -> float:
-    """max |target - comb| on the line: every edge is sampled, then each piece
-    whose bound can still beat the running maximum by _SUP_RTOL is split in
-    _SUP_SPLIT and sampled again.
+def _line_linf(target, line, edges: np.ndarray, C: np.ndarray) -> float:
+    """max |target - comb| on the line, from comb's _line_pieces: every edge is
+    sampled, then each piece whose bound can still beat the running maximum
+    by _SUP_RTOL is split in _SUP_SPLIT and sampled again.
 
     On a piece |h''| <= max c_j sum mag_j c_j + 2 |C[2]|, so |h| there is at
     most its larger end value plus that bound times width^2 / 8.  Near a
@@ -239,7 +261,6 @@ def _line_linf(target, comb, line) -> float:
     would keep more the finer they get.
     """
     _, cmax, lip = line
-    edges, C = _line_pieces(comb, line)
     h = np.abs(_line_diff(target, line, C, np.minimum(np.arange(edges.size), C.shape[1] - 1),
                           edges))
     best = float(h.max())
@@ -274,15 +295,28 @@ def _sup_grid(d: int, per_axis: int) -> np.ndarray:
 def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest values, ascending by value; the set of np.argsort(vals)[-k:].
 
-    A partial sort finds them; a tie at the k-th value falls back to the full
-    sort, so the chosen set is always the full sort's.  k = 0 gives none.
+    Past k blocks of _TOP_BLOCK values, only the blocks whose maximum reaches
+    the k-th largest block maximum can hold one of them (k values reach it),
+    so a partial sort of those blocks and the last partial one finds them.  A
+    tie at the k-th value falls back to the full sort, so the chosen set is
+    always the full sort's.  k = 0 gives none.
     """
     if k == 0:
         return np.zeros(0, dtype=np.intp)
-    idx = np.argpartition(vals, -k)[-k:]
-    if np.count_nonzero(vals >= vals[idx].min()) > k:
+    n, nb = vals.size, vals.size // _TOP_BLOCK
+    if nb > k:
+        maxima = vals[:nb * _TOP_BLOCK].reshape(nb, _TOP_BLOCK).max(axis=1)
+        blocks = np.flatnonzero(~(maxima < np.partition(maxima, -k)[-k]))  # NaN blocks too
+        idx = np.concatenate([(blocks[:, None] * _TOP_BLOCK + np.arange(_TOP_BLOCK)).ravel(),
+                              np.arange(nb * _TOP_BLOCK, n)])
+    else:
+        idx = np.arange(n)
+    sub = vals[idx]
+    pick = np.argpartition(sub, -k)[-k:]
+    if np.count_nonzero(sub >= sub[pick].min()) > k:
         return np.argsort(vals)[-k:]
-    return idx[np.argsort(vals[idx])]
+    top = idx[pick]
+    return top[np.argsort(vals[top])]
 
 
 def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_TOP) -> float:
@@ -291,20 +325,28 @@ def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_
     (0: the grid max alone), never below the grid max."""
     if refine_top < 0:
         raise UsageError(f"refine_top must be nonnegative, got {refine_top}")
-    per_axis = DEFAULT_LINF_GRID.get(target.d) if grid is None else int(grid)
+    per_axis = _linf_grid(target, grid)
     line = _checked_line(target, comb, "linf_error", linf_grid=per_axis)
     if line is not None:
-        return _line_linf(target, comb, line)
+        return _line_linf(target, line, *_line_pieces(comb, line))
+    return _linf_cube(target, comb, per_axis, refine_top)
+
+
+def _linf_cube(target, comb, per_axis: int, refine_top: int) -> float:
+    """The grid max of |target - comb|, its absolute values taken in place, raised
+    by the scan from the refine_top best grid points."""
     points = _sup_grid(target.d, per_axis)
     axis = np.linspace(-1.0, 1.0, per_axis) if target.d <= 3 else None
-    vals = np.abs(_diff_on(target, comb, ("sup", per_axis), points, axis))
+    vals = _diff_on(target, comb, ("sup", per_axis), points, axis)
+    np.abs(vals, out=vals)
     top = _top_k(vals, min(refine_top, points.shape[0]))
     if top.size == 0:
         return float(vals.max())
+    grid_max = float(vals[top[-1]])  # top ascends by value
 
     def fn(probes):
         return np.abs(target.evaluate_batch(probes) - comb.evaluate_batch(probes))
-    return max(float(vals.max()), _scan_refine(fn, points[top], 2.0 / (per_axis - 1)))
+    return max(grid_max, _scan_refine(fn, points[top], 2.0 / (per_axis - 1)))
 
 
 def _scan_refine(fn, starts: np.ndarray, spacing: float) -> float:
@@ -394,8 +436,15 @@ def lower_bound_floor(m: int, d: int, s: int, A: float) -> float:
 
 def measure_report(target, comb, m: int, method: str, seed: int,
                    l2_nodes: int | None = None, linf_grid: int | None = None) -> ErrorReport:
-    """Bundle both error norms and the size stats of a built combination."""
-    return ErrorReport(m=int(m), method=method, seed=int(seed),
-                       l2=l2_error(target, comb, nodes=l2_nodes),
-                       linf=linf_error(target, comb, grid=linf_grid),
+    """Bundle both error norms and the size stats of a built combination: the
+    values of l2_error and linf_error, with the pair checked, and its line
+    pieces found, once."""
+    n, per_axis = _l2_nodes(target, l2_nodes), _linf_grid(target, linf_grid)
+    line = _checked_line(target, comb, "measure_report", l2_nodes=n, linf_grid=per_axis)
+    if line is None:
+        l2, linf = _l2_cube(target, comb, n), _linf_cube(target, comb, per_axis, _REFINE_TOP)
+    else:
+        pieces = _line_pieces(comb, line)
+        l2, linf = _line_l2(target, line, *pieces), _line_linf(target, line, *pieces)
+    return ErrorReport(m=int(m), method=method, seed=int(seed), l2=l2, linf=linf,
                        terms=comb.term_count, sparsity=comb.inner_sparsity_max)

@@ -8,6 +8,11 @@ scale times the mean of sign * (a . x - t)_+^(s-1) under an explicit
 probability measure on (sign, a, t).  This module computes those scales in
 closed form, samples the measures exactly by inverse CDF, and provides
 deterministic quadrature oracles and identity checks used to validate them.
+
+A target keeps its residual (the target less its polynomial part) on the
+fixed point sets of the error measurement.  On a tensor grid of one axis the
+values come from per-axis factors, cos(omega . x + phase) = Re(e^{i phase}
+prod_k e^{i omega_k x_k}), contracted over the frequencies in bounded blocks.
 """
 
 from __future__ import annotations
@@ -126,10 +131,11 @@ def _force_unit_l1(a: np.ndarray) -> np.ndarray:
 
 # --- spectral measures and targets ---
 
-# row x frequency entries per block of SpectralMeasure.evaluate_batch; a 65^3
-# grid at J <= 3 is one block.  Blocks of rows hold whole groups of _ROW_GROUP
-# rows, so a BLAS kernel that takes rows in groups sees each row where an
-# unblocked call puts it
+# row x frequency entries per block of SpectralMeasure.evaluate_batch, and
+# frequency x point entries per block of SpectralMeasure.evaluate_tensor; a
+# 65^3 grid at J <= 3 is one block.  Blocks of rows hold whole groups of
+# _ROW_GROUP rows, so a BLAS kernel that takes rows in groups sees each row
+# where an unblocked call puts it
 _EVAL_BLOCK_ELEMS = 1 << 20
 _ROW_GROUP = 64
 
@@ -200,6 +206,34 @@ class SpectralMeasure:
             np.matmul(Z, self.mags, out=out[lo:lo + blk.shape[0]])
         return out
 
+    def evaluate_tensor(self, axis: np.ndarray) -> np.ndarray:
+        """f on tensor_grid(axis, d), flattened, from per-axis factors.
+
+        cos(omega . x + phase) = Re(e^{i phase} prod_k e^{i omega_k x_k}), so
+        the first coordinate's factors, times mag e^{i phase}, contract over
+        the frequencies with the products of the other coordinates' factors:
+        J d k complex exponentials, J k^(d-1) complex products and one real
+        matrix product, against J k^d cosines in evaluate_batch, for k points
+        per axis.  The blocks hold at most
+        _EVAL_BLOCK_ELEMS frequency x point entries (or one frequency), so
+        memory stays bounded whatever J.
+        """
+        axis = np.asarray(axis, dtype=float)
+        k = axis.size
+        rest = k ** (self.d - 1)
+        step = max(1, _EVAL_BLOCK_ELEMS // rest)
+        out = np.zeros((k, rest))
+        for lo in range(0, self.size, step):
+            E = np.exp(1j * self.omegas[lo:lo + step, :, None] * axis)  # (block, d, k)
+            lead = (self.mags[lo:lo + step] * np.exp(1j * self.phases[lo:lo + step]))[:, None]
+            lead = lead * E[:, 0]
+            tail = np.ones((E.shape[0], 1), dtype=complex)
+            for j in range(1, self.d):
+                tail = (tail[:, :, None] * E[:, j, None, :]).reshape(E.shape[0], -1)
+            # Re(lead^T tail) as one real product over the stacked parts
+            out += np.vstack([lead.real, -lead.imag]).T @ np.vstack([tail.real, tail.imag])
+        return out.reshape(-1)
+
     def to_json_dict(self) -> dict:
         return {
             "dim": self.d,
@@ -240,22 +274,18 @@ def v_fs(meas: SpectralMeasure, s: int) -> float:
     return float((meas.mags * c**s).sum())
 
 
-def _same_bits(x, y) -> bool:
-    """Equal shapes and bytes, so -0.0 and 0.0 differ."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return x.shape == y.shape and x.tobytes() == y.tobytes()
-
-
 @dataclass(frozen=True, eq=False)
 class TargetFunction:
     """A target with batch evaluation and its exact expansion data at the origin.
 
-    `values_on` keeps the target's values on the fixed point sets that every
-    error measurement reuses, and `polynomial_on` the polynomial part that
-    the builders copy from it; the memo lives and dies with the instance.
-    `line` is (u, max_j c_j, sum_j mag_j c_j), c_j = ||omega_j||_1, when every
-    nonzero frequency is +-c_j u for one unit-l1 u, so the target is a ridge
-    function of u . x; it is None otherwise and for a directly built target.
+    `residual_on` keeps the target minus its polynomial part on the fixed
+    point sets that every error measurement reuses; the memo lives and dies
+    with the instance.  `measure` is the spectrum of a target built from one,
+    whose values on a tensor grid then come from per-axis factors; None for a
+    directly built target.  `line` is (u, max_j c_j, sum_j mag_j c_j), c_j =
+    ||omega_j||_1, when every nonzero frequency is +-c_j u for one unit-l1 u,
+    so the target is a ridge function of u . x; it is None otherwise and for
+    a directly built target.
     """
 
     d: int
@@ -264,8 +294,9 @@ class TargetFunction:
     A0: np.ndarray
     _fn: object
     line: tuple | None = None
+    measure: SpectralMeasure | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _memo_lock: object = field(default_factory=threading.Lock, init=False, repr=False)
+    _memo_lock: object = field(default_factory=threading.RLock, init=False, repr=False)
 
     def __post_init__(self):
         a0 = np.array(self.a0, dtype=float, copy=True)
@@ -289,7 +320,8 @@ class TargetFunction:
             u = dirs[0]
             u.setflags(write=False)
             line = (u, float(c.max()), float(meas.mags @ c))
-        return cls(d=meas.d, b0=b0, a0=a0, A0=A0, _fn=meas.evaluate_batch, line=line)
+        return cls(d=meas.d, b0=b0, a0=a0, A0=A0, _fn=meas.evaluate_batch, line=line,
+                   measure=meas)
 
     @classmethod
     def from_sine_ridge(cls, theta) -> "TargetFunction":
@@ -309,7 +341,8 @@ class TargetFunction:
 
     def _kept(self, key, compute) -> np.ndarray:
         """compute(), run once per key and kept read-only.  The lock makes a
-        second thread wait for the first fill instead of reading a partial one."""
+        second thread wait for the first fill instead of reading a partial
+        one; it is reentrant, so a compute may keep another value itself."""
         with self._memo_lock:
             vals = self._memo.get(key)
             if vals is None:
@@ -318,25 +351,25 @@ class TargetFunction:
                 self._memo[key] = vals
         return vals
 
-    def values_on(self, key, points: np.ndarray) -> np.ndarray:
-        """evaluate_batch(points), computed once per key; key must name the
-        fixed point set `points`."""
-        return self._kept(key, lambda: self.evaluate_batch(points))
+    def residual_on(self, key, points: np.ndarray, quadratic: bool,
+                    axis: np.ndarray | None = None) -> np.ndarray:
+        """The target minus its polynomial part b0 + a0 . x [+ 0.5 x^T A0 x
+        when quadratic] at the fixed point set `points`, which key must name;
+        computed once per key and kind.
 
-    def polynomial_on(self, key, points: np.ndarray, comb) -> np.ndarray | None:
-        """comb's polynomial part (core.polynomial_part) at the fixed point set
-        `points`, computed once per key and kind, or None.
-
-        It is kept for a combination whose b0, a0 and A0 (if any) are bit for
-        bit the target's, as every builder copies them; None for any other.
+        `axis`, when given, says that points is tensor_grid(axis, d); a target
+        built from a measure then takes its values from per-axis factors
+        (SpectralMeasure.evaluate_tensor) instead of evaluate_batch.
         """
-        quadratic = comb.A0 is not None
-        if not (_same_bits(comb.b0, self.b0) and _same_bits(comb.a0, self.a0)
-                and (not quadratic or _same_bits(comb.A0, self.A0))):
-            return None
-        A0 = self.A0 if quadratic else None
-        return self._kept(("polynomial", quadratic, key),
-                          lambda: polynomial_part(points, self.b0, self.a0, A0))
+        def compute():
+            poly = polynomial_part(points, self.b0, self.a0, self.A0 if quadratic else None)
+            if axis is None or self.measure is None:
+                return self.evaluate_batch(points) - poly
+            vals = self.measure.evaluate_tensor(axis)
+            vals -= poly
+            return vals
+
+        return self._kept((key, quadratic), compute)
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)

@@ -341,12 +341,16 @@ class TestEvaluationPaths:
         n = 17 if d <= 2 else 9
         axis = np.polynomial.legendre.leggauss(n)[0] if rule == "gauss" else np.linspace(-1, 1, n)
         pts = quadrature.tensor_grid(axis, d)
-        naive = core.polynomial_part(pts, c.b0, c.a0, None) + sum(
-            coef * c.outer_scale * atom.evaluate_batch(pts) for coef, atom in c.terms)
-        tensor = c.evaluate_batch(pts, axis=axis)
-        assert np.max(np.abs(tensor - naive)) <= 1e-12
+        terms = sum(coef * c.outer_scale * atom.evaluate_batch(pts) for coef, atom in c.terms)
+        assert np.max(np.abs(c.evaluate_batch(pts)
+                             - (core.polynomial_part(pts, c.b0, c.a0, None) + terms))) <= 1e-12
+        tensor = np.zeros(pts.shape[0])
+        assert c.subtract_terms(tensor, pts, axis=axis) is tensor
+        direct = c.subtract_terms(np.zeros(pts.shape[0]), pts)
+        assert max(np.max(np.abs(tensor + terms)), np.max(np.abs(direct + terms))) <= 1e-12
         if np.all(c.A != 0):
-            assert np.array_equal(tensor, c.evaluate_batch(pts))
+            # one full-support group, taken slab by slab in another order
+            assert tensor == pytest.approx(direct, rel=1e-13)
 
     @pytest.mark.parametrize("layout", ["equal", "distinct"])  # grouped, dense
     @pytest.mark.parametrize("m0", [2, 3])
@@ -365,19 +369,19 @@ class TestEvaluationPaths:
         axis = np.polynomial.legendre.leggauss(64)[0]
         pts, _ = quadrature.uniform_cube_rule(3, 64)
         rows = []
-        dense, grouped = core._dense_term_sum, RidgeCombination._grouped_term_sum
+        dense, grouped = core._dense_tensor_sum, RidgeCombination._grouped_term_sum
 
-        def dense_rows(points, *args):
-            rows.append(("dense", points.shape[0]))
-            return dense(points, *args)
+        def dense_rows(out, *args):
+            rows.append(("dense", out.size))
+            return dense(out, *args)
 
         def grouped_rows(self, points):
             rows.append(("grouped", points.shape[0]))
             return grouped(self, points)
 
-        with mock.patch.object(core, "_dense_term_sum", dense_rows), \
+        with mock.patch.object(core, "_dense_tensor_sum", dense_rows), \
                 mock.patch.object(RidgeCombination, "_grouped_term_sum", grouped_rows):
-            c.evaluate_batch(pts, axis=axis)
+            c.subtract_terms(np.zeros(pts.shape[0]), pts, axis=axis)
         kernel = "grouped" if layout == "equal" else "dense"
         assert rows == [(kernel, 64**m0)] * len(supports)
 
@@ -386,20 +390,24 @@ class TestEvaluationPaths:
         axis = np.linspace(-1.0, 1.0, 5)
         for pts in (quadrature.tensor_grid(axis, 2)[:-1], quadrature.tensor_grid(axis[:4], 2)):
             with pytest.raises(UsageError):
-                c.evaluate_batch(pts, axis=axis)
+                c.subtract_terms(np.zeros(pts.shape[0]), pts, axis=axis)
         with pytest.raises(UsageError):
-            c.evaluate_batch(quadrature.tensor_grid(axis, 2), axis=axis[:, None])
+            pts = quadrature.tensor_grid(axis, 2)
+            c.subtract_terms(np.zeros(pts.shape[0]), pts, axis=axis[:, None])
 
     @pytest.mark.parametrize("comb", ["affine", "terms"])
-    def test_a_polynomial_of_the_wrong_length_is_refused(self, comb):
+    def test_subtract_terms_refuses_an_output_it_cannot_update(self, comb):
         c = (make_affine(2, 2, 0.5, [0.1, 0.2]) if comb == "affine"
              else dyadic_combination(2, 2, 8, "few", seed=0))
         pts = CubeDomain(2).grid(5)
-        poly = core.polynomial_part(pts, c.b0, c.a0, None)
-        assert np.array_equal(c.evaluate_batch(pts, poly), c.evaluate_batch(pts))
-        for bad in (poly[:-1], np.append(poly, 0.0), poly[:, None]):
+        out = c.evaluate_batch(pts)
+        c.subtract_terms(out, pts)
+        assert out == pytest.approx(core.polynomial_part(pts, c.b0, c.a0, None), abs=1e-15)
+        wide = np.zeros(2 * pts.shape[0])
+        for bad in (out[:-1], np.append(out, 0.0), out[:, None], wide[::2],
+                    np.zeros(pts.shape[0], dtype=int), list(out)):
             with pytest.raises(UsageError):
-                c.evaluate_batch(pts, bad)
+                c.subtract_terms(bad, pts)
 
     @pytest.mark.parametrize("m", [4, 4096])  # terms x points blocks, points x terms blocks
     @pytest.mark.parametrize("tensor", [False, True])
@@ -412,10 +420,13 @@ class TestEvaluationPaths:
                                          gen.uniform(-1, 1, m), np.ones(m), A, gen.uniform(0, 1, m))
         assert c._directions[0].shape[0] == m  # the dense path
         pts, _ = quadrature.uniform_cube_rule(3, 64)
-        axis = np.polynomial.legendre.leggauss(64)[0] if tensor else None
+        axis = np.polynomial.legendre.leggauss(64)[0]
         tracemalloc.start()
         try:
-            c.evaluate_batch(pts, axis=axis)
+            if tensor:
+                c.subtract_terms(np.zeros(pts.shape[0]), pts, axis=axis)
+            else:
+                c.evaluate_batch(pts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

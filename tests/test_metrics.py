@@ -32,12 +32,13 @@ from ridgecomb import (
     spectral_representation,
     target_of,
 )
-from ridgecomb import core, rng, spectral
+from ridgecomb import core, metrics, rng, spectral
 from ridgecomb.metrics import (
     _REFINE_TOP,
     _SCAN_LEVELS,
     _SCAN_PASSES,
     _SCAN_SAMPLES,
+    _TOP_BLOCK,
     CSV_HEADER,
     DEFAULT_L2_NODES,
     DEFAULT_LINF_GRID,
@@ -71,8 +72,10 @@ def comb_target(c):
 
 
 def direct_target(tgt):
-    """tgt's values as a directly built TargetFunction: no line, no kept values of its own."""
-    return TargetFunction(d=tgt.d, b0=tgt.b0, a0=tgt.a0, A0=tgt.A0, _fn=tgt.evaluate_batch)
+    """tgt's values as a TargetFunction without a line and without kept values
+    of its own; on the tensor point sets it takes them from tgt's measure."""
+    return TargetFunction(d=tgt.d, b0=tgt.b0, a0=tgt.a0, A0=tgt.A0, _fn=tgt.evaluate_batch,
+                          measure=tgt.measure)
 
 
 class TestL2Error:
@@ -236,45 +239,88 @@ class TestCachedPointSets:
         rep, tgt = cosine_target(d)
         # every d = 1 pair lies on a line, so there the d-dim path is called directly
         l2, linf = (cube_l2, cube_linf) if d == 1 else (l2_error, linf_error)
-        # the first combination fills the target's memo, the second reads it
+        # the first combination fills the target's memo, the second reads it.
+        # The kept residual has the polynomial part taken out first, and on the
+        # tensor point sets the target's values come from per-axis factors, so
+        # the sums run in another order than the reference's
         for seed in (1, 2):
             comb = build_iid(rep, 16, tgt, seed=seed)
-            assert l2(tgt, comb) == l2_error_uncached(tgt, comb)
-            assert linf(tgt, comb) == linf_error_uncached(tgt, comb)
+            assert l2(tgt, comb) == pytest.approx(l2_error_uncached(tgt, comb), rel=1e-13)
+            assert linf(tgt, comb) == pytest.approx(linf_error_uncached(tgt, comb), rel=1e-13)
 
     def test_points_and_values_are_read_only(self):
         rep, tgt = cosine_target(4)
         measure_report(tgt, build_iid(rep, 8, tgt, seed=0), 8, "iid", 0)
         arrays = [_sup_grid(4, DEFAULT_LINF_GRID[4]), *_sobol_rule(),
                   *tgt._memo.values()]
-        # the target's values and its kept polynomial part on both point sets
-        assert len(arrays) == 7
+        # the target's kept residual on both point sets
+        assert len(arrays) == 5
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_target_is_evaluated_once_per_point_set(self, monkeypatch):
         rep, tgt = cosine_target(3)
-        sizes = []
-        evaluate = TargetFunction.evaluate_batch
+        sizes, axes = [], []
+        evaluate, tensor = TargetFunction.evaluate_batch, SpectralMeasure.evaluate_tensor
 
         def counting(self, points):
             sizes.append(len(points))
             return evaluate(self, points)
 
+        def counting_tensor(self, axis):
+            axes.append(len(axis))
+            return tensor(self, axis)
+
         monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
+        monkeypatch.setattr(SpectralMeasure, "evaluate_tensor", counting_tensor)
         for seed in range(20):
             measure_report(tgt, build_iid(rep, 8, tgt, seed=seed), 8, "iid", seed)
-        assert sizes.count(64**3) == 1
-        assert sizes.count(DEFAULT_LINF_GRID[3] ** 3) == 1
-        probes = _REFINE_TOP * _SCAN_SAMPLES  # the rows of one scan level
-        assert max(n for n in sizes if n not in (64**3, DEFAULT_LINF_GRID[3] ** 3)) == probes
+        # both point sets from per-axis factors, once each; only the scan's
+        # probes go through evaluate_batch
+        assert sorted(axes) == [64, DEFAULT_LINF_GRID[3]]
+        assert max(sizes) == _REFINE_TOP * _SCAN_SAMPLES  # the rows of one scan level
+
+    def test_the_memo_holds_one_residual_per_point_set(self):
+        rep, tgt = cosine_target(3)
+        for m in (4, 8):
+            for seed in range(3):
+                measure_report(tgt, build_sparse(rep, m, 2, tgt, seed=seed), m, "sparse", seed)
+                measure_report(tgt, build_iid(rep, m, tgt, seed=seed), m, "iid", seed)
+        assert sorted(v.size for v in tgt._memo.values()) == [64**3, DEFAULT_LINF_GRID[3] ** 3]
+
+    def test_a_nested_keep_returns(self):
+        # a compute that keeps another value takes the target's lock again
+        _, tgt = cosine_target(2)
+        got = []
+        worker = threading.Thread(target=lambda: got.append(
+            tgt._kept("outer", lambda: tgt._kept("inner", lambda: np.ones(3)) + 1.0)), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert np.array_equal(got[0], np.full(3, 2.0))
+        assert sorted(tgt._memo) == ["inner", "outer"]
+
+    def test_a_sparse_l2_allocates_no_other_full_size_array(self):
+        # the difference is the one 64^3 array: the residual is copied into it,
+        # each support group's sum is taken from it in place and it is squared
+        # in place; the groups' sub-grids hold 64^2 values
+        rep, tgt = cosine_target(3)
+        combs = [build_sparse(rep, 16, 2, tgt, seed=seed) for seed in (0, 1)]
+        l2_error(tgt, combs[0])  # fills the rule and the residual
+        tracemalloc.start()
+        try:
+            l2_error(tgt, combs[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 64**3 * 8 <= peak < 1.25 * 64**3 * 8
 
     def test_memo_is_freed_with_its_target(self):
         rep, tgt = cosine_target(2)
         measure_report(tgt, build_iid(rep, 8, tgt, seed=0), 8, "iid", 0)
         refs = [weakref.ref(tgt)] + [weakref.ref(v) for v in tgt._memo.values()]
-        assert len(refs) == 5
+        assert len(refs) == 3
         del rep, tgt
         gc.collect()
         assert all(r() is None for r in refs)
@@ -284,14 +330,13 @@ class TestCachedPointSets:
         rep, tgt = cosine_target(3)
         combs = [build_iid(rep, 8, tgt, seed=seed) for seed in range(4)]
         fills = []
-        evaluate = TargetFunction.evaluate_batch
+        tensor = SpectralMeasure.evaluate_tensor
 
-        def counting(self, points):
-            if len(points) > _REFINE_TOP * _SCAN_SAMPLES:
-                fills.append(len(points))
-            return evaluate(self, points)
+        def counting(self, axis):
+            fills.append(len(axis) ** 3)
+            return tensor(self, axis)
 
-        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
+        monkeypatch.setattr(SpectralMeasure, "evaluate_tensor", counting)
         barrier = threading.Barrier(len(combs), timeout=60)
 
         def measure(comb):
@@ -337,7 +382,11 @@ class TestLinfError:
         linf = cube_linf if case < 2 else linf_error
         assert linf(tgt, comb) == linf_error_uncached(tgt, comb)
 
-    @given(n=st.integers(min_value=1, max_value=400), k=st.integers(min_value=1, max_value=12),
+    @given(n=st.one_of(st.integers(min_value=1, max_value=400),
+                       # past k blocks the block maxima pick the candidates
+                       st.integers(min_value=_TOP_BLOCK, max_value=64 * _TOP_BLOCK + 1),
+                       st.sampled_from([64**3, DEFAULT_LINF_GRID[3] ** 3])),
+           k=st.integers(min_value=1, max_value=12),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(derandomize=True, deadline=None, max_examples=100)
     def test_top_k_matches_the_full_sort(self, n, k, seed):
@@ -348,11 +397,27 @@ class TestLinfError:
         # with ties (at the k-th value the full sort decides) the set still agrees
         tied = np.floor(vals / 3.0)
         assert set(_top_k(tied, k)) == set(np.argsort(tied)[-k:])
+        # the largest values in one block, and in the last partial block
+        for lo in (0, max(0, n - k)):
+            crowded = vals.copy()
+            crowded[lo:lo + k] += n
+            assert np.array_equal(_top_k(crowded, k), np.argsort(crowded)[-k:])
 
-    def test_top_k_ties_at_the_kth_value_follow_the_full_sort(self):
+    @pytest.mark.parametrize("n", [1000, DEFAULT_LINF_GRID[3] ** 3])
+    def test_top_k_ties_at_the_kth_value_follow_the_full_sort(self, n):
         # a partial sort picks other rows among equal values than the full sort
-        for vals in (np.zeros(1000), np.r_[np.ones(3), np.zeros(997)][::-1]):
-            assert np.array_equal(_top_k(vals, 10), np.argsort(vals)[-10:])
+        edge = np.zeros(n)
+        edge[_TOP_BLOCK - 2:_TOP_BLOCK + 2] = 1.0  # equal values across a block edge
+        for vals in (np.zeros(n), np.r_[np.ones(3), np.zeros(n - 3)][::-1], edge):
+            for k in (1, 2, 4, 10):
+                assert np.array_equal(_top_k(vals, k), np.argsort(vals)[-k:])
+
+    def test_top_k_keeps_a_nan_as_the_full_sort_does(self):
+        # np.argsort puts NaN last, so the grid maximum read from the top is NaN
+        vals = np.random.default_rng(0).random(DEFAULT_LINF_GRID[3] ** 3)
+        vals[1000] = np.nan
+        top = _top_k(vals, 10)
+        assert set(top) == set(np.argsort(vals)[-10:]) and np.isnan(vals[top[-1]])
 
     def test_identical_pair_is_zero(self):
         c = single_ramp(0.3)
@@ -365,7 +430,8 @@ class TestLinfError:
         grid_max = float(abs_diff(tgt, comb)(points).max())
         assert _top_k(np.arange(5.0), 0).size == 0
         monkeypatch.setattr("ridgecomb.metrics._scan_refine", None)  # never called
-        assert linf_error(tgt, comb, refine_top=0) == grid_max
+        # the grid values come from the kept residual, summed in another order
+        assert linf_error(tgt, comb, refine_top=0) == pytest.approx(grid_max, rel=1e-13)
 
     def test_negative_refine_top_is_refused(self):
         rep, tgt = cosine_target(2)
@@ -482,24 +548,25 @@ class DuckTarget:
         return self._target.evaluate_batch(points)
 
 
-class TestSharedPolynomialPart:
+class TestKeptResidual:
     @pytest.mark.parametrize("s", [2, 3])
-    def test_a_copied_part_is_shared_and_an_ulp_off_one_is_not(self, s):
+    def test_a_combination_off_the_targets_polynomial_part_is_measured_against_it(self, s):
+        # the kept residual has the target's polynomial part taken out; a
+        # combination whose part differs, by an ulp or by far, has the
+        # difference taken out of its copy
         rep, tgt = cosine_target(3, s)
         comb = build_iid(rep, 16, tgt, seed=0)
         a0 = comb.a0.copy()
         a0[1] = np.nextafter(a0[1], np.inf)
-        off = RidgeCombination.from_arrays(3, s, comb.b0, a0, comb.A0, comb.v,
-                                           comb.coef, comb.sign, comb.A, comb.t)
-        points, _ = uniform_cube_rule(3, 64)
-        key = ("l2", 64)
-        kept = tgt.polynomial_on(key, points, comb)
-        assert kept is not None and tgt.polynomial_on(key, points, off) is None
-        assert np.array_equal(comb.evaluate_batch(points, polynomial=kept),
-                              comb.evaluate_batch(points))
-        for c in (comb, off):
-            assert l2_error(tgt, c) == l2_error_uncached(tgt, c)
-            assert linf_error(tgt, c) == linf_error_uncached(tgt, c)
+        A0 = None if s == 2 else comb.A0 + 0.25 * np.eye(3)
+        for b0, a0, A0 in ((comb.b0, a0, comb.A0), (comb.b0 + 0.5, comb.a0[::-1], A0)):
+            off = RidgeCombination.from_arrays(3, s, b0, a0, A0, comb.v,
+                                               comb.coef, comb.sign, comb.A, comb.t)
+            for c in (comb, off):
+                assert l2_error(tgt, c) == pytest.approx(l2_error_uncached(tgt, c), rel=1e-13)
+                assert linf_error(tgt, c) == pytest.approx(linf_error_uncached(tgt, c),
+                                                           rel=1e-13)
+        assert len(tgt._memo) == 2
 
     def test_a_sweep_computes_each_part_once(self, monkeypatch):
         rep, tgt = cosine_target(3)
@@ -513,6 +580,7 @@ class TestSharedPolynomialPart:
 
         monkeypatch.setattr(core, "polynomial_part", counting)
         monkeypatch.setattr(spectral, "polynomial_part", counting)
+        monkeypatch.setattr(metrics, "polynomial_part", counting)
         for m in (4, 8):
             for seed in range(5):
                 measure_report(tgt, build_iid(rep, m, tgt, seed=seed), m, "iid", seed)
@@ -711,6 +779,23 @@ class TestReport:
         assert int(fields[5]) == comb.term_count
         assert int(fields[6]) == comb.inner_sparsity_max
         assert rpt.l2 <= rpt.linf
+
+    @pytest.mark.parametrize("theta, d", [((1, 1), 2), (None, 3)])  # on its line, off any
+    def test_a_report_checks_the_pair_and_finds_its_pieces_once(self, theta, d, monkeypatch):
+        if theta is None:
+            rep, tgt = cosine_target(d)
+            comb = build_sparse(rep, 16, 2, tgt, seed=3)
+        else:
+            tgt, comb = sine_pair(theta, 3, "stratified", 16, seed=3)
+        calls = []
+        for name in ("_checked_line", "_line_pieces"):
+            fn = getattr(metrics, name)
+            monkeypatch.setattr(metrics, name,
+                                lambda *a, _fn=fn, _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        rpt = measure_report(tgt, comb, 16, "sparse", 3)
+        want = ["_checked_line"] if theta is None else ["_checked_line", "_line_pieces"]
+        assert calls == want
+        assert (rpt.l2, rpt.linf) == (l2_error(tgt, comb), linf_error(tgt, comb))
 
     @pytest.mark.parametrize("field", ["l2", "linf"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from ridgecomb import spectral
+from ridgecomb import quadrature, spectral
 from ridgecomb import (
     SpectralMeasure,
     TargetFunction,
@@ -228,6 +228,37 @@ class TestBlockedEvaluation:
             assert vals.shape == (n,) and np.all(np.isfinite(vals))
         assert peaks[1] < 12 * 2**20
         assert peaks[1] - peaks[0] < 2**20  # the output's growth alone
+
+
+class TestFactoredEvaluation:
+    @pytest.mark.parametrize("J", [1, 3, 400, 2000])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", ["gauss", "grid"])  # the L2 rule's axis, the sup grid's
+    def test_factors_give_the_direct_values(self, d, J, rule):
+        meas = gaussian_spectrum(J, d, seed=J)
+        axis = np.polynomial.legendre.leggauss(64)[0] if rule == "gauss" else np.linspace(-1, 1, 65)
+        vals = meas.evaluate_tensor(axis)
+        assert vals.shape == (axis.size**d,)
+        # every point up to 2^18 point x frequency pairs, else 2^18 / J of them at random
+        rows = np.arange(vals.size)
+        if vals.size * J > 2**18:
+            rows = np.random.default_rng(d).choice(vals.size, 2**18 // J, replace=False)
+        direct = meas.evaluate_batch(quadrature.tensor_grid(axis, d)[rows])
+        assert np.max(np.abs(vals[rows] - direct)) <= 1e-13
+
+    def test_peak_memory_stays_bounded_as_the_frequency_count_grows(self):
+        axis = np.linspace(-1.0, 1.0, 65)
+        peaks = []
+        for J in (400, 2000):
+            tracemalloc.start()
+            try:
+                gaussian_spectrum(J, 3).evaluate_tensor(axis)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # blocks of at most 2^20 frequency x point entries; 2000 x 65^2 complex
+        # products held at once would take 135 MB
+        assert peaks[1] < 64 * 2**20 and peaks[1] < 1.25 * peaks[0]
 
 
 class TestTargetFunction:
