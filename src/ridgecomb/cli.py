@@ -23,7 +23,11 @@ import hashlib
 import json
 import math
 import os
+import pickle
+import select
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +60,7 @@ from .targets import catalog_entries, resolve_target
 MAX_D = 4  # the largest d the error metrics measure; --force does not lift it
 DESK_MAX_M = 4096
 DESK_MAX_SEEDS = 50
+DESK_MAX_WORKERS = 32
 SEED_MAX = 2**64 - 1
 METHODS = ("iid", "stratified", "sparse")
 MODES = ("signed", "fractional")
@@ -167,11 +172,14 @@ def _shared_settings(cfg: dict, command: str) -> tuple[dict, dict, bool]:
     return resolved, grid_sizes, force
 
 
-def _apply_guards(ms: list[int], seeds, force: bool):
+def _apply_guards(ms: list[int], seeds, force: bool, workers: int = 1):
     if not force and max(ms) > DESK_MAX_M:
         raise UsageError(f"m > {DESK_MAX_M} exceeds the desk guard; pass --force")
     if not force and len(seeds) > DESK_MAX_SEEDS:
         raise UsageError(f"more than {DESK_MAX_SEEDS} seeds exceeds the desk guard; pass --force")
+    if not force and workers > DESK_MAX_WORKERS:
+        raise UsageError(f"more than {DESK_MAX_WORKERS} workers exceeds the desk guard; "
+                         f"pass --force")
 
 
 def _resolve(resolved: dict, seed: int, grid_sizes: dict):
@@ -235,21 +243,12 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 # --- rate sweep ---
 
-# (rep, target, resolved, grid_sizes) of the sweep that is running, set by
-# _sweep_init in this process and again in each worker process
-_sweep_context: tuple | None = None
-
-
-def _sweep_init(rep, target, resolved: dict, grid_sizes: dict) -> None:
-    global _sweep_context
-    _sweep_context = (rep, target, resolved, grid_sizes)
-
-
-def _sweep_cell(cell: tuple[str, int, int]):
-    """One (method, m, seed) cell: its report, or the message of the BuilderError
+def _sweep_cell(context: tuple, cell: tuple[str, int, int]):
+    """One (method, m, seed) cell of the sweep whose (rep, target, resolved,
+    grid_sizes) is context: its report, or the message of the BuilderError
     that stopped its build."""
     method, m, seed = cell
-    rep, target, resolved, grid_sizes = _sweep_context
+    rep, target, resolved, grid_sizes = context
     try:
         comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
     except BuilderError as exc:
@@ -257,38 +256,147 @@ def _sweep_cell(cell: tuple[str, int, int]):
     return measure_report(target, comb, m, method, seed, **grid_sizes)
 
 
+def _run_share(context: tuple, cells: list, first: int, step: int, r: int, w: int,
+               owner: int) -> None:
+    """In a forked worker: run cells first, first + step, ... and write one
+    pickle to the pipe end w, (None, reports, "") or the _pickled_failure of
+    the first cell that raised; then end the process with exit 0, never
+    returning.  A worker whose sweep process `owner` is gone (killed where it
+    could not clean up) ends after its current cell."""
+    try:
+        os.close(r)
+        reports, index = [], first
+        try:
+            for index in range(first, len(cells), step):
+                if os.getppid() != owner:
+                    os._exit(1)
+                reports.append(_sweep_cell(context, cells[index]))
+            data = pickle.dumps((None, reports, ""))
+        except BaseException as exc:  # raised again in the sweep process
+            data = _pickled_failure(index, exc)
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _pickled_failure(index: int, exc: BaseException) -> bytes:
+    """(index, exc, exc's traceback as text), pickled.  An exception that
+    would not come back out of the pickle (one holding something unpicklable,
+    or whose __init__ wants other arguments than its args) is sent as a
+    RuntimeError that names it."""
+    import traceback
+
+    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        data = pickle.dumps((index, exc, text))
+        pickle.loads(data)
+        return data
+    except Exception as err:
+        stand_in = RuntimeError(f"{exc!r} in a sweep worker, which could not send it: {err!r}")
+        return pickle.dumps((index, stand_in, text))
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception raised in a sweep worker, as text; set as
+    that exception's __cause__ when it is raised again in the sweep process."""
+
+
+def _run_forked(context: tuple, cells: list, n: int, reports: list) -> None:
+    """Cells 1.. in n forked workers, worker w taking cells 1 + w, 1 + w + n,
+    ...; their reports go into `reports` by cell index.  Each worker is
+    reaped when its pipe ends, so one that died stops the sweep at once.  On
+    an exception, or on SIGTERM or SIGHUP, here every live worker is killed
+    and reaped."""
+    owner = os.getpid()
+
+    def stop(signum, _frame):
+        if os.getpid() != owner:  # in a worker, which inherits the handler
+            os._exit(128 + signum)
+        raise SystemExit(128 + signum)
+
+    caught = []
+    if threading.current_thread() is threading.main_thread():
+        caught = [sig for sig in (signal.SIGTERM, signal.SIGHUP)
+                  if signal.getsignal(sig) is signal.SIG_DFL]
+    pids, fds, reaped = [], [], set()
+    try:
+        for sig in caught:
+            signal.signal(sig, stop)
+        for w in range(n):
+            r, wfd = os.pipe()
+            fds += [r, wfd]
+            pid = os.fork()
+            if pid == 0:
+                _run_share(context, cells, 1 + w, n, r, wfd, owner)
+            pids.append(pid)
+            os.close(fds.pop())  # the write end, before the next fork
+        open_ends = {r: w for w, r in enumerate(fds)}
+        chunks = [[] for _ in pids]
+        poller = select.poll()
+        for r in fds:
+            poller.register(r, select.POLLIN)
+        failures = []
+        while open_ends:
+            for r, _ in poller.poll():
+                w = open_ends[r]
+                chunk = os.read(r, 1 << 16)
+                if chunk:
+                    chunks[w].append(chunk)
+                    continue
+                poller.unregister(r)
+                del open_ends[r]
+                code = os.waitstatus_to_exitcode(os.waitpid(pids[w], 0)[1])
+                reaped.add(pids[w])
+                if code != 0:  # a worker exits 0 only after its whole result
+                    how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit {code}"
+                    raise BuilderError(f"a sweep worker process ended ({how}) "
+                                       f"before it sent its reports")
+                index, result, text = pickle.loads(b"".join(chunks[w]))
+                if index is None:
+                    reports[1 + w::n] = result
+                else:
+                    failures.append((index, result, text))
+        if failures:
+            _, exc, text = min(failures, key=lambda f: f[0])
+            exc.__cause__ = _WorkerTraceback(text)
+            raise exc
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            if pid not in reaped:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):  # reaped elsewhere
+                    pass
+        for sig in caught:
+            signal.signal(sig, signal.SIG_DFL)
+
+
 def _run_cells(cells: list, workers: int, context: tuple) -> list:
     """`_sweep_cell` of every cell, in order.
 
     The first cell runs in this process, so the target's kept residual on
-    the fixed point sets and the cached rules exist before up to `workers`
-    worker processes are forked for the rest.  Forked, not spawned, workers
-    inherit those arrays instead of computing them again.  One worker, or a platform
-    without fork, runs every cell here.  A worker that dies (say, to the OOM
-    killer) ends the sweep with a BuilderError.
+    the fixed point sets and the cached rules exist before n = min(workers,
+    cells - 1) worker processes are forked for the rest.  Forked workers
+    inherit those arrays instead of computing them again.  Worker w runs
+    cells 1 + w, 1 + w + n, ..., so every worker gets the same mix of methods
+    and m, and sends its reports back through its own pipe; this process
+    runs no cell after the first.  An exception in a cell is raised here,
+    the earliest cell's when several workers fail, as with one worker.  A
+    worker that dies before it sends its reports (say, to the OOM killer)
+    ends the sweep with a BuilderError.  Every worker is reaped before the
+    call returns or raises.  One worker, or a platform without fork, runs
+    every cell here.
     """
-    global _sweep_context
-    _sweep_init(*context)
-    try:
-        if workers == 1:
-            return list(map(_sweep_cell, cells))
-        # imported here: at the top they would slow every command's start
-        import multiprocessing
-        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return list(map(_sweep_cell, cells))
-        reports = [_sweep_cell(cells[0])]
-        try:
-            with ProcessPoolExecutor(min(workers, len(cells) - 1),
-                                     mp_context=multiprocessing.get_context("fork"),
-                                     initializer=_sweep_init, initargs=context) as pool:
-                reports += pool.map(_sweep_cell, cells[1:])
-        except BrokenProcessPool as exc:
-            raise BuilderError(f"a sweep worker process ended ({exc})") from None
-        return reports
-    finally:
-        _sweep_context = None
+    if workers == 1 or getattr(os, "fork", None) is None:
+        return [_sweep_cell(context, cell) for cell in cells]
+    reports = [_sweep_cell(context, cells[0])] + [None] * (len(cells) - 1)
+    _run_forked(context, cells, min(workers, len(cells) - 1), reports)
+    return reports
 
 
 def cmd_rate_sweep(args: argparse.Namespace) -> int:
@@ -316,7 +424,7 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
     if len(seeds) < 10:
         raise UsageError(f"rate-sweep needs at least 10 seeds, got {len(seeds)}")
     workers = _as_int(cfg.get("workers", min(4, os.cpu_count() or 1)), "workers", 1)
-    _apply_guards(ms, seeds, force)
+    _apply_guards(ms, seeds, force, workers)
     seeds = list(seeds)
     resolved.update(methods=methods, m=ms, seeds=seeds, workers=workers)
 
@@ -514,7 +622,7 @@ def _add_common_build_flags(p: argparse.ArgumentParser):
     p.add_argument("--linf-grid", type=int, dest="linf_grid",
                    help="grid resolution per axis for the sup norm")
     p.add_argument("--force", action="store_true",
-                   help="lift the desk-scale guards (m, seed count)")
+                   help="lift the desk-scale guards (m, seed count, worker count)")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,10 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,27 @@ def _src_env() -> dict:
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but does not unpickle: its __init__ takes two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a process that has not ended: an ended one that its
+    parent has not reaped yet (a zombie) counts as ended."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:  # no /proc here, or it just ended
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def read_bytes_map(out: Path) -> dict:
@@ -201,6 +224,19 @@ class TestExitCodes:
                 "--out", str(tmp_path / "o")]
         assert main(base) == 2
         assert main(base + ["--force"]) == 0
+
+    def test_workers_above_the_desk_guard_exit_2_before_the_target(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        def resolving(*args):
+            raise AssertionError("the target was resolved")
+
+        monkeypatch.setattr(cli, "_resolve", resolving)
+        out = tmp_path / "o"
+        assert main(["rate-sweep", "--target", "sine-ridge:1", "--m", "4,8,16", "--seeds", "10",
+                     "--workers", str(cli.DESK_MAX_WORKERS + 1), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"config error: more than {cli.DESK_MAX_WORKERS} "
+                                           f"workers exceeds the desk guard; pass --force\n")
+        assert not out.exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -467,7 +503,7 @@ class TestRateSweep:
             report = measure_report(target, comb, int(m), method, int(seed))
             assert row.startswith(report.csv_row() + ",ok,")
 
-    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_sweep_files_are_identical_across_worker_counts(self, workers, tmp_path):
         # cube pairs, so every cell's sup goes through the scan; cells finish
         # out of order under several workers, yet the files must not change
@@ -512,27 +548,48 @@ class TestRateSweep:
 
     def test_usage_error_in_a_cell_is_the_same_at_any_worker_count(self, tmp_path, monkeypatch,
                                                                    capsys):
+        # the earliest failing cell's error wins: cells 8 (m = 4, seed 8), 13
+        # and 15 (m = 8, seeds 3 and 5) fail, and cell 8 is in the second of
+        # two workers' shares and the middle one of three
         build = cli.build_from_config
 
         def refusing(rep, target, bcfg):
-            if (bcfg["method"], bcfg["m"], bcfg["seed"]) == ("iid", 8, 3):
-                raise UsageError("cell refused")
+            if (bcfg["m"], bcfg["seed"]) in ((4, 8), (8, 3), (8, 5)):
+                raise UsageError(f"cell m={bcfg['m']} seed={bcfg['seed']} refused")
             return build(rep, target, bcfg)
 
         monkeypatch.setattr(cli, "build_from_config", refusing)
         results = []
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}"
             rc = main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
                        "--m", "4,8,16", "--seeds", "10", "--workers", str(workers),
                        "--out", str(out)])
             results.append((rc, capsys.readouterr().err, out.exists()))
-        assert results[0] == results[1] == (2, "config error: cell refused\n", False)
+        assert results == [(2, "config error: cell m=4 seed=8 refused\n", False)] * 3
+
+    def test_an_exception_that_cannot_be_unpickled_is_named_not_a_dead_worker(
+            self, tmp_path, monkeypatch):
+        build = cli.build_from_config
+
+        def failing(rep, target, bcfg):
+            if (bcfg["m"], bcfg["seed"]) == (8, 3):
+                raise TwoArgumentError("no build", "m=8 seed=3")
+            return build(rep, target, bcfg)
+
+        monkeypatch.setattr(cli, "build_from_config", failing)
+        with pytest.raises(RuntimeError, match="no build at m=8 seed=3") as info:
+            main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                  "--m", "4,8,16", "--seeds", "10", "--workers", "2",
+                  "--out", str(tmp_path / "out")])
+        assert "sweep worker" in str(info.value)
+        # the worker's traceback comes along as the cause
+        assert isinstance(info.value.__cause__, cli._WorkerTraceback)
+        assert "in failing" in str(info.value.__cause__)
+        assert "TwoArgumentError" in str(info.value.__cause__)
 
     def test_without_fork_every_cell_runs_in_this_process(self, tmp_path, monkeypatch):
-        import multiprocessing
-
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         calls = []
         build = cli.build_from_config
 
@@ -551,6 +608,167 @@ class TestRateSweep:
         cells = [("iid", m, seed) for m in (4, 8, 16) for seed in range(10)]
         assert calls == cells + cells
         assert files[0] == files[1]
+
+    def test_worker_killed_by_a_signal_exits_3_with_one_line(self, tmp_path):
+        # SIGKILL, as the OOM killer sends it: the worker writes nothing back,
+        # and the sweep ends without waiting for a slow cell in another share
+        child = """if True:
+            import os, signal, sys, time
+            from ridgecomb import cli
+            build = cli.build_from_config
+
+            def killed(rep, target, bcfg):
+                if (bcfg["method"], bcfg["m"], bcfg["seed"]) == ("iid", 8, 3):
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if (bcfg["method"], bcfg["m"], bcfg["seed"]) == ("iid", 4, 2):
+                    time.sleep(60)
+                return build(rep, target, bcfg)
+
+            cli.build_from_config = killed
+            sys.exit(cli.main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                               "--m", "4,8,16", "--seeds", "10", "--workers", "3",
+                               "--out", sys.argv[1]]))
+        """
+        out = tmp_path / "s"
+        proc = subprocess.run([sys.executable, "-c", child, str(out)], env=_src_env(),
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == ["builder failure: a sweep worker process ended "
+                                            "(killed by SIGKILL) before it sent its reports"]
+        assert not out.exists()
+
+    def test_no_worker_outlives_the_sweep(self, tmp_path):
+        # after a sweep that succeeds, one whose worker dies and one whose cell
+        # raises a UsageError, the sweep process has no child left, reaped or not
+        child = """if True:
+            import json, os, sys
+            from ridgecomb import cli
+            from ridgecomb.errors import UsageError
+            build = cli.build_from_config
+            action = None
+
+            def acting(rep, target, bcfg):
+                if (bcfg["m"], bcfg["seed"]) == (8, 3) and action is not None:
+                    action()
+                return build(rep, target, bcfg)
+
+            def refuse():
+                raise UsageError("cell refused")
+
+            cli.build_from_config = acting
+            seen = []
+            for act in (None, lambda: os._exit(1), refuse):
+                action = act
+                rc = cli.main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                               "--m", "4,8,16", "--seeds", "10", "--workers", "2",
+                               "--out", sys.argv[1] + f"/{len(seen)}"])
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                    seen.append((rc, "a child is left"))
+                except ChildProcessError:
+                    seen.append((rc, "no child"))
+            print(json.dumps(seen))
+        """
+        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=_src_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0, "no child"], [3, "no child"],
+                                                            [2, "no child"]]
+
+    def test_a_terminated_sweep_kills_its_workers(self, tmp_path):
+        # one cell writes its worker's pid and sleeps; SIGTERM to the sweep
+        # process must end it and that worker both
+        child = """if True:
+            import os, sys, time
+            from pathlib import Path
+            from ridgecomb import cli
+            build = cli.build_from_config
+
+            def sleeping(rep, target, bcfg):
+                if (bcfg["m"], bcfg["seed"]) == (8, 3):
+                    Path(sys.argv[1] + ".tmp").write_text(str(os.getpid()))
+                    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+                    time.sleep(120)
+                return build(rep, target, bcfg)
+
+            cli.build_from_config = sleeping
+            sys.exit(cli.main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                               "--m", "4,8,16", "--seeds", "10", "--workers", "2",
+                               "--out", sys.argv[2]]))
+        """
+        pid_file, out = tmp_path / "worker.pid", tmp_path / "s"
+        proc = subprocess.Popen([sys.executable, "-c", child, str(pid_file), str(out)],
+                                env=_src_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE, text=True)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists() and time.monotonic() < deadline:
+                assert proc.poll() is None, proc.stderr.read()
+                time.sleep(0.05)
+            worker = int(pid_file.read_text())
+            proc.terminate()
+            assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+            with pytest.raises(ProcessLookupError):
+                os.kill(worker, 0)
+            worker = None
+            assert proc.stderr.read() == ""
+            assert not out.exists()
+        finally:
+            if worker is not None:
+                try:
+                    os.kill(worker, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    def test_workers_of_a_killed_sweep_stop_after_their_cell(self, tmp_path):
+        # SIGKILL leaves the sweep process no chance to kill its workers; each
+        # worker ends once its current cell is done.  The first worker's m = 4
+        # cells (seeds 1, 3, ..., 9) take 3 s each, so it would run 15 s
+        child = """if True:
+            import os, sys, time
+            from pathlib import Path
+            from ridgecomb import cli
+            build = cli.build_from_config
+
+            def slow(rep, target, bcfg):
+                if bcfg["m"] == 4 and bcfg["seed"] % 2:
+                    if bcfg["seed"] == 1:
+                        Path(sys.argv[1] + ".tmp").write_text(str(os.getpid()))
+                        os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+                    time.sleep(3)
+                return build(rep, target, bcfg)
+
+            cli.build_from_config = slow
+            cli.main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                      "--m", "4,8,16", "--seeds", "10", "--workers", "2",
+                      "--out", sys.argv[2]])
+        """
+        pid_file = tmp_path / "worker.pid"
+        proc = subprocess.Popen([sys.executable, "-c", child, str(pid_file), str(tmp_path / "s")],
+                                env=_src_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists() and time.monotonic() < deadline:
+                assert proc.poll() is None
+                time.sleep(0.05)
+            worker = int(pid_file.read_text())
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 9
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not _running(worker)
+        finally:
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
+            proc.kill()
+            proc.wait()
 
     @pytest.mark.parametrize("command", ["build", "rate-sweep"])
     def test_each_cell_is_measured_once_through_measure_report(self, command, tmp_path,
@@ -617,7 +835,9 @@ class TestColdStart:
             ]
             rcs = [cli.main(argv) for argv in runs]
             print(json.dumps({"rcs": rcs, "scipy": sorted(
-                k for k in sys.modules if k == "scipy" or k.startswith("scipy."))}))
+                k for k in sys.modules if k == "scipy" or k.startswith("scipy.")),
+                "pool": sorted(k for k in sys.modules
+                               if k.startswith(("multiprocessing", "concurrent.futures")))}))
         """
         proc = subprocess.run([sys.executable, "-c", child, str(tmp_path)], env=_src_env(),
                               capture_output=True, text=True, timeout=300)
@@ -625,10 +845,13 @@ class TestColdStart:
         doc = json.loads(proc.stdout.splitlines()[-1])
         assert doc["rcs"] == [0, 0, 0]
         assert doc["scipy"] == []
+        # the sweep forks its workers itself: a process pool would cost each
+        # sweep its import and start-up
+        assert doc["pool"] == []
 
     def test_import_leaves_the_worker_pool_unloaded(self):
-        # rate-sweep imports its process pool when it runs; importing the CLI
-        # must not, since every command pays for what the import loads
+        # importing the CLI loads no process pool either, since every command
+        # pays for what the import loads
         child = ("import json, sys, ridgecomb.cli; print(json.dumps(sorted(k for k in "
                  "('multiprocessing', 'concurrent.futures.process') if k in sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", child], env=_src_env(),
