@@ -617,10 +617,11 @@ def _add_common_build_flags(p: argparse.ArgumentParser):
                    help="stratified allocation mode (default fractional)")
     p.add_argument("--m0", help="inner sparsity budget for sparse, or 'auto'")
     p.add_argument("--out", help="output directory (default ridgecomb_out)")
+    shared = "; equal sizes share one point set"
     p.add_argument("--l2-nodes", type=int, dest="l2_nodes",
-                   help="quadrature nodes per axis for the L2 norm")
+                   help="Gauss-Lobatto nodes per axis for the L2 norm (d <= 3)" + shared)
     p.add_argument("--linf-grid", type=int, dest="linf_grid",
-                   help="grid resolution per axis for the sup norm")
+                   help="Gauss-Lobatto nodes per axis for the sup norm (d = 4: grid)" + shared)
     p.add_argument("--force", action="store_true",
                    help="lift the desk-scale guards (m, seed count, worker count)")
 

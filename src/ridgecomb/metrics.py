@@ -1,22 +1,20 @@
 """Error measurement on the cube and rate-exponent regression.
 
-L2 is taken under the uniform probability measure on [-1, 1]^d (so l2 <= linf
-holds).  A combination on its target's line (TargetFunction.line) leaves an
-error h(u . x), whose norms are taken exactly on p = u . x in [-1, 1]: L2 by
-composite Gauss-Legendre against the density of u . x, split at every kink,
-and the sup by refining the combination's polynomial pieces.  Other pairs
-use tensor Gauss-Legendre L2 up to d = 3, a fixed Sobol point set at d = 4,
-and a grid maximum sharpened by a per-axis coarse-to-fine scan around the
-best grid points, a lower bound on the true sup.
-
-The quadrature rules and sup grids are built once per process and kept
-read-only, and a TargetFunction keeps one array on each: its residual, the
-target less the polynomial part b0 + a0 . x [+ 0.5 x^T A0 x] that the
-builders copy from it.  Every combination measured against the target takes
-a copy of that residual and subtracts its terms in place.  Up to d = 3 both
-point sets are tensor grids of one axis: a target built from a measure
-computes its values there from per-axis factors, and the combination
-evaluates each term only on the coordinates its inner vector uses.
+L2 is taken under the uniform probability measure on [-1, 1]^d.  A combination
+on its target's line (TargetFunction.line) leaves an error h(u . x), whose
+norms are taken exactly on p = u . x in [-1, 1]: L2 by composite Gauss-Legendre
+against the density of u . x, split at every kink, and the sup by refining the
+combination's polynomial pieces.  Other pairs up to d = 3 take both norms on
+one tensor Gauss-Lobatto set, which holds the cube's faces and corners: L2 from
+its weights (positive, summing to 1, so l2 <= linf), the sup as its maximum
+raised by a per-axis coarse-to-fine scan around its best nodes, a lower bound
+on the true sup.  At d = 4, L2 takes a fixed Sobol set, the sup a grid with
+random probes.  The point sets are built once per process and kept read-only,
+and a TargetFunction keeps one array on each: its residual, the target less
+the polynomial part b0 + a0 . x [+ 0.5 x^T A0 x] that the builders copy from
+it.  Every combination measured takes a copy of it and subtracts its terms in
+place; on a tensor set a target built from a measure computes its values from
+per-axis factors, and each term is evaluated only on the coordinates it uses.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 from . import rng as _rng
 from .core import _L1_TOL, CubeDomain, polynomial_part
 from .errors import UsageError
-from .quadrature import MAX_RULE_POINTS, _leggauss, panel_rule, tensor_grid, uniform_cube_rule
+from .quadrature import MAX_RULE_POINTS, gauss_lobatto, panel_rule, tensor_grid, uniform_cube_rule
 from .spectral import TargetFunction
 
 __all__ = [
@@ -45,8 +43,7 @@ __all__ = [
     "measure_report",
 ]
 
-DEFAULT_L2_NODES = {1: 64, 2: 64, 3: 64}
-DEFAULT_LINF_GRID = {1: 2049, 2: 257, 3: 65, 4: 17}
+DEFAULT_NODES = {1: 257, 2: 129, 3: 41, 4: 17}
 LINF_RANDOM_POINTS_D4 = 10**5
 _LINE_NODES = 4  # Gauss-Legendre nodes per panel: exact to degree 7 >= 2(s-1) + d - 1
 _LINE_MESH = 0.1  # panel width cap times the target's largest ||omega_j||_1
@@ -85,11 +82,6 @@ class ErrorReport:
 CSV_HEADER = "m,method,seed,l2,linf,terms,sparsity"
 
 
-def _check_target(target):
-    if not isinstance(target, TargetFunction):
-        raise UsageError(f"target must be a TargetFunction, got {type(target).__name__}")
-
-
 def _diff_on(target, comb, key, points: np.ndarray, axis: np.ndarray | None) -> np.ndarray:
     """target - comb on a fixed point set, as a new array: a copy of the
     target's kept residual, less the difference of comb's polynomial part from
@@ -109,8 +101,7 @@ def _sobol_rule() -> tuple[np.ndarray, np.ndarray]:
     """The d = 4 L2 rule: 2^16 unscrambled Sobol points with equal weights."""
     from scipy.stats import qmc  # only this rule needs scipy; keep it off the import path
 
-    sampler = qmc.Sobol(d=4, scramble=False)
-    points = 2.0 * sampler.random(2**16) - 1.0
+    points = 2.0 * qmc.Sobol(d=4, scramble=False).random(2**16) - 1.0
     weights = np.full(points.shape[0], 1.0 / points.shape[0])
     points.setflags(write=False)
     weights.setflags(write=False)
@@ -138,7 +129,8 @@ def _checked_line(target, comb, name: str, **sizes):
     within _L1_TOL in l1 (relative for a0 and A0).  Such a pair's error is a
     function of p = u . x alone.
     """
-    _check_target(target)
+    if not isinstance(target, TargetFunction):
+        raise UsageError(f"target must be a TargetFunction, got {type(target).__name__}")
     if target.d != comb.d:
         raise UsageError(f"dimension mismatch: target d={target.d}, combination d={comb.d}")
     if target.d > 4:
@@ -160,35 +152,17 @@ def _checked_line(target, comb, name: str, **sizes):
     return None
 
 
-def _l2_nodes(target, nodes) -> int | None:
-    return DEFAULT_L2_NODES.get(target.d) if nodes is None else int(nodes)
-
-
-def _linf_grid(target, grid) -> int | None:
-    return DEFAULT_LINF_GRID.get(target.d) if grid is None else int(grid)
+def _size(target, n) -> int | None:
+    return DEFAULT_NODES.get(target.d) if n is None else int(n)
 
 
 def l2_error(target, comb, nodes: int | None = None) -> float:
     """||target - comb|| in L2 of the uniform probability measure on the cube."""
-    n = _l2_nodes(target, nodes)
+    n = _size(target, nodes)
     line = _checked_line(target, comb, "l2_error", l2_nodes=n)
     if line is None:
-        return _l2_cube(target, comb, n)
+        return _cube(target, comb, n, True, None)[0]
     return _line_l2(target, line, *_line_pieces(comb, line))
-
-
-def _l2_cube(target, comb, n: int | None) -> float:
-    """L2 by the tensor rule of n nodes per axis (d <= 3) or the Sobol rule (d = 4);
-    the difference is squared in place and contracted with the weights."""
-    if target.d <= 3:
-        points, weights = uniform_cube_rule(target.d, n)
-        key, axis = ("l2", n), _leggauss(n)[0]
-    else:
-        points, weights = _sobol_rule()
-        key, axis = ("l2", "sobol"), None
-    diff = _diff_on(target, comb, key, points, axis)
-    diff *= diff
-    return float(np.sqrt(weights @ diff))
 
 
 def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray) -> np.ndarray:
@@ -281,13 +255,12 @@ def _line_linf(target, line, edges: np.ndarray, C: np.ndarray) -> float:
     return best
 
 
-@lru_cache(maxsize=16)
-def _sup_grid(d: int, per_axis: int) -> np.ndarray:
-    """The sup-norm point set: a tensor grid with the boundary, plus random probes at d = 4."""
-    points = CubeDomain(d).grid(per_axis)
-    if d == 4:
-        gen = _rng.stream(0, _rng.PROBE)
-        points = np.vstack([points, gen.uniform(-1.0, 1.0, size=(LINF_RANDOM_POINTS_D4, 4))])
+@lru_cache(maxsize=4)
+def _sup_grid(per_axis: int) -> np.ndarray:
+    """The d = 4 sup point set: a tensor grid with the boundary, plus random probes."""
+    gen = _rng.stream(0, _rng.PROBE)
+    points = np.vstack([CubeDomain(4).grid(per_axis),
+                        gen.uniform(-1.0, 1.0, size=(LINF_RANDOM_POINTS_D4, 4))])
     points.setflags(write=False)
     return points
 
@@ -321,53 +294,65 @@ def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
 
 def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_TOP) -> float:
     """Sup-norm estimate: exact to _SUP_RTOL on the pair's common line; otherwise
-    the grid max raised by a coarse-to-fine scan from its refine_top best points
-    (0: the grid max alone), never below the grid max."""
+    the max over the point set raised by a coarse-to-fine scan from its
+    refine_top best points (0: that max alone), never below that max."""
     if refine_top < 0:
         raise UsageError(f"refine_top must be nonnegative, got {refine_top}")
-    per_axis = _linf_grid(target, grid)
+    per_axis = _size(target, grid)
     line = _checked_line(target, comb, "linf_error", linf_grid=per_axis)
     if line is not None:
         return _line_linf(target, line, *_line_pieces(comb, line))
-    return _linf_cube(target, comb, per_axis, refine_top)
+    return _cube(target, comb, per_axis, False, refine_top)[1]
 
 
-def _linf_cube(target, comb, per_axis: int, refine_top: int) -> float:
-    """The grid max of |target - comb|, its absolute values taken in place, raised
-    by the scan from the refine_top best grid points."""
-    points = _sup_grid(target.d, per_axis)
-    axis = np.linspace(-1.0, 1.0, per_axis) if target.d <= 3 else None
-    vals = _diff_on(target, comb, ("sup", per_axis), points, axis)
+def _cube(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tuple:
+    """(L2 if l2, the sup unless refine_top is None; else None) off a line, in one
+    pass: up to d = 3 on the n^d Gauss-Lobatto set, a scan window being the larger
+    gap from a start's node to a neighbour; at d = 4 on the Sobol rule (L2) or the
+    n^4 grid with random probes (sup)."""
+    if target.d <= 3:
+        axis, key = gauss_lobatto(n)[0], ("lobatto", n)
+        points, weights = uniform_cube_rule(target.d, n, True)
+    elif l2:
+        (points, weights), key, axis = _sobol_rule(), ("l2", "sobol"), None
+    else:
+        points, key, axis = _sup_grid(n), ("sup", n), None
+    vals = _diff_on(target, comb, key, points, axis)
     np.abs(vals, out=vals)
-    top = _top_k(vals, min(refine_top, points.shape[0]))
-    if top.size == 0:
-        return float(vals.max())
-    grid_max = float(vals[top[-1]])  # top ascends by value
+    top = _top_k(vals, min(refine_top or 0, vals.size))  # ascending by value
+    sup = None if refine_top is None else float(vals[top[-1]] if top.size else vals.max())
+    norm = float(np.sqrt(weights @ np.square(vals, out=vals))) if l2 else None
+    if top.size:
+        window = 2.0 / (n - 1)
+        if axis is not None:  # each start coordinate is a node: its larger gap to a neighbour
+            gap = np.diff(axis, prepend=-1.0, append=1.0)
+            window = np.maximum(gap[:-1], gap[1:])[np.searchsorted(axis, points[top])]
+        sup = max(sup, _scan_refine(lambda p: np.abs(target.evaluate_batch(p)
+                                                     - comb.evaluate_batch(p)),
+                                    points[top], window))
+    return norm, sup
 
-    def fn(probes):
-        return np.abs(target.evaluate_batch(probes) - comb.evaluate_batch(probes))
-    return max(grid_max, _scan_refine(fn, points[top], 2.0 / (per_axis - 1)))
 
-
-def _scan_refine(fn, starts: np.ndarray, spacing: float) -> float:
+def _scan_refine(fn, starts: np.ndarray, spacing) -> float:
     """The max of fn seen by a cyclic per-axis coarse-to-fine scan from each start.
 
-    On each axis a start's window is its coordinate +-spacing, within the
-    cube.  Each level samples _SCAN_SAMPLES evenly spaced points across the
-    window, moves the start to its best sample and narrows the window to
-    +-one sample step around it.  fn maps probes (n, d) to values (n,); every
-    start's samples of a level go to it in one call.
+    On each axis a start's window is its coordinate +-spacing (one number, or
+    (k, d) per start and axis), within the cube.  Each level samples
+    _SCAN_SAMPLES evenly spaced points across the window, moves the start to its
+    best sample and narrows the window to +-one sample step around it.  fn maps
+    probes (n, d) to values (n,); every start's samples of a level go to it in one call.
     """
     x = starts.copy()
     k, d = x.shape
+    spacing = np.broadcast_to(spacing, x.shape)
     frac = np.linspace(0.0, 1.0, _SCAN_SAMPLES)
     rows = np.arange(k)
     seen = -math.inf
     for _ in range(_SCAN_PASSES):
         for ax in range(d):
             probes = np.repeat(x, _SCAN_SAMPLES, axis=0)
-            lo = np.clip(x[:, ax] - spacing, -1.0, 1.0)
-            hi = np.clip(x[:, ax] + spacing, -1.0, 1.0)
+            lo = np.clip(x[:, ax] - spacing[:, ax], -1.0, 1.0)
+            hi = np.clip(x[:, ax] + spacing[:, ax], -1.0, 1.0)
             for _ in range(_SCAN_LEVELS):
                 q = lo[:, None] + (hi - lo)[:, None] * frac
                 probes[:, ax] = q.ravel()
@@ -439,10 +424,13 @@ def measure_report(target, comb, m: int, method: str, seed: int,
     """Bundle both error norms and the size stats of a built combination: the
     values of l2_error and linf_error, with the pair checked, and its line
     pieces found, once."""
-    n, per_axis = _l2_nodes(target, l2_nodes), _linf_grid(target, linf_grid)
+    n, per_axis = _size(target, l2_nodes), _size(target, linf_grid)
     line = _checked_line(target, comb, "measure_report", l2_nodes=n, linf_grid=per_axis)
     if line is None:
-        l2, linf = _l2_cube(target, comb, n), _linf_cube(target, comb, per_axis, _REFINE_TOP)
+        shared = target.d <= 3 and n == per_axis  # one point set for both norms
+        l2, linf = _cube(target, comb, n, True, _REFINE_TOP if shared else None)
+        if not shared:
+            linf = _cube(target, comb, per_axis, False, _REFINE_TOP)[1]
     else:
         pieces = _line_pieces(comb, line)
         l2, linf = _line_l2(target, line, *pieces), _line_linf(target, line, *pieces)

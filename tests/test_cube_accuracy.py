@@ -1,0 +1,192 @@
+"""The Gauss-Lobatto rule, and the accuracy of its shared point set on cube pairs.
+
+A cube pair (a target and a combination not on one common line) has its L2
+error and its sup estimate measured on one tensor Gauss-Lobatto set of n
+nodes per axis.  This module measures both against fine references over a
+family of pairs:
+
+- d = 2: the two-frequency spectrum of acceptance criterion 05; d = 3: the
+  three-frequency spectrum of the benchmark's sparse-d3-s3 workload at seed 5;
+- s = 2 and 3; iid, sparse with m0 = 1 and 2, and signed stratified builds;
+  m = 4, 16, 64 (and 256 at d = 2); seeds 0, 1, 2.
+
+The references are a 512^2 (d = 2) or 128^3 (d = 3) Gauss-Legendre rule for
+L2, and the max over a 1025^2 or 129^3 uniform grid raised by the same scan
+for the sup.  The relative L2 error must stay within L2_BOUND and the
+relative sup shortfall (reference less estimate) within SUP_BOUND.
+
+The tier-1 test checks a subset at the default sizes.  Run as a script,
+
+    PYTHONPATH=src python tests/test_cube_accuracy.py [n ...]
+
+it prints the worst of both over the whole family for each d and each given
+size (by default a few around the defaults), next to the figures of the
+point sets used before the shared set: a 64-node Gauss-Legendre rule for L2,
+and the 257^2 or 65^3 uniform grid with the scan for the sup.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from ridgecomb import (
+    SpectralMeasure,
+    UsageError,
+    build_iid,
+    build_sparse,
+    build_stratified,
+    measure_report,
+    spectral_representation,
+    target_of,
+)
+from ridgecomb.construct import stratified_epsilon
+from ridgecomb.metrics import DEFAULT_NODES, _REFINE_TOP, _diff_on, _scan_refine, _top_k
+from ridgecomb.quadrature import gauss_lobatto, tensor_grid, uniform_cube_rule
+
+L2_BOUND, SUP_BOUND = 1e-3, 2e-3
+SPECTRA = {
+    2: SpectralMeasure(omegas=[[1.0, 0.5], [-0.7, 1.3]], mags=[0.8, 0.5], phases=[0.4, -1.1]),
+    3: SpectralMeasure(
+        omegas=np.pi / 2 * np.array([[0.0, -2.0, 2.0], [-1.0, 1.0, -2.0], [2.0, -1.0, 0.0]]),
+        mags=[0.6942331860607345, 0.3174419261257955, 0.901354739447225],
+        phases=[0.7258900939348014, -3.1299472113955304, 1.7183625954258304]),
+}
+MS = {2: (4, 16, 64, 256), 3: (4, 16, 64)}
+REF_L2, REF_GRID = {2: 512, 3: 128}, {2: 1025, 3: 129}
+OLD_L2, OLD_GRID = {2: 64, 3: 64}, {2: 257, 3: 65}
+METHODS = ("iid", "sparse-1", "sparse-2", "stratified")
+
+
+class TestGaussLobatto:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 41, 129, 257])
+    def test_nodes_and_weights(self, n):
+        x, w = gauss_lobatto(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+        assert (x[0], x[-1]) == (-1.0, 1.0)
+        assert np.all(w > 0) and np.array_equal(w, w[::-1])
+        assert w.sum() / 2.0 == pytest.approx(1.0, rel=1e-14)
+        assert uniform_cube_rule(2, n, True)[1].sum() == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_exact_to_degree_2n_minus_3(self, n):
+        x, w = gauss_lobatto(n)
+
+        def moment(k):  # of x^k under the probability measure on [-1, 1]
+            return 0.0 if k % 2 else 1.0 / (k + 1)
+        for k in range(2 * n - 2):
+            assert w @ x**k / 2.0 == pytest.approx(moment(k), rel=1e-13, abs=1e-15)
+        assert abs(w @ x ** (2 * n - 2) / 2.0 - moment(2 * n - 2)) > 1e-4
+
+    @pytest.mark.parametrize("n", [41, 129])
+    def test_legendre_squares(self, n):
+        # int P_k^2 = 2 / (2k + 1): exact for k = n - 2 (degree 2n - 4); for
+        # k = n - 1 (degree 2n - 2) the rule gives 2 / (n - 1) instead
+        x, w = gauss_lobatto(n)
+        p = [np.polynomial.legendre.Legendre.basis(k)(x) for k in (n - 2, n - 1)]
+        assert w @ p[0] ** 2 == pytest.approx(2.0 / (2 * n - 3), rel=1e-12)
+        assert w @ p[1] ** 2 == pytest.approx(2.0 / (n - 1), rel=1e-12)
+
+    def test_two_nodes_are_the_corners(self):
+        x, w = gauss_lobatto(2)
+        assert np.array_equal(x, [-1.0, 1.0]) and np.array_equal(w / 2.0, [0.5, 0.5])
+        points, weights = uniform_cube_rule(2, 2, True)
+        assert np.array_equal(points, [[-1, -1], [-1, 1], [1, -1], [1, 1]])
+        assert np.array_equal(weights, np.full(4, 0.25))
+
+    def test_kept_arrays_are_read_only_and_one_node_is_refused(self):
+        for arr in (*gauss_lobatto(41), *uniform_cube_rule(3, 41, True)):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(UsageError, match="n >= 2"):
+            gauss_lobatto(1)
+
+
+def build(rep, tgt, method, m, seed):
+    if method == "iid":
+        return build_iid(rep, m, tgt, seed=seed)
+    if method == "stratified":
+        eps = stratified_epsilon("auto", m, rep.d, "signed")
+        return build_stratified(rep, m, eps, "signed", tgt, seed=seed)
+    return build_sparse(rep, m, int(method[-1]), tgt, seed=seed)
+
+
+def gauss_l2(tgt, comb, n):
+    """L2 on the n^d tensor Gauss-Legendre rule, built afresh."""
+    points, weights = uniform_cube_rule.__wrapped__(tgt.d, n)
+    axis = np.polynomial.legendre.leggauss(n)[0]
+    diff = _diff_on(tgt, comb, ("gauss", n), points, axis)
+    return float(np.sqrt(weights @ (diff * diff)))
+
+
+def grid_sup(tgt, comb, n):
+    """The max of |tgt - comb| on the uniform n^d grid, raised by the scan from
+    its best points with windows of one grid step."""
+    axis = np.linspace(-1.0, 1.0, n)
+    points = tensor_grid(axis, tgt.d)
+    vals = np.abs(_diff_on(tgt, comb, ("grid", n), points, axis))
+    top = _top_k(vals, _REFINE_TOP)
+
+    def fn(probes):
+        return np.abs(tgt.evaluate_batch(probes) - comb.evaluate_batch(probes))
+    return max(float(vals[top[-1]]), _scan_refine(fn, points[top], 2.0 / (n - 1)))
+
+
+def family(d, ss=(2, 3), methods=METHODS, ms=None, seeds=(0, 1, 2)):
+    """(label, target, combination) over the pair family, one target per order."""
+    for s in ss:
+        rep = spectral_representation(SPECTRA[d], s)
+        tgt = target_of(rep)
+        for method in methods:
+            for m in ms or MS[d]:
+                for seed in seeds:
+                    label = f"d={d} s={s} {method} m={m} seed={seed}"
+                    yield label, tgt, build(rep, tgt, method, m, seed)
+
+
+def errors(tgt, comb, sizes):
+    """(relative L2 error, relative sup shortfall) of measure_report at each
+    size, and of the former point sets under the key 'old'."""
+    d = tgt.d
+    l2_ref, sup_ref = gauss_l2(tgt, comb, REF_L2[d]), grid_sup(tgt, comb, REF_GRID[d])
+    got = {n: measure_report(tgt, comb, 1, "-", 0, l2_nodes=n, linf_grid=n)
+           for n in sizes if n != "old"}
+    out = {n: (abs(r.l2 / l2_ref - 1.0), 1.0 - r.linf / sup_ref) for n, r in got.items()}
+    if "old" in sizes:
+        out["old"] = (abs(gauss_l2(tgt, comb, OLD_L2[d]) / l2_ref - 1.0),
+                      1.0 - grid_sup(tgt, comb, OLD_GRID[d]) / sup_ref)
+    return out
+
+
+SUBSET = [(2, 3, "stratified", 16, 0), (2, 2, "sparse-1", 64, 1), (3, 3, "iid", 16, 0),
+          (3, 3, "sparse-2", 4, 1), (3, 2, "stratified", 64, 2)]
+
+
+@pytest.mark.parametrize("d, s, method, m, seed", SUBSET)
+def test_the_default_point_set_meets_the_bounds(d, s, method, m, seed):
+    [(_, tgt, comb)] = family(d, (s,), (method,), (m,), (seed,))
+    n = DEFAULT_NODES[d]
+    l2_err, shortfall = errors(tgt, comb, [n])[n]
+    assert l2_err <= L2_BOUND and shortfall <= SUP_BOUND
+
+
+def main(argv):
+    sizes = {2: [65, 97, 129, 161], 3: [33, 41, 49, 57]}
+    if argv:
+        sizes = {d: [int(a) for a in argv] for d in sizes}
+    for d in (2, 3):
+        cols = sizes[d] + ["old"]
+        worst = {n: [-np.inf, -np.inf] for n in cols}
+        for _, tgt, comb in family(d):
+            for n, (l2_err, shortfall) in errors(tgt, comb, cols).items():
+                worst[n] = [max(worst[n][0], l2_err), max(worst[n][1], shortfall)]
+        for n in cols:
+            name = (f"{OLD_L2[d]}-node Gauss-Legendre / {OLD_GRID[d]}^{d} grid" if n == "old"
+                    else f"Lobatto n={n} ({n ** d} points)")
+            print(f"d={d} {name}: worst L2 error {worst[n][0]:.2e}, "
+                  f"worst sup shortfall {worst[n][1]:.2e}", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

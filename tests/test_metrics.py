@@ -40,18 +40,17 @@ from ridgecomb.metrics import (
     _SCAN_SAMPLES,
     _TOP_BLOCK,
     CSV_HEADER,
-    DEFAULT_L2_NODES,
-    DEFAULT_LINF_GRID,
+    DEFAULT_NODES,
     LINF_RANDOM_POINTS_D4,
     ErrorReport,
     _checked_line,
-    _l2_cube,
+    _cube,
     _scan_refine,
     _sobol_rule,
     _sup_grid,
     _top_k,
 )
-from ridgecomb.quadrature import panel_rule, uniform_cube_rule
+from ridgecomb.quadrature import gauss_lobatto, panel_rule, uniform_cube_rule
 from ridgecomb.spectral import TargetFunction, sine_ridge_measure
 
 # closed form for || sin(pi x)/(4 pi) - x/4 || in L2([-1,1], dx/2):
@@ -152,14 +151,14 @@ def abs_diff(target, comb):
 
 def scan_refine_per_start(fn, pts, spacing):
     """The sup scan one start at a time, one fn call per start and level: the
-    vectorized scan's reference."""
+    vectorized scan's reference.  spacing is one number or one per start and axis."""
     seen = -math.inf
     frac = np.linspace(0.0, 1.0, _SCAN_SAMPLES)
-    for x in pts.copy():
+    for x, window in zip(pts.copy(), np.broadcast_to(spacing, pts.shape)):
         for _ in range(_SCAN_PASSES):
             for ax in range(x.size):
-                lo = min(max(x[ax] - spacing, -1.0), 1.0)
-                hi = min(max(x[ax] + spacing, -1.0), 1.0)
+                lo = min(max(x[ax] - window[ax], -1.0), 1.0)
+                hi = min(max(x[ax] + window[ax], -1.0), 1.0)
                 for _ in range(_SCAN_LEVELS):
                     q = lo + (hi - lo) * frac
                     probes = np.tile(x, (_SCAN_SAMPLES, 1))
@@ -187,10 +186,10 @@ def refinement_cases():
     ]
 
 
-def l2_error_uncached(target, comb, nodes=64):
+def l2_error_uncached(target, comb):
     """l2_error on a freshly built rule with fresh target values."""
     if target.d <= 3:
-        points, weights = uniform_cube_rule.__wrapped__(target.d, nodes)
+        points, weights = uniform_cube_rule.__wrapped__(target.d, DEFAULT_NODES[target.d], True)
     else:
         points = 2.0 * qmc.Sobol(d=4, scramble=False).random(2**16) - 1.0
         weights = np.full(points.shape[0], 1.0 / points.shape[0])
@@ -198,11 +197,33 @@ def l2_error_uncached(target, comb, nodes=64):
     return float(np.sqrt(np.sum(weights * diff * diff)))
 
 
+def default_axis(d):
+    """The 1-d nodes of the default point set: Gauss-Lobatto up to d = 3, the
+    uniform sup grid at d = 4, freshly computed."""
+    if d <= 3:
+        return gauss_lobatto.__wrapped__(DEFAULT_NODES[d])[0]
+    return np.linspace(-1.0, 1.0, DEFAULT_NODES[4])
+
+
+def default_windows(d, starts):
+    """The scan windows of starts (k, d) on the default point set: up to d = 3
+    each coordinate's larger distance to a neighbouring node, at d = 4 one grid
+    step."""
+    axis = default_axis(d)
+    if d == 4:
+        return 2.0 / (axis.size - 1)
+    windows = np.zeros(starts.shape)
+    for (i, j), x in np.ndenumerate(starts):
+        below, above = axis[axis < x], axis[axis > x]
+        windows[i, j] = max(x - below.max() if below.size else 0.0,
+                            above.min() - x if above.size else 0.0)
+    return windows
+
+
 def linf_error_uncached(target, comb, refine_top=10):
-    """linf_error on a freshly built grid, with a full sort and the per-start scan."""
+    """linf_error on a freshly built point set, with a full sort and the per-start scan."""
     d = target.d
-    per_axis = DEFAULT_LINF_GRID[d]
-    mesh = np.meshgrid(*([np.linspace(-1.0, 1.0, per_axis)] * d), indexing="ij")
+    mesh = np.meshgrid(*([default_axis(d)] * d), indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
     if d == 4:
         gen = rng.stream(0, rng.PROBE)
@@ -210,12 +231,12 @@ def linf_error_uncached(target, comb, refine_top=10):
     fn = abs_diff(target, comb)
     vals = fn(points)
     top = points[np.argsort(vals)[-refine_top:]]
-    return max(float(vals.max()), scan_refine_per_start(fn, top, 2.0 / (per_axis - 1)))
+    return max(float(vals.max()), scan_refine_per_start(fn, top, default_windows(d, top)))
 
 
 def cube_l2(target, comb):
     """l2_error at its default rule, always on the d-dimensional path."""
-    return _l2_cube(target, comb, DEFAULT_L2_NODES.get(target.d))
+    return _cube(target, comb, DEFAULT_NODES.get(target.d), True, None)[0]
 
 
 def cube_linf(target, comb):
@@ -251,7 +272,7 @@ class TestCachedPointSets:
     def test_points_and_values_are_read_only(self):
         rep, tgt = cosine_target(4)
         measure_report(tgt, build_iid(rep, 8, tgt, seed=0), 8, "iid", 0)
-        arrays = [_sup_grid(4, DEFAULT_LINF_GRID[4]), *_sobol_rule(),
+        arrays = [_sup_grid(DEFAULT_NODES[4]), *_sobol_rule(),
                   *tgt._memo.values()]
         # the target's kept residual on both point sets
         assert len(arrays) == 5
@@ -276,9 +297,9 @@ class TestCachedPointSets:
         monkeypatch.setattr(SpectralMeasure, "evaluate_tensor", counting_tensor)
         for seed in range(20):
             measure_report(tgt, build_iid(rep, 8, tgt, seed=seed), 8, "iid", seed)
-        # both point sets from per-axis factors, once each; only the scan's
-        # probes go through evaluate_batch
-        assert sorted(axes) == [64, DEFAULT_LINF_GRID[3]]
+        # both norms' one point set from per-axis factors, once; only the
+        # scan's probes go through evaluate_batch
+        assert axes == [DEFAULT_NODES[3]]
         assert max(sizes) == _REFINE_TOP * _SCAN_SAMPLES  # the rows of one scan level
 
     def test_the_memo_holds_one_residual_per_point_set(self):
@@ -287,7 +308,7 @@ class TestCachedPointSets:
             for seed in range(3):
                 measure_report(tgt, build_sparse(rep, m, 2, tgt, seed=seed), m, "sparse", seed)
                 measure_report(tgt, build_iid(rep, m, tgt, seed=seed), m, "iid", seed)
-        assert sorted(v.size for v in tgt._memo.values()) == [64**3, DEFAULT_LINF_GRID[3] ** 3]
+        assert [v.size for v in tgt._memo.values()] == [DEFAULT_NODES[3] ** 3]
 
     def test_a_nested_keep_returns(self):
         # a compute that keeps another value takes the target's lock again
@@ -304,13 +325,14 @@ class TestCachedPointSets:
     def test_a_sparse_l2_allocates_no_other_full_size_array(self):
         # the difference is the one 64^3 array: the residual is copied into it,
         # each support group's sum is taken from it in place and it is squared
-        # in place; the groups' sub-grids hold 64^2 values
+        # in place; the groups' sub-grids hold 64^2 values.  At 64 nodes per
+        # axis the term blocks (at most 2^16 entries) stay under a quarter of it
         rep, tgt = cosine_target(3)
         combs = [build_sparse(rep, 16, 2, tgt, seed=seed) for seed in (0, 1)]
-        l2_error(tgt, combs[0])  # fills the rule and the residual
+        l2_error(tgt, combs[0], nodes=64)  # fills the rule and the residual
         tracemalloc.start()
         try:
-            l2_error(tgt, combs[1])
+            l2_error(tgt, combs[1], nodes=64)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -320,7 +342,7 @@ class TestCachedPointSets:
         rep, tgt = cosine_target(2)
         measure_report(tgt, build_iid(rep, 8, tgt, seed=0), 8, "iid", 0)
         refs = [weakref.ref(tgt)] + [weakref.ref(v) for v in tgt._memo.values()]
-        assert len(refs) == 3
+        assert len(refs) == 2
         del rep, tgt
         gc.collect()
         assert all(r() is None for r in refs)
@@ -351,7 +373,7 @@ class TestCachedPointSets:
                 shared = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(fills) == [64**3, DEFAULT_LINF_GRID[3] ** 3]
+        assert fills == [DEFAULT_NODES[3] ** 3]
         monkeypatch.undo()
         _, fresh = cosine_target(3)
         assert shared == [(l2_error(fresh, c), linf_error(fresh, c)) for c in combs]
@@ -365,14 +387,14 @@ class TestLinfError:
         rep, tgt = cosine_target(d, s)
         comb = build_iid(rep, m, tgt, seed=seed)
         fn = abs_diff(tgt, comb)
-        grid = _sup_grid(d, DEFAULT_LINF_GRID[d])
-        spacing = 2.0 / (DEFAULT_LINF_GRID[d] - 1)
+        grid = uniform_cube_rule(d, DEFAULT_NODES[d], True)[0]
         vals = fn(grid)
-        # the best grid points, and two corners, where the window is cut to the cube
+        # the best nodes, and two corners, where the window is cut to the cube
         pts = np.vstack([grid[_top_k(vals, 8)], np.full((1, d), -1.0), np.full((1, d), 1.0)])
-        got = _scan_refine(fn, pts, spacing)
+        windows = default_windows(d, pts)
+        got = _scan_refine(fn, pts, windows)
         assert got > vals.max()
-        assert got == scan_refine_per_start(fn, pts, spacing)
+        assert got == scan_refine_per_start(fn, pts, windows)
 
     @pytest.mark.parametrize("case", range(4))
     def test_equals_the_uncached_reference(self, case):
@@ -385,7 +407,7 @@ class TestLinfError:
     @given(n=st.one_of(st.integers(min_value=1, max_value=400),
                        # past k blocks the block maxima pick the candidates
                        st.integers(min_value=_TOP_BLOCK, max_value=64 * _TOP_BLOCK + 1),
-                       st.sampled_from([64**3, DEFAULT_LINF_GRID[3] ** 3])),
+                       st.sampled_from([DEFAULT_NODES[2] ** 2, DEFAULT_NODES[3] ** 3])),
            k=st.integers(min_value=1, max_value=12),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(derandomize=True, deadline=None, max_examples=100)
@@ -403,7 +425,7 @@ class TestLinfError:
             crowded[lo:lo + k] += n
             assert np.array_equal(_top_k(crowded, k), np.argsort(crowded)[-k:])
 
-    @pytest.mark.parametrize("n", [1000, DEFAULT_LINF_GRID[3] ** 3])
+    @pytest.mark.parametrize("n", [1000, DEFAULT_NODES[3] ** 3])
     def test_top_k_ties_at_the_kth_value_follow_the_full_sort(self, n):
         # a partial sort picks other rows among equal values than the full sort
         edge = np.zeros(n)
@@ -414,7 +436,7 @@ class TestLinfError:
 
     def test_top_k_keeps_a_nan_as_the_full_sort_does(self):
         # np.argsort puts NaN last, so the grid maximum read from the top is NaN
-        vals = np.random.default_rng(0).random(DEFAULT_LINF_GRID[3] ** 3)
+        vals = np.random.default_rng(0).random(DEFAULT_NODES[3] ** 3)
         vals[1000] = np.nan
         top = _top_k(vals, 10)
         assert set(top) == set(np.argsort(vals)[-10:]) and np.isnan(vals[top[-1]])
@@ -426,7 +448,7 @@ class TestLinfError:
     def test_refine_top_zero_is_the_grid_max(self, monkeypatch):
         rep, tgt = cosine_target(2)
         comb = build_iid(rep, 16, tgt, seed=0)
-        points = _sup_grid(2, DEFAULT_LINF_GRID[2])
+        points = uniform_cube_rule(2, DEFAULT_NODES[2], True)[0]
         grid_max = float(abs_diff(tgt, comb)(points).max())
         assert _top_k(np.arange(5.0), 0).size == 0
         monkeypatch.setattr("ridgecomb.metrics._scan_refine", None)  # never called
@@ -490,7 +512,7 @@ class TestLinfError:
             hi.append(probes.max())
             return -np.sum((probes - 0.3) ** 2, axis=1)
 
-        for spacing in (2.0 / (DEFAULT_LINF_GRID[d] - 1), 0.5, 3.0):
+        for spacing in (default_windows(d, starts), 0.5, 3.0):
             _scan_refine(fn, starts, spacing)
         assert min(lo) >= -1.0 and max(hi) <= 1.0
 
@@ -506,8 +528,10 @@ class TestLinfError:
             rows.append(probes.shape[0])
             return diff(probes)
 
-        starts = _sup_grid(d, DEFAULT_LINF_GRID[d])[:_REFINE_TOP]
-        _scan_refine(fn, starts, 2.0 / (DEFAULT_LINF_GRID[d] - 1))
+        points = _sup_grid(DEFAULT_NODES[4]) if d == 4 else uniform_cube_rule(
+            d, DEFAULT_NODES[d], True)[0]
+        starts = points[:_REFINE_TOP]
+        _scan_refine(fn, starts, default_windows(d, starts))
         assert rows == [_REFINE_TOP * _SCAN_SAMPLES] * (_SCAN_PASSES * d * _SCAN_LEVELS)
 
     def test_a_target_function_of_the_wrong_shape_is_refused(self):
@@ -566,7 +590,7 @@ class TestKeptResidual:
                 assert l2_error(tgt, c) == pytest.approx(l2_error_uncached(tgt, c), rel=1e-13)
                 assert linf_error(tgt, c) == pytest.approx(linf_error_uncached(tgt, c),
                                                            rel=1e-13)
-        assert len(tgt._memo) == 2
+        assert len(tgt._memo) == 1  # both norms' one point set
 
     def test_a_sweep_computes_each_part_once(self, monkeypatch):
         rep, tgt = cosine_target(3)
@@ -584,7 +608,7 @@ class TestKeptResidual:
         for m in (4, 8):
             for seed in range(5):
                 measure_report(tgt, build_iid(rep, m, tgt, seed=seed), m, "iid", seed)
-        assert sorted(large) == [64**3, DEFAULT_LINF_GRID[3] ** 3]
+        assert large == [DEFAULT_NODES[3] ** 3]
 
 
 def sine_pair(theta, s, method, m, seed=0):
@@ -766,10 +790,20 @@ class TestReport:
     def test_csv_schema_frozen(self):
         assert CSV_HEADER == "m,method,seed,l2,linf,terms,sparsity"
 
-    def test_row_round_trips_through_the_schema(self):
-        rep = exact_sine_representation((1, 1))
-        tgt = target_of(rep)
+    @pytest.mark.parametrize("pair", ["line", "cube-d2", "affine-d2", "cube-d3", "affine-d3"])
+    def test_row_round_trips_through_the_schema(self, pair):
+        # a sine ridge on its line, and pairs off any line, measured on one
+        # Gauss-Lobatto set (positive weights summing to 1, so l2 <= linf)
+        if pair == "line":
+            rep = exact_sine_representation((1, 1))
+            tgt = target_of(rep)
+        else:
+            rep, tgt = cosine_target(int(pair[-1]))
         comb = build_iid(rep, 16, tgt, seed=3)
+        if pair.startswith("affine"):
+            comb = make_affine(tgt.d, 3, tgt.b0, tgt.a0, tgt.A0)
+        else:
+            assert (_checked_line(tgt, comb, "measure_report") is None) == (pair != "line")
         rpt = measure_report(tgt, comb, 16, "iid", 3)
         fields = rpt.csv_row().split(",")
         assert len(fields) == len(CSV_HEADER.split(","))
@@ -796,6 +830,20 @@ class TestReport:
         want = ["_checked_line"] if theta is None else ["_checked_line", "_line_pieces"]
         assert calls == want
         assert (rpt.l2, rpt.linf) == (l2_error(tgt, comb), linf_error(tgt, comb))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_unequal_sizes_take_one_point_set_each(self, d):
+        # equal sizes share one Gauss-Lobatto set and one pass; unequal ones
+        # measure each norm on its own set, as l2_error and linf_error do
+        rep, tgt = cosine_target(d)
+        comb = build_sparse(rep, 16, 1, tgt, seed=2)
+        rpt = measure_report(tgt, comb, 16, "sparse", 2, l2_nodes=17, linf_grid=25)
+        assert rpt.l2 == l2_error(tgt, comb, nodes=17)
+        assert rpt.linf == linf_error(tgt, comb, grid=25)
+        assert sorted(key[0][1] for key in tgt._memo) == [17, 25]
+        shared = measure_report(tgt, comb, 16, "sparse", 2, l2_nodes=25, linf_grid=25)
+        assert (shared.l2, shared.linf) == (l2_error(tgt, comb, nodes=25), rpt.linf)
+        assert len(tgt._memo) == 2
 
     @pytest.mark.parametrize("field", ["l2", "linf"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
