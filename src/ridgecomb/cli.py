@@ -619,9 +619,9 @@ def _add_common_build_flags(p: argparse.ArgumentParser):
     p.add_argument("--out", help="output directory (default ridgecomb_out)")
     shared = "; equal sizes share one point set"
     p.add_argument("--l2-nodes", type=int, dest="l2_nodes",
-                   help="Gauss-Lobatto nodes per axis for the L2 norm (d <= 3)" + shared)
+                   help="Gauss-Lobatto nodes per axis for the L2 norm" + shared)
     p.add_argument("--linf-grid", type=int, dest="linf_grid",
-                   help="Gauss-Lobatto nodes per axis for the sup norm (d = 4: grid)" + shared)
+                   help="Gauss-Lobatto nodes per axis for the sup norm" + shared)
     p.add_argument("--force", action="store_true",
                    help="lift the desk-scale guards (m, seed count, worker count)")
 

@@ -4,17 +4,17 @@ L2 is taken under the uniform probability measure on [-1, 1]^d.  A combination
 on its target's line (TargetFunction.line) leaves an error h(u . x), whose
 norms are taken exactly on p = u . x in [-1, 1]: L2 by composite Gauss-Legendre
 against the density of u . x, split at every kink, and the sup by refining the
-combination's polynomial pieces.  Other pairs up to d = 3 take both norms on
-one tensor Gauss-Lobatto set, which holds the cube's faces and corners: L2 from
-its weights (positive, summing to 1, so l2 <= linf), the sup as its maximum
-raised by a per-axis coarse-to-fine scan around its best nodes, a lower bound
-on the true sup.  At d = 4, L2 takes a fixed Sobol set, the sup a grid with
-random probes.  The point sets are built once per process and kept read-only,
-and a TargetFunction keeps one array on each: its residual, the target less
-the polynomial part b0 + a0 . x [+ 0.5 x^T A0 x] that the builders copy from
-it.  Every combination measured takes a copy of it and subtracts its terms in
-place; on a tensor set a target built from a measure computes its values from
-per-axis factors, and each term is evaluated only on the coordinates it uses.
+combination's polynomial pieces.  Every other pair (d <= 4) takes both norms
+on one tensor Gauss-Lobatto set, which holds the cube's faces and corners: L2
+from its weights (positive, summing to 1, so l2 <= linf), the sup as its
+maximum raised by a per-axis coarse-to-fine scan around its best nodes, a
+lower bound on the true sup.  The point sets are built once per process and
+kept read-only, and a TargetFunction keeps one array on each: its residual,
+the target less the polynomial part b0 + a0 . x [+ 0.5 x^T A0 x] that the
+builders copy from it.  Every combination measured takes a copy of it and
+subtracts its terms in place; a target built from a measure computes its
+values there from per-axis factors, and each term is evaluated only on the
+coordinates it uses.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import rng as _rng
-from .core import _L1_TOL, CubeDomain, polynomial_part
+from .core import _L1_TOL, polynomial_part
 from .errors import UsageError
 from .quadrature import MAX_RULE_POINTS, gauss_lobatto, panel_rule, tensor_grid, uniform_cube_rule
 from .spectral import TargetFunction
@@ -43,8 +41,7 @@ __all__ = [
     "measure_report",
 ]
 
-DEFAULT_NODES = {1: 257, 2: 129, 3: 41, 4: 17}
-LINF_RANDOM_POINTS_D4 = 10**5
+DEFAULT_NODES = {1: 257, 2: 129, 3: 41, 4: 27}
 _LINE_NODES = 4  # Gauss-Legendre nodes per panel: exact to degree 7 >= 2(s-1) + d - 1
 _LINE_MESH = 0.1  # panel width cap times the target's largest ||omega_j||_1
 _LINE_MIN_DENSITY_SCALE = 1e-4
@@ -82,11 +79,11 @@ class ErrorReport:
 CSV_HEADER = "m,method,seed,l2,linf,terms,sparsity"
 
 
-def _diff_on(target, comb, key, points: np.ndarray, axis: np.ndarray | None) -> np.ndarray:
+def _diff_on(target, comb, key, points: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """target - comb on a fixed point set, as a new array: a copy of the
     target's kept residual, less the difference of comb's polynomial part from
     the target's (zero for a builder's combination), less comb's terms, in
-    place; axis, when given, is the 1-d axis whose tensor grid the points are."""
+    place; axis is the 1-d axis whose tensor grid the points are."""
     quadratic = comb.A0 is not None
     diff = target.residual_on(key, points, quadratic, axis).copy()
     db0, da0 = comb.b0 - target.b0, comb.a0 - target.a0
@@ -96,26 +93,13 @@ def _diff_on(target, comb, key, points: np.ndarray, axis: np.ndarray | None) -> 
     return comb.subtract_terms(diff, points, axis)
 
 
-@lru_cache(maxsize=1)
-def _sobol_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The d = 4 L2 rule: 2^16 unscrambled Sobol points with equal weights."""
-    from scipy.stats import qmc  # only this rule needs scipy; keep it off the import path
-
-    points = 2.0 * qmc.Sobol(d=4, scramble=False).random(2**16) - 1.0
-    weights = np.full(points.shape[0], 1.0 / points.shape[0])
-    points.setflags(write=False)
-    weights.setflags(write=False)
-    return points, weights
-
-
 def check_grid_sizes(d: int, l2_nodes: int | None = None, linf_grid: int | None = None):
     """UsageError unless each given per-axis size is at least 2 and its point set
     at dimension d holds at most MAX_RULE_POINTS points.
 
-    The d = 4 L2 rule is a fixed Sobol set, so l2_nodes is not checked there.
     The CLI calls this before it builds, and l2_error and linf_error on each call.
     """
-    for key, n in (("l2_nodes", l2_nodes if d <= 3 else None), ("linf_grid", linf_grid)):
+    for key, n in (("l2_nodes", l2_nodes), ("linf_grid", linf_grid)):
         if n is not None and not (n >= 2 and n**d <= MAX_RULE_POINTS):
             raise UsageError(f"{key} must be at least 2 and give at most {MAX_RULE_POINTS} "
                              f"points at d={d}, got {n} ({n}^{d} points)")
@@ -255,16 +239,6 @@ def _line_linf(target, line, edges: np.ndarray, C: np.ndarray) -> float:
     return best
 
 
-@lru_cache(maxsize=4)
-def _sup_grid(per_axis: int) -> np.ndarray:
-    """The d = 4 sup point set: a tensor grid with the boundary, plus random probes."""
-    gen = _rng.stream(0, _rng.PROBE)
-    points = np.vstack([CubeDomain(4).grid(per_axis),
-                        gen.uniform(-1.0, 1.0, size=(LINF_RANDOM_POINTS_D4, 4))])
-    points.setflags(write=False)
-    return points
-
-
 def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest values, ascending by value; the set of np.argsort(vals)[-k:].
 
@@ -307,26 +281,18 @@ def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_
 
 def _cube(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tuple:
     """(L2 if l2, the sup unless refine_top is None; else None) off a line, in one
-    pass: up to d = 3 on the n^d Gauss-Lobatto set, a scan window being the larger
-    gap from a start's node to a neighbour; at d = 4 on the Sobol rule (L2) or the
-    n^4 grid with random probes (sup)."""
-    if target.d <= 3:
-        axis, key = gauss_lobatto(n)[0], ("lobatto", n)
-        points, weights = uniform_cube_rule(target.d, n, True)
-    elif l2:
-        (points, weights), key, axis = _sobol_rule(), ("l2", "sobol"), None
-    else:
-        points, key, axis = _sup_grid(n), ("sup", n), None
+    pass on the n^d Gauss-Lobatto set, a scan window being the larger gap from a
+    start's node to a neighbour."""
+    axis, key = gauss_lobatto(n)[0], ("lobatto", n)
+    points, weights = uniform_cube_rule(target.d, n, True)
     vals = _diff_on(target, comb, key, points, axis)
     np.abs(vals, out=vals)
     top = _top_k(vals, min(refine_top or 0, vals.size))  # ascending by value
     sup = None if refine_top is None else float(vals[top[-1]] if top.size else vals.max())
     norm = float(np.sqrt(weights @ np.square(vals, out=vals))) if l2 else None
-    if top.size:
-        window = 2.0 / (n - 1)
-        if axis is not None:  # each start coordinate is a node: its larger gap to a neighbour
-            gap = np.diff(axis, prepend=-1.0, append=1.0)
-            window = np.maximum(gap[:-1], gap[1:])[np.searchsorted(axis, points[top])]
+    if top.size:  # each start coordinate is a node: its larger gap to a neighbour
+        gap = np.diff(axis, prepend=-1.0, append=1.0)
+        window = np.maximum(gap[:-1], gap[1:])[np.searchsorted(axis, points[top])]
         sup = max(sup, _scan_refine(lambda p: np.abs(target.evaluate_batch(p)
                                                      - comb.evaluate_batch(p)),
                                     points[top], window))
@@ -427,7 +393,7 @@ def measure_report(target, comb, m: int, method: str, seed: int,
     n, per_axis = _size(target, l2_nodes), _size(target, linf_grid)
     line = _checked_line(target, comb, "measure_report", l2_nodes=n, linf_grid=per_axis)
     if line is None:
-        shared = target.d <= 3 and n == per_axis  # one point set for both norms
+        shared = n == per_axis  # one point set for both norms
         l2, linf = _cube(target, comb, n, True, _REFINE_TOP if shared else None)
         if not shared:
             linf = _cube(target, comb, per_axis, False, _REFINE_TOP)[1]

@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import UsageError
 
-MAX_RULE_POINTS = 20_000_000  # cap on the points of a tensor rule or sup grid
+MAX_RULE_POINTS = 20_000_000  # cap on the points of a tensor rule
 
 
 @lru_cache(maxsize=32)

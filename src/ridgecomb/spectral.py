@@ -29,7 +29,7 @@ import numpy as np
 from . import rng as _rng
 from .core import _L1_TOL, RidgeAtom, _atoms, half_quadratic, polynomial_part
 from .errors import UsageError
-from .quadrature import _leggauss
+from .quadrature import _leggauss, panel_rule
 
 __all__ = [
     "SpectralMeasure",
@@ -574,27 +574,23 @@ def representation_mean(rep: IntegralRepresentation, points: np.ndarray,
 
 # --- trigonometric Taylor identities behind the representations ---
 
+_IDENTITY_NODES = 16  # Gauss-Legendre nodes per panel of the identity integrals
+
+
 def verify_ramp_identity(z: float, c: float) -> float:
     """Residual of the first-order identity behind ramp representations.
 
     Checks -integral_0^c [(z-u)_+ e^{iu} + (-z-u)_+ e^{-iu}] du = e^{iz}-iz-1
-    by adaptive quadrature; requires |z| <= c.  Returns the absolute residual.
+    by composite Gauss-Legendre split at the kink |z|, so each panel's
+    integrand is a line times a cosine or sine; requires |z| <= c.  Returns
+    the absolute residual.
     """
-    from scipy import integrate  # identity checks only; keep scipy off the import path
-
     z, c = float(z), float(c)
     if c <= 0 or abs(z) > c:
         raise UsageError(f"need |z| <= c and c > 0, got z={z}, c={c}")
-    pts = [abs(z)] if 0 < abs(z) < c else None
-    re = integrate.quad(
-        lambda u: (max(z - u, 0.0) + max(-z - u, 0.0)) * math.cos(u),
-        0.0, c, points=pts, limit=200, epsabs=1e-12, epsrel=1e-12,
-    )[0]
-    im = integrate.quad(
-        lambda u: (max(z - u, 0.0) - max(-z - u, 0.0)) * math.sin(u),
-        0.0, c, points=pts, limit=200, epsabs=1e-12, epsrel=1e-12,
-    )[0]
-    lhs = -(re + 1j * im)
+    u, w = panel_rule([0.0, abs(z), c], _IDENTITY_NODES)
+    pos, neg = np.maximum(z - u, 0.0), np.maximum(-z - u, 0.0)
+    lhs = -complex(w @ ((pos + neg) * np.cos(u)), w @ ((pos - neg) * np.sin(u)))
     rhs = complex(math.cos(z) - 1.0, math.sin(z) - z)
     return abs(lhs - rhs)
 
@@ -603,11 +599,10 @@ def verify_square_identity(x, omega) -> float:
     """Residual of the second-order identity behind squared-ramp representations.
 
     Checks (i/2) c^3 integral_0^1 [(-a.x-t)_+^2 e^{-ict} - (a.x-t)_+^2 e^{ict}] dt
-    = e^{i omega.x} + (omega.x)^2/2 - i omega.x - 1 with a = omega/||omega||_1.
-    Returns the absolute residual.
+    = e^{i omega.x} + (omega.x)^2/2 - i omega.x - 1 with a = omega/||omega||_1,
+    by composite Gauss-Legendre split at the kink |a.x|.  Returns the absolute
+    residual.
     """
-    from scipy import integrate  # identity checks only; keep scipy off the import path
-
     x = np.asarray(x, dtype=float)
     omega = np.asarray(omega, dtype=float)
     if x.shape != omega.shape or x.ndim != 1:
@@ -618,19 +613,10 @@ def verify_square_identity(x, omega) -> float:
     ax = float(omega @ x) / c
     if abs(ax) > 1.0 + 1e-12:
         raise UsageError("x must lie in the unit cube so that |a.x| <= 1")
-    pts = [abs(ax)] if 0 < abs(ax) < 1 else None
-
-    def plus2(v):
-        return max(v, 0.0) ** 2
-
-    re = integrate.quad(
-        lambda t: (plus2(-ax - t) - plus2(ax - t)) * math.cos(c * t),
-        0.0, 1.0, points=pts, limit=200, epsabs=1e-13, epsrel=1e-13,
-    )[0]
-    im = integrate.quad(
-        lambda t: -(plus2(-ax - t) + plus2(ax - t)) * math.sin(c * t),
-        0.0, 1.0, points=pts, limit=200, epsabs=1e-13, epsrel=1e-13,
-    )[0]
+    t, w = panel_rule([0.0, min(abs(ax), 1.0), 1.0], _IDENTITY_NODES)
+    neg, pos = np.maximum(-ax - t, 0.0) ** 2, np.maximum(ax - t, 0.0) ** 2
+    re = w @ ((neg - pos) * np.cos(c * t))
+    im = w @ (-(neg + pos) * np.sin(c * t))
     lhs = 0.5j * c**3 * (re + 1j * im)
     wx = float(omega @ x)
     rhs = complex(math.cos(wx) + wx**2 / 2.0 - 1.0, math.sin(wx) - wx)

@@ -19,6 +19,8 @@ from ridgecomb.targets import resolve_target
 
 TWO_FREQUENCY = {"dim": 2, "atoms": [{"omega": [1.0, 0.5], "mag": 0.8, "phase": 0.4},
                                      {"omega": [-0.7, 1.3], "mag": 0.5, "phase": -1.1}]}
+FOUR_DIM = {"dim": 4, "atoms": [{"omega": [1.0, 0.5, -0.8, 0.3], "mag": 0.8, "phase": 0.4},
+                                {"omega": [-0.7, 1.3, 0.6, 0.2], "mag": 0.5, "phase": -1.1}]}
 
 
 def _src_env() -> dict:
@@ -339,6 +341,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o")] + flags) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_l2_nodes_is_checked_off_a_line_at_d4(self, tmp_path, capsys):
+        # both norms of an off-line d = 4 pair come from the Lobatto set, so
+        # --l2-nodes sizes it there too: 100^4 nodes are over the cap
+        (tmp_path / "d4.json").write_text(json.dumps(FOUR_DIM))
+        assert main(["build", "--target", f"cosine-sum:{tmp_path / 'd4.json'}", "--m", "8",
+                     "--l2-nodes", "100", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: l2_nodes")
+        assert "100^4" in err[0]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("atom, field", [
@@ -819,13 +832,18 @@ class TestVerify:
 
 class TestColdStart:
     def test_build_and_sweep_never_import_scipy(self, tmp_path):
-        # a fresh process: the other test modules import scipy at module level
+        # a fresh process: the other test modules import scipy at module level.
+        # An off-line d = 4 build and the identity checks run too, each twice
+        (tmp_path / "d4.json").write_text(json.dumps(FOUR_DIM))
         child = """if True:
             import json, sys
             import ridgecomb
             from ridgecomb import cli
             out = sys.argv[1]
             runs = [
+                *(["build", "--target", "cosine-sum:" + out + "/d4.json", "--m", "16",
+                   "--out", out + "/d4-" + run] for run in "ab"),
+                *(["verify", "identities", "--out", out + "/identities-" + run] for run in "ab"),
                 ["build", "--target", "sine-ridge:1,1", "--s", "3", "--method", "stratified",
                  "--m", "16", "--out", out + "/strat"],
                 ["build", "--target", "sine-ridge:1,1,1", "--s", "3", "--method", "sparse",
@@ -843,8 +861,15 @@ class TestColdStart:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout.splitlines()[-1])
-        assert doc["rcs"] == [0, 0, 0]
+        assert doc["rcs"] == [0] * 7
         assert doc["scipy"] == []
+        # reruns write the same bytes; only the manifests name their own directory
+        for name in ("d4", "identities"):
+            first, second = (read_bytes_map(tmp_path / f"{name}-{run}") for run in "ab")
+            del first["manifest.json"], second["manifest.json"]
+            assert first == second and first
+        checks = json.loads((tmp_path / "identities-a" / "verify_identities.json").read_text())
+        assert [c["value"] <= 1e-8 for c in checks["checks"]] == [True, True]
         # the sweep forks its workers itself: a process pool would cost each
         # sweep its import and start-up
         assert doc["pool"] == []

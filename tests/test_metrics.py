@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import qmc
 
 from ridgecomb import (
     RidgeAtom,
@@ -32,7 +31,7 @@ from ridgecomb import (
     spectral_representation,
     target_of,
 )
-from ridgecomb import core, metrics, rng, spectral
+from ridgecomb import core, metrics, spectral
 from ridgecomb.metrics import (
     _REFINE_TOP,
     _SCAN_LEVELS,
@@ -41,13 +40,10 @@ from ridgecomb.metrics import (
     _TOP_BLOCK,
     CSV_HEADER,
     DEFAULT_NODES,
-    LINF_RANDOM_POINTS_D4,
     ErrorReport,
     _checked_line,
     _cube,
     _scan_refine,
-    _sobol_rule,
-    _sup_grid,
     _top_k,
 )
 from ridgecomb.quadrature import gauss_lobatto, panel_rule, uniform_cube_rule
@@ -105,7 +101,7 @@ class TestL2Error:
         assert comb.inner_sparsity_max == m0 and len(comb._supports) > 1
         assert l2_error(tgt, comb) == pytest.approx(l2_error_uncached(tgt, comb), rel=1e-13)
 
-    def test_d4_quasirandom_path(self):
+    def test_d4_tensor_path(self):
         rep = exact_sine_representation((1, 1, 1, 1))
         tgt = target_of(rep)
         comb = build_iid(rep, 32, tgt, seed=0)
@@ -188,30 +184,20 @@ def refinement_cases():
 
 def l2_error_uncached(target, comb):
     """l2_error on a freshly built rule with fresh target values."""
-    if target.d <= 3:
-        points, weights = uniform_cube_rule.__wrapped__(target.d, DEFAULT_NODES[target.d], True)
-    else:
-        points = 2.0 * qmc.Sobol(d=4, scramble=False).random(2**16) - 1.0
-        weights = np.full(points.shape[0], 1.0 / points.shape[0])
+    points, weights = uniform_cube_rule.__wrapped__(target.d, DEFAULT_NODES[target.d], True)
     diff = target.evaluate_batch(points) - comb.evaluate_batch(points)
     return float(np.sqrt(np.sum(weights * diff * diff)))
 
 
 def default_axis(d):
-    """The 1-d nodes of the default point set: Gauss-Lobatto up to d = 3, the
-    uniform sup grid at d = 4, freshly computed."""
-    if d <= 3:
-        return gauss_lobatto.__wrapped__(DEFAULT_NODES[d])[0]
-    return np.linspace(-1.0, 1.0, DEFAULT_NODES[4])
+    """The 1-d Gauss-Lobatto nodes of the default point set, freshly computed."""
+    return gauss_lobatto.__wrapped__(DEFAULT_NODES[d])[0]
 
 
 def default_windows(d, starts):
-    """The scan windows of starts (k, d) on the default point set: up to d = 3
-    each coordinate's larger distance to a neighbouring node, at d = 4 one grid
-    step."""
+    """The scan windows of starts (k, d) on the default point set: each
+    coordinate's larger distance to a neighbouring node."""
     axis = default_axis(d)
-    if d == 4:
-        return 2.0 / (axis.size - 1)
     windows = np.zeros(starts.shape)
     for (i, j), x in np.ndenumerate(starts):
         below, above = axis[axis < x], axis[axis > x]
@@ -225,9 +211,6 @@ def linf_error_uncached(target, comb, refine_top=10):
     d = target.d
     mesh = np.meshgrid(*([default_axis(d)] * d), indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
-    if d == 4:
-        gen = rng.stream(0, rng.PROBE)
-        points = np.vstack([points, gen.uniform(-1.0, 1.0, size=(LINF_RANDOM_POINTS_D4, 4))])
     fn = abs_diff(target, comb)
     vals = fn(points)
     top = points[np.argsort(vals)[-refine_top:]]
@@ -272,16 +255,17 @@ class TestCachedPointSets:
     def test_points_and_values_are_read_only(self):
         rep, tgt = cosine_target(4)
         measure_report(tgt, build_iid(rep, 8, tgt, seed=0), 8, "iid", 0)
-        arrays = [_sup_grid(DEFAULT_NODES[4]), *_sobol_rule(),
+        arrays = [*gauss_lobatto(DEFAULT_NODES[4]), *uniform_cube_rule(4, DEFAULT_NODES[4], True),
                   *tgt._memo.values()]
-        # the target's kept residual on both point sets
+        # the target's kept residual on the one point set of both norms
         assert len(arrays) == 5
         for arr in arrays:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_target_is_evaluated_once_per_point_set(self, monkeypatch):
-        rep, tgt = cosine_target(3)
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_target_is_evaluated_once_per_point_set(self, d, monkeypatch):
+        rep, tgt = cosine_target(d)
         sizes, axes = [], []
         evaluate, tensor = TargetFunction.evaluate_batch, SpectralMeasure.evaluate_tensor
 
@@ -299,7 +283,7 @@ class TestCachedPointSets:
             measure_report(tgt, build_iid(rep, 8, tgt, seed=seed), 8, "iid", seed)
         # both norms' one point set from per-axis factors, once; only the
         # scan's probes go through evaluate_batch
-        assert axes == [DEFAULT_NODES[3]]
+        assert axes == [DEFAULT_NODES[d]]
         assert max(sizes) == _REFINE_TOP * _SCAN_SAMPLES  # the rows of one scan level
 
     def test_the_memo_holds_one_residual_per_point_set(self):
@@ -528,8 +512,7 @@ class TestLinfError:
             rows.append(probes.shape[0])
             return diff(probes)
 
-        points = _sup_grid(DEFAULT_NODES[4]) if d == 4 else uniform_cube_rule(
-            d, DEFAULT_NODES[d], True)[0]
+        points = uniform_cube_rule(d, DEFAULT_NODES[d], True)[0]
         starts = points[:_REFINE_TOP]
         _scan_refine(fn, starts, default_windows(d, starts))
         assert rows == [_REFINE_TOP * _SCAN_SAMPLES] * (_SCAN_PASSES * d * _SCAN_LEVELS)
