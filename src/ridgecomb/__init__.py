@@ -40,6 +40,7 @@ from .metrics import (
     linf_error,
     lower_bound_floor,
     measure_report,
+    measure_reports,
 )
 from .packing import (
     PackingSet,
@@ -107,6 +108,7 @@ __all__ = [
     "lower_bound_floor",
     "make_affine",
     "measure_report",
+    "measure_reports",
     "packing_lower_curve",
     "pairwise_distance",
     "partition_parameters",

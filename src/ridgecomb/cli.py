@@ -43,6 +43,7 @@ from .metrics import (
     l2_error,
     lower_bound_floor,
     measure_report,
+    measure_reports,
 )
 from .packing import (
     BINARY_ENTROPY_QUARTER,
@@ -62,6 +63,9 @@ DESK_MAX_M = 4096
 DESK_MAX_SEEDS = 50
 DESK_MAX_WORKERS = 32
 SEED_MAX = 2**64 - 1
+# a batch of sweep cells measured together ends at this many cells or stored terms
+_BATCH_CELLS = 256
+_BATCH_TERMS = 1 << 16
 METHODS = ("iid", "stratified", "sparse")
 MODES = ("signed", "fractional")
 
@@ -243,17 +247,54 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 # --- rate sweep ---
 
-def _sweep_cell(context: tuple, cell: tuple[str, int, int]):
-    """One (method, m, seed) cell of the sweep whose (rep, target, resolved,
-    grid_sizes) is context: its report, or the message of the BuilderError
-    that stopped its build."""
-    method, m, seed = cell
+def _sweep_cells(context: tuple, cells: list, reports: list, owner: int | None = None) -> None:
+    """Append to reports the result of each (method, m, seed) of cells, in
+    order, for the sweep whose (rep, target, resolved, grid_sizes) is
+    context: its report, or the message of the BuilderError that stopped its
+    build.  The cells are built in order and measured in batches, each
+    ending at _BATCH_CELLS cells or once it holds _BATCH_TERMS stored terms.
+
+    An exception at cell j is raised after the cells before j are measured,
+    so the earliest failing cell's is raised, with reports holding the
+    results before it.  With owner, the pid of a forked worker's sweep
+    process, the worker ends before a cell once that process is gone.
+    """
     rep, target, resolved, grid_sizes = context
+    pending, terms = [], 0
     try:
-        comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
-    except BuilderError as exc:
-        return str(exc)
-    return measure_report(target, comb, m, method, seed, **grid_sizes)
+        for method, m, seed in cells:
+            if owner is not None and os.getppid() != owner:
+                os._exit(1)
+            try:
+                comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
+            except BuilderError as exc:
+                pending.append(str(exc))
+                continue
+            pending.append((comb, m, method, seed))
+            terms += comb.term_count
+            if len(pending) >= _BATCH_CELLS or terms >= _BATCH_TERMS:
+                _measure(target, grid_sizes, pending, reports)
+                terms = 0
+    except Exception:
+        _measure(target, grid_sizes, pending, reports)
+        raise
+    _measure(target, grid_sizes, pending, reports)
+
+
+def _measure(target, grid_sizes: dict, pending: list, reports: list) -> None:
+    """Move the results of the pending cells, each a (comb, m, method, seed)
+    or a builder message, to reports in order.  The combinations are
+    measured as one batch; if that raises, one by one, so that the first
+    cell that raises on its own raises here."""
+    cells, pending[:] = pending[:], []
+    try:
+        measured = iter(measure_reports(target, [c for c in cells if not isinstance(c, str)],
+                                        **grid_sizes))
+    except Exception:
+        measured = (measure_report(target, *c, **grid_sizes) for c in cells
+                    if not isinstance(c, str))
+    for cell in cells:
+        reports.append(cell if isinstance(cell, str) else next(measured))
 
 
 def _run_share(context: tuple, cells: list, first: int, step: int, r: int, w: int,
@@ -262,18 +303,15 @@ def _run_share(context: tuple, cells: list, first: int, step: int, r: int, w: in
     pickle to the pipe end w, (None, reports, "") or the _pickled_failure of
     the first cell that raised; then end the process with exit 0, never
     returning.  A worker whose sweep process `owner` is gone (killed where it
-    could not clean up) ends after its current cell."""
+    could not clean up) ends before its next cell."""
     try:
         os.close(r)
-        reports, index = [], first
+        reports = []
         try:
-            for index in range(first, len(cells), step):
-                if os.getppid() != owner:
-                    os._exit(1)
-                reports.append(_sweep_cell(context, cells[index]))
+            _sweep_cells(context, cells[first::step], reports, owner)
             data = pickle.dumps((None, reports, ""))
         except BaseException as exc:  # raised again in the sweep process
-            data = _pickled_failure(index, exc)
+            data = _pickled_failure(first + len(reports) * step, exc)
         with os.fdopen(w, "wb") as fh:
             fh.write(data)
         os._exit(0)
@@ -377,11 +415,11 @@ def _run_forked(context: tuple, cells: list, n: int, reports: list) -> None:
 
 
 def _run_cells(cells: list, workers: int, context: tuple) -> list:
-    """`_sweep_cell` of every cell, in order.
+    """The result of every cell, in order (_sweep_cells).
 
-    The first cell runs in this process, so the target's kept residual on
-    the fixed point sets and the cached rules exist before n = min(workers,
-    cells - 1) worker processes are forked for the rest.  Forked workers
+    The first cell runs in this process on its own, so the target's kept
+    residual on the fixed point sets and the cached rules exist before n =
+    min(workers, cells - 1) worker processes are forked for the rest.  Forked workers
     inherit those arrays instead of computing them again.  Worker w runs
     cells 1 + w, 1 + w + n, ..., so every worker gets the same mix of methods
     and m, and sends its reports back through its own pipe; this process
@@ -392,9 +430,12 @@ def _run_cells(cells: list, workers: int, context: tuple) -> list:
     call returns or raises.  One worker, or a platform without fork, runs
     every cell here.
     """
+    reports = []
     if workers == 1 or getattr(os, "fork", None) is None:
-        return [_sweep_cell(context, cell) for cell in cells]
-    reports = [_sweep_cell(context, cells[0])] + [None] * (len(cells) - 1)
+        _sweep_cells(context, cells, reports)
+        return reports
+    _sweep_cells(context, cells[:1], reports)
+    reports += [None] * (len(cells) - 1)
     _run_forked(context, cells, min(workers, len(cells) - 1), reports)
     return reports
 

@@ -50,6 +50,7 @@ _DENSE_BLOCK_ELEMS = 1 << 16  # points x terms per block of the dense term sum
 _TERMS_MAJOR_MAX = 8  # dense blocks of at most this many terms are laid out terms x points
 _ROW_PAD = 8  # entries between the rows of a tensor-grid block
 _GROUPED_MIN_REPEAT = 8  # grouped term sum when terms >= this x distinct directions
+_GROUPED_BLOCK = 1 << 14  # points per block of the grouped term sum, a multiple of 64
 _SAVE_BLOCK = 1024  # terms formatted per write of save, so its memory does not grow with m
 
 
@@ -129,25 +130,24 @@ def _dense_term_sum(points: np.ndarray, At: np.ndarray, T: np.ndarray, B: np.nda
     """sum_k b_k (a_k . x - t_k)_+^(s-1) over blocks of points, O(n m) time, bounded memory.
 
     points (n, d), At (d, m) = A.T, T (m,) and B (m, 1) = coef[:, None], with
-    square for s = 3.  The thresholds are tiled once to the block shape.  A
-    block is points x terms, or terms x points when m <= _TERMS_MAJOR_MAX, so
-    that its long axis is the contiguous one.
+    square for s = 3.  The thresholds are subtracted by broadcast.  A block
+    is points x terms, or terms x points when m <= _TERMS_MAJOR_MAX, so that
+    its long axis is the contiguous one.
     """
     n, m = points.shape[0], At.shape[1]
     step = max(1, _DENSE_BLOCK_ELEMS // m)
-    major, width = m <= _TERMS_MAJOR_MAX, min(step, n)
-    buf = np.empty(width * m)
-    tiled = np.tile(T[:, None], width) if major else np.tile(T, (width, 1))
+    major = m <= _TERMS_MAJOR_MAX
+    buf = np.empty(min(step, n) * m)
     acc = np.empty((n, 1))
     for lo in range(0, n, step):
         blk = points[lo:lo + step]
         rows = blk.shape[0]
         if major:
             Z = np.matmul(At.T, blk.T, out=buf[:m * rows].reshape(m, rows))
-            Z -= tiled[:, :rows]
+            Z -= T[:, None]
         else:
             Z = np.matmul(blk, At, out=buf[:rows * m].reshape(rows, m))
-            Z -= tiled[:rows]
+            Z -= T
         np.maximum(Z, 0.0, out=Z)
         if square:
             Z *= Z
@@ -382,15 +382,22 @@ class RidgeCombination:
         return tuple(groups)
 
     def _grouped_term_sum(self, points: np.ndarray) -> np.ndarray:
-        """sum_k b_k (a_k . x - t_k)_+^(s-1) by direction groups, O(n D log m)."""
+        """sum_k b_k (a_k . x - t_k)_+^(s-1) by direction groups, O(n D log m).
+
+        The points go in blocks of _GROUPED_BLOCK, every group's sum into one
+        block before the next, so a block's projections and gathers stay in
+        cache; each point gets the bits of an unblocked sum.
+        """
         acc = np.zeros(points.shape[0])
-        for a, ts, S in self._groups:
-            p = points @ a
-            i = np.searchsorted(ts, p)  # the group's terms with t < p are the active ones
-            if self.s == 2:
-                acc += p * S[0, i] - S[1, i]
-            else:
-                acc += (p * S[0, i] - 2.0 * S[1, i]) * p + S[2, i]
+        for lo in range(0, points.shape[0], _GROUPED_BLOCK):
+            blk, out = points[lo:lo + _GROUPED_BLOCK], acc[lo:lo + _GROUPED_BLOCK]
+            for a, ts, S in self._groups:
+                p = blk @ a
+                i = np.searchsorted(ts, p)  # the group's terms with t < p are the active ones
+                if self.s == 2:
+                    out += p * S[0, i] - S[1, i]
+                else:
+                    out += (p * S[0, i] - 2.0 * S[1, i]) * p + S[2, i]
         return acc
 
     def _term_sum(self, points: np.ndarray) -> np.ndarray:

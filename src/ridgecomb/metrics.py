@@ -14,7 +14,10 @@ the target less the polynomial part b0 + a0 . x [+ 0.5 x^T A0 x] that the
 builders copy from it.  Every combination measured takes a copy of it and
 subtracts its terms in place; a target built from a measure computes its
 values there from per-axis factors, and each term is evaluated only on the
-coordinates it uses.
+coordinates it uses.  measure_reports measures a batch of pairs on one
+target: each pair gets its own pass on the point set, and the scans of the
+batch run as one, so each scan level makes one target call for all of them,
+with every value the bits of a scan of the pair alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .core import _L1_TOL, polynomial_part
 from .errors import UsageError
 from .quadrature import MAX_RULE_POINTS, gauss_lobatto, panel_rule, tensor_grid, uniform_cube_rule
-from .spectral import TargetFunction
+from .spectral import _ROW_GROUP, TargetFunction
 
 __all__ = [
     "ErrorReport",
@@ -39,6 +42,7 @@ __all__ = [
     "fit_rate",
     "lower_bound_floor",
     "measure_report",
+    "measure_reports",
 ]
 
 DEFAULT_NODES = {1: 257, 2: 129, 3: 41, 4: 27}
@@ -279,10 +283,11 @@ def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_
     return _cube(target, comb, per_axis, False, refine_top)[1]
 
 
-def _cube(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tuple:
-    """(L2 if l2, the sup unless refine_top is None; else None) off a line, in one
-    pass on the n^d Gauss-Lobatto set, a scan window being the larger gap from a
-    start's node to a neighbour."""
+def _cube_pass(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tuple:
+    """The per-pair pass on the n^d Gauss-Lobatto set, off a line: (L2 if l2,
+    the set's maximum unless refine_top is None; else None, the scan's starts
+    (k, d), their windows (k, d)).  The starts are the refine_top best nodes,
+    each window the larger gap from a start's node to a neighbour."""
     axis, key = gauss_lobatto(n)[0], ("lobatto", n)
     points, weights = uniform_cube_rule(target.d, n, True)
     vals = _diff_on(target, comb, key, points, axis)
@@ -290,44 +295,102 @@ def _cube(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tupl
     top = _top_k(vals, min(refine_top or 0, vals.size))  # ascending by value
     sup = None if refine_top is None else float(vals[top[-1]] if top.size else vals.max())
     norm = float(np.sqrt(weights @ np.square(vals, out=vals))) if l2 else None
-    if top.size:  # each start coordinate is a node: its larger gap to a neighbour
-        gap = np.diff(axis, prepend=-1.0, append=1.0)
-        window = np.maximum(gap[:-1], gap[1:])[np.searchsorted(axis, points[top])]
-        sup = max(sup, _scan_refine(lambda p: np.abs(target.evaluate_batch(p)
-                                                     - comb.evaluate_batch(p)),
-                                    points[top], window))
+    gap = np.diff(axis, prepend=-1.0, append=1.0)
+    starts = points[top]
+    return norm, sup, starts, np.maximum(gap[:-1], gap[1:])[np.searchsorted(axis, starts)]
+
+
+def _cube(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tuple:
+    """(L2 if l2, the sup unless refine_top is None; else None) off a line: the
+    per-pair pass, its maximum raised by the scan from its starts."""
+    norm, sup, starts, windows = _cube_pass(target, comb, n, l2, refine_top)
+    if starts.size:
+        sup = max(sup, _stacked_scan(target, [(comb, starts, windows)])[0])
     return norm, sup
 
 
-def _scan_refine(fn, starts: np.ndarray, spacing) -> float:
-    """The max of fn seen by a cyclic per-axis coarse-to-fine scan from each start.
+def _stacked_scan(target, scans) -> list[float]:
+    """The max of |target - comb| seen by the scan from each (comb, starts,
+    windows) of scans, all pairs' starts scanned together.
+
+    Each level evaluates the target once on all probes, each pair's rows
+    starting at a multiple of _ROW_GROUP and taken as a call of their own
+    (TargetFunction.evaluate_calls).  The polynomial part is computed once
+    when every combination's (b0, a0, A0) is the first one's, as the
+    builders copy the target's, and each combination's terms on its own
+    rows.  So every probe value has the bits of a scan of its pair alone.
+    """
+    combs, starts, windows = zip(*scans)
+    counts = [len(x) for x in starts]
+    spans, lo = [], 0
+    for k in counts:
+        spans.append((lo, lo + k * _SCAN_SAMPLES))
+        lo += -(-k * _SCAN_SAMPLES // _ROW_GROUP) * _ROW_GROUP
+    first = combs[0]
+    shared = all(c.b0 == first.b0 and np.array_equal(c.a0, first.a0)
+                 and (c.A0 is None if first.A0 is None else np.array_equal(c.A0, first.A0))
+                 for c in combs)
+
+    def fn(probes):
+        if shared:
+            vals = polynomial_part(probes, first.b0, first.a0, first.A0)
+        else:
+            vals = np.zeros(probes.shape[0])
+        for comb, (lo, hi) in zip(combs, spans):
+            rows = probes[lo:hi]
+            if not shared:
+                vals[lo:hi] = polynomial_part(rows, comb.b0, comb.a0, comb.A0)
+            if comb.term_count:
+                vals[lo:hi] += comb.outer_scale * comb._term_sum(rows)
+        vals = target.evaluate_calls(probes, spans) - vals
+        return np.abs(vals, out=vals)
+
+    at = slice(None)
+    if len(spans) > 1:
+        at = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+    maxima = _scan_maxima(fn, np.concatenate(starts), np.concatenate(windows), at,
+                          spans[-1][1])
+    return np.fmax.reduceat(maxima, np.cumsum([0] + counts[:-1])).tolist()
+
+
+def _scan_maxima(fn, starts: np.ndarray, spacing, at=slice(None), size=None) -> np.ndarray:
+    """The max of fn seen by a cyclic per-axis coarse-to-fine scan from each
+    start, one per start.
 
     On each axis a start's window is its coordinate +-spacing (one number, or
     (k, d) per start and axis), within the cube.  Each level samples
     _SCAN_SAMPLES evenly spaced points across the window, moves the start to its
     best sample and narrows the window to +-one sample step around it.  fn maps
-    probes (n, d) to values (n,); every start's samples of a level go to it in one call.
+    probes (size, d) to values (size,); every start's samples of a level go to
+    it in one call, start by start in the rows `at` (by default all k
+    _SCAN_SAMPLES rows), and the other rows hold 0.
     """
     x = starts.copy()
     k, d = x.shape
     spacing = np.broadcast_to(spacing, x.shape)
     frac = np.linspace(0.0, 1.0, _SCAN_SAMPLES)
     rows = np.arange(k)
-    seen = -math.inf
+    seen = np.full(k, -math.inf)
+    probes = np.zeros((k * _SCAN_SAMPLES if size is None else size, d))
     for _ in range(_SCAN_PASSES):
         for ax in range(d):
-            probes = np.repeat(x, _SCAN_SAMPLES, axis=0)
+            probes[at] = np.repeat(x, _SCAN_SAMPLES, axis=0)
             lo = np.clip(x[:, ax] - spacing[:, ax], -1.0, 1.0)
             hi = np.clip(x[:, ax] + spacing[:, ax], -1.0, 1.0)
             for _ in range(_SCAN_LEVELS):
                 q = lo[:, None] + (hi - lo)[:, None] * frac
-                probes[:, ax] = q.ravel()
-                v = fn(probes).reshape(k, _SCAN_SAMPLES)
-                seen = max(seen, float(v.max()))
+                probes[at, ax] = q.ravel()
+                v = fn(probes)[at].reshape(k, _SCAN_SAMPLES)
+                np.fmax(seen, v.max(axis=1), out=seen)
                 x[:, ax] = q[rows, v.argmax(axis=1)]
                 step = (hi - lo) / (_SCAN_SAMPLES - 1)
                 lo, hi = np.maximum(lo, x[:, ax] - step), np.minimum(hi, x[:, ax] + step)
     return seen
+
+
+def _scan_refine(fn, starts: np.ndarray, spacing) -> float:
+    """The max of fn seen by the scan (_scan_maxima) from every start."""
+    return float(_scan_maxima(fn, starts, spacing).max())
 
 
 @dataclass(frozen=True)
@@ -389,16 +452,37 @@ def measure_report(target, comb, m: int, method: str, seed: int,
                    l2_nodes: int | None = None, linf_grid: int | None = None) -> ErrorReport:
     """Bundle both error norms and the size stats of a built combination: the
     values of l2_error and linf_error, with the pair checked, and its line
-    pieces found, once."""
+    pieces found, once.  measure_reports of the one pair."""
+    return measure_reports(target, [(comb, m, method, seed)], l2_nodes, linf_grid)[0]
+
+
+def measure_reports(target, cells, l2_nodes: int | None = None,
+                    linf_grid: int | None = None) -> list[ErrorReport]:
+    """measure_report of each (comb, m, method, seed) of cells, in order.
+
+    Each pair gets its own pass, in order: the checks, then its line norms,
+    or on the Gauss-Lobatto set its L2, maximum and scan starts.  The scans
+    of all the pairs off a line then run as one (_stacked_scan), each pair's
+    probe values with the bits of a scan of that pair alone.
+    """
     n, per_axis = _size(target, l2_nodes), _size(target, linf_grid)
-    line = _checked_line(target, comb, "measure_report", l2_nodes=n, linf_grid=per_axis)
-    if line is None:
+    norms, scans = [], []
+    for comb, *_ in cells:
+        line = _checked_line(target, comb, "measure_report", l2_nodes=n, linf_grid=per_axis)
+        if line is not None:
+            pieces = _line_pieces(comb, line)
+            norms.append((_line_l2(target, line, *pieces), _line_linf(target, line, *pieces)))
+            continue
         shared = n == per_axis  # one point set for both norms
-        l2, linf = _cube(target, comb, n, True, _REFINE_TOP if shared else None)
+        l2, linf, starts, windows = _cube_pass(target, comb, n, True,
+                                               _REFINE_TOP if shared else None)
         if not shared:
-            linf = _cube(target, comb, per_axis, False, _REFINE_TOP)[1]
-    else:
-        pieces = _line_pieces(comb, line)
-        l2, linf = _line_l2(target, line, *pieces), _line_linf(target, line, *pieces)
-    return ErrorReport(m=int(m), method=method, seed=int(seed), l2=l2, linf=linf,
-                       terms=comb.term_count, sparsity=comb.inner_sparsity_max)
+            _, linf, starts, windows = _cube_pass(target, comb, per_axis, False, _REFINE_TOP)
+        scans.append((len(norms), comb, starts, windows))
+        norms.append((l2, linf))
+    if scans:
+        for (i, *_), sup in zip(scans, _stacked_scan(target, [s[1:] for s in scans])):
+            norms[i] = (norms[i][0], max(norms[i][1], sup))
+    return [ErrorReport(m=int(m), method=method, seed=int(seed), l2=l2, linf=linf,
+                        terms=comb.term_count, sparsity=comb.inner_sparsity_max)
+            for (comb, m, method, seed), (l2, linf) in zip(cells, norms)]

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ridgecomb import RidgeAtom, RidgeCombination, build_from_config, cli
+from ridgecomb import RidgeAtom, RidgeCombination, build_from_config, cli, make_affine
 from ridgecomb.cli import main
 from ridgecomb.errors import BuilderError, UsageError
-from ridgecomb.metrics import CSV_HEADER, lower_bound_floor, measure_report
+from ridgecomb.metrics import CSV_HEADER, lower_bound_floor, measure_report, measure_reports
 from ridgecomb.targets import resolve_target
 
 TWO_FREQUENCY = {"dim": 2, "atoms": [{"omega": [1.0, 0.5], "mag": 0.8, "phase": 0.4},
@@ -581,6 +581,54 @@ class TestRateSweep:
             results.append((rc, capsys.readouterr().err, out.exists()))
         assert results == [(2, "config error: cell m=4 seed=8 refused\n", False)] * 3
 
+    @pytest.mark.parametrize("batch_cells", [1, 2, cli._BATCH_CELLS])
+    @pytest.mark.parametrize("bad_seed, want", [
+        (5, "dimension mismatch: target d=1, combination d=2"),
+        (9, "cell m=4 seed=6 refused")])
+    def test_the_earliest_failing_cell_wins_over_batches(self, bad_seed, want, batch_cells,
+                                                         tmp_path, monkeypatch, capsys):
+        # cell bad_seed (m = 4) builds a combination of the wrong dimension,
+        # which only its measurement refuses; cells 6 and 11 fail to build.  A
+        # batch is measured after later cells are built, and a worker's share
+        # may fail in its measurement at a later cell than another share's
+        # build, yet the earliest failing cell's error wins at every worker
+        # count and batch size
+        build = cli.build_from_config
+
+        def failing(rep, target, bcfg):
+            if (bcfg["m"], bcfg["seed"]) == (4, bad_seed):
+                return make_affine(2, 2, 0.0, np.zeros(2))
+            if (bcfg["m"], bcfg["seed"]) in ((4, 6), (8, 1)):
+                raise UsageError(f"cell m={bcfg['m']} seed={bcfg['seed']} refused")
+            return build(rep, target, bcfg)
+
+        monkeypatch.setattr(cli, "build_from_config", failing)
+        monkeypatch.setattr(cli, "_BATCH_CELLS", batch_cells)
+        results = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            rc = main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                       "--m", "4,8,16", "--seeds", "10", "--workers", str(workers),
+                       "--out", str(out)])
+            results.append((rc, capsys.readouterr().err, out.exists()))
+        assert results == [(2, f"config error: {want}\n", False)] * 3
+
+    @pytest.mark.parametrize("cap", [("_BATCH_CELLS", 1), ("_BATCH_CELLS", 7),
+                                     ("_BATCH_TERMS", 40)])
+    def test_sweep_files_do_not_depend_on_the_batch_cap(self, cap, tmp_path, monkeypatch):
+        # cube pairs, so every cell's sup goes through the stacked scan
+        spec = tmp_path / "two.json"
+        spec.write_text(json.dumps(TWO_FREQUENCY))
+        argv = ["rate-sweep", "--target", f"cosine-sum:{spec}", "--s", "3",
+                "--methods", "iid,sparse", "--m", "2,8,16", "--seeds", "10", "--m0", "2",
+                "--workers", "1"]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        monkeypatch.setattr(cli, *cap)
+        assert main(argv + ["--out", str(tmp_path / "capped")]) == 0
+        for name in ("results.csv", "fits.json"):
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "capped" / name).read_bytes())
+
     def test_an_exception_that_cannot_be_unpickled_is_named_not_a_dead_worker(
             self, tmp_path, monkeypatch):
         build = cli.build_from_config
@@ -786,16 +834,19 @@ class TestRateSweep:
     @pytest.mark.parametrize("command", ["build", "rate-sweep"])
     def test_each_cell_is_measured_once_through_measure_report(self, command, tmp_path,
                                                                monkeypatch):
-        # one line per call, appended to a file: the sweep's worker processes
-        # cannot reach a list in this one
+        # one line per measured cell, appended to a file: the sweep's worker
+        # processes cannot reach a list in this one.  build measures its pair
+        # through measure_report, a sweep its batches through measure_reports
         log = tmp_path / "calls.log"
 
-        def counting(target, comb, m, method, seed, **sizes):
+        def counting(target, cells, **sizes):
             with open(log, "a") as fh:
-                fh.write(f"{m},{method},{seed}\n")
-            return measure_report(target, comb, m, method, seed, **sizes)
+                fh.writelines(f"{m},{method},{seed}\n" for _, m, method, seed in cells)
+            return measure_reports(target, cells, **sizes)
 
-        monkeypatch.setattr(cli, "measure_report", counting)
+        monkeypatch.setattr(cli, "measure_report", lambda target, *cell, **sizes:
+                            counting(target, [cell], **sizes)[0])
+        monkeypatch.setattr(cli, "measure_reports", counting)
         out = tmp_path / "o"
         if command == "build":
             argv = ["build", "--target", "sine-ridge:1,1", "--method", "iid", "--m", "8",

@@ -432,6 +432,24 @@ class TestEvaluationPaths:
             tracemalloc.stop()
         assert peak <= _EVAL_PEAK_BOUND
 
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_blocked_grouped_sum_equals_the_unblocked_one(self, s):
+        # 60 directions of 10 terms each, on a point count that is not a
+        # multiple of the block, summed in blocks and in one pass
+        gen = np.random.default_rng(s)
+        dirs = gen.uniform(-1.0, 1.0, size=(60, 3))
+        dirs /= np.abs(dirs).sum(axis=1, keepdims=True)
+        m = 600
+        c = RidgeCombination.from_arrays(3, s, 0.0, np.zeros(3), None, 1.0,
+                                         gen.uniform(-1.0, 1.0, m), np.ones(m),
+                                         np.repeat(dirs, 10, axis=0), gen.uniform(0.0, 1.0, m))
+        assert c._grouped
+        pts = gen.uniform(-1.0, 1.0, size=(2 * core._GROUPED_BLOCK + 1001, 3))
+        blocked = c._grouped_term_sum(pts)
+        with mock.patch.object(core, "_GROUPED_BLOCK", pts.shape[0]):
+            whole = c._grouped_term_sum(pts)
+        assert np.array_equal(blocked, whole)
+
     def test_path_follows_direction_repetition(self):
         pts = CubeDomain(2).grid(9)
         shared = dyadic_combination(3, 2, 32, "equal", seed=1)

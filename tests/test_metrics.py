@@ -28,6 +28,7 @@ from ridgecomb import (
     lower_bound_floor,
     make_affine,
     measure_report,
+    measure_reports,
     spectral_representation,
     target_of,
 )
@@ -540,6 +541,134 @@ class TestLinfError:
         for seed in range(5):
             comb = build_iid(rep, 32, tgt, seed=seed)
             assert linf_error(tgt, comb) >= l2_error(tgt, comb) - 1e-12
+
+
+def report_bits(rpt):
+    """A report's fields, its norms as the bits of the floats."""
+    return (rpt.m, rpt.method, rpt.seed, rpt.l2.hex(), rpt.linf.hex(), rpt.terms, rpt.sparsity)
+
+
+def off_line_combination(tgt, m, seed):
+    """m terms in fresh random directions, with the target's polynomial part:
+    off the line of any target."""
+    gen = np.random.default_rng(seed)
+    A = gen.uniform(-1.0, 1.0, size=(m, tgt.d))
+    A /= np.abs(A).sum(axis=1, keepdims=True)
+    return RidgeCombination.from_arrays(tgt.d, 3, tgt.b0, tgt.a0, tgt.A0, 2.0,
+                                        gen.uniform(-1.0, 1.0, m), np.ones(m), A,
+                                        gen.uniform(0.0, 1.0, m))
+
+
+def own_polynomial_part(comb):
+    """comb with b0 and a0 of its own, so a batch holding it cannot share one
+    polynomial part."""
+    return RidgeCombination.from_arrays(comb.d, comb.s, comb.b0 + 0.25, comb.a0[::-1], comb.A0,
+                                        comb.v, comb.coef, comb.sign, comb.A, comb.t)
+
+
+def stacked_batches():
+    """(target, cells) batches of (comb, m, method, seed), each mixing pairs
+    on the dense and the grouped term sum, on and off a line, with and
+    without the builders' polynomial part."""
+    rep3, tgt3 = cosine_target(3)
+    sine = spectral_representation(sine_ridge_measure((1, 1)), 3)
+    tgt_sine = target_of(sine)
+    many = spectral_representation(SpectralMeasure(
+        omegas=np.random.default_rng(5).normal(0.0, 2.0, size=(12, 2)), mags=np.full(12, 0.1),
+        phases=np.linspace(-3.0, 3.0, 12)), 3)
+    tgt_many = target_of(many)
+    dense = build_iid(rep3, 16, tgt3, seed=1)  # 4 directions: dense below 32 terms
+    cube = [(dense, 16, "iid", 1),
+            (build_iid(rep3, 64, tgt3, seed=2), 64, "iid", 2),  # grouped
+            (build_sparse(rep3, 16, 2, tgt3, seed=3), 16, "sparse", 3),
+            (own_polynomial_part(dense), 16, "own", 1),
+            (make_affine(3, 3, 0.0, np.zeros(3), np.eye(3)), 1, "affine", 0),
+            (build_iid(rep3, 8, tgt3, seed=4), 8, "iid", 4)]
+    line = [(build_iid(sine, 16, tgt_sine, seed=5), 16, "iid", 5),
+            (off_line_combination(tgt_sine, 12, 6), 12, "hand", 6),
+            (build_stratified(sine, 16, 0.25, "fractional", tgt_sine, seed=7), 16,
+             "stratified", 7),
+            (off_line_combination(tgt_sine, 40, 8), 40, "hand", 8)]
+    # without a measure, each call of the target goes through evaluate_batch
+    no_measure = TargetFunction(d=3, b0=tgt3.b0, a0=tgt3.a0, A0=tgt3.A0, _fn=tgt3.evaluate_batch)
+    # twelve frequencies: the last rows of a call are contracted in another order
+    frequent = [(build_iid(many, m, tgt_many, seed=seed), m, "iid", seed)
+                for m, seed in ((16, 1), (64, 2), (4, 3))]
+    return [(tgt3, cube), (tgt_sine, line), (direct_target(tgt_sine), line),
+            (no_measure, cube), (tgt_many, frequent)]
+
+
+class TestStackedScan:
+    @pytest.mark.parametrize("case", range(5))
+    def test_batches_equal_one_pair_at_a_time(self, case):
+        tgt, cells = stacked_batches()[case]
+        solo = [report_bits(measure_report(tgt, *cell)) for cell in cells]
+        for size in (len(cells), 2, 1):
+            got = [report_bits(r) for lo in range(0, len(cells), size)
+                   for r in measure_reports(tgt, cells[lo:lo + size])]
+            assert got == solo, size
+        # and the norms of l2_error and linf_error
+        for (comb, *_), (_, _, _, l2, linf, _, _) in zip(cells, solo):
+            assert (l2_error(tgt, comb).hex(), linf_error(tgt, comb).hex()) == (l2, linf)
+
+    @pytest.mark.parametrize("case", [0, 4])
+    def test_every_probe_value_keeps_its_bits(self, case, monkeypatch):
+        # each scan level's values on every pair's rows, stacked and alone; on
+        # twelve frequencies a target call over all rows would sum the last
+        # rows of each pair in another order
+        tgt, cells = stacked_batches()[case]
+        runs = []
+        scan = metrics._scan_maxima
+
+        def recording(fn, starts, spacing, at=slice(None), size=None):
+            levels = []
+            runs.append(levels)
+
+            def kept(probes):
+                vals = fn(probes)
+                levels.append(vals[at].view(np.int64).copy())
+                return vals
+
+            return scan(kept, starts, spacing, at, size)
+
+        monkeypatch.setattr(metrics, "_scan_maxima", recording)
+        for cell in cells:
+            measure_report(tgt, *cell)
+        measure_reports(tgt, cells)
+        *alone, stacked = runs
+        assert len(alone) == sum(_checked_line(tgt, c, "-") is None for c, *_ in cells)
+        assert len(stacked) == _SCAN_PASSES * tgt.d * _SCAN_LEVELS
+        for level, vals in enumerate(stacked):
+            assert np.array_equal(vals, np.concatenate([run[level] for run in alone]))
+
+    def test_a_batch_makes_one_target_call_per_scan_level(self, monkeypatch):
+        rep, tgt = cosine_target(3)
+        cells = [(build_iid(rep, 16, tgt, seed=seed), 16, "iid", seed) for seed in range(5)]
+        measure_report(tgt, *cells[0])  # keeps the residual on the point set
+        batch, single = [], []
+        evaluate, measure_evaluate = TargetFunction.evaluate_batch, SpectralMeasure.evaluate_batch
+
+        def counting(self, points):
+            single.append(len(points))
+            return evaluate(self, points)
+
+        def counting_measure(self, points, calls=None):
+            batch.append(calls)
+            return measure_evaluate(self, points, calls)
+
+        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
+        monkeypatch.setattr(SpectralMeasure, "evaluate_batch", counting_measure)
+        measure_reports(tgt, cells)
+        assert single == []
+        assert len(batch) == _SCAN_PASSES * 3 * _SCAN_LEVELS
+        rows = _REFINE_TOP * _SCAN_SAMPLES
+        for calls in batch:
+            assert [hi - lo for lo, hi in calls] == [rows] * len(cells)
+            assert all(lo % spectral._ROW_GROUP == 0 for lo, _ in calls)
+
+    def test_no_pair_makes_an_empty_list(self):
+        rep, tgt = cosine_target(2)
+        assert measure_reports(tgt, []) == []
 
 
 class DuckTarget:
