@@ -257,14 +257,19 @@ def _sweep_cells(context: tuple, cells: list, reports: list, owner: int | None =
     An exception at cell j is raised after the cells before j are measured,
     so the earliest failing cell's is raised, with reports holding the
     results before it.  With owner, the pid of a forked worker's sweep
-    process, the worker ends before a cell once that process is gone.
+    process, the worker ends once that process is gone: it looks before each
+    build, each pair's pass and each scan level of a batch.
     """
     rep, target, resolved, grid_sizes = context
+
+    def poll() -> None:
+        if owner is not None and os.getppid() != owner:
+            os._exit(1)
+
     pending, terms = [], 0
     try:
         for method, m, seed in cells:
-            if owner is not None and os.getppid() != owner:
-                os._exit(1)
+            poll()
             try:
                 comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
             except BuilderError as exc:
@@ -273,26 +278,35 @@ def _sweep_cells(context: tuple, cells: list, reports: list, owner: int | None =
             pending.append((comb, m, method, seed))
             terms += comb.term_count
             if len(pending) >= _BATCH_CELLS or terms >= _BATCH_TERMS:
-                _measure(target, grid_sizes, pending, reports)
+                _measure(target, grid_sizes, pending, reports, poll)
                 terms = 0
     except Exception:
-        _measure(target, grid_sizes, pending, reports)
+        _measure(target, grid_sizes, pending, reports, poll)
         raise
-    _measure(target, grid_sizes, pending, reports)
+    _measure(target, grid_sizes, pending, reports, poll)
 
 
-def _measure(target, grid_sizes: dict, pending: list, reports: list) -> None:
+def _measure(target, grid_sizes: dict, pending: list, reports: list, poll) -> None:
     """Move the results of the pending cells, each a (comb, m, method, seed)
-    or a builder message, to reports in order.  The combinations are
-    measured as one batch; if that raises, one by one, so that the first
-    cell that raises on its own raises here."""
+    or a builder message, to reports in order.  Several combinations are
+    measured as one batch (measure_reports, calling poll between its steps),
+    one on its own by measure_report.  If a batch raises, its combinations
+    are measured one by one, so that the first cell that raises on its own
+    raises here."""
     cells, pending[:] = pending[:], []
-    try:
-        measured = iter(measure_reports(target, [c for c in cells if not isinstance(c, str)],
-                                        **grid_sizes))
-    except Exception:
-        measured = (measure_report(target, *c, **grid_sizes) for c in cells
-                    if not isinstance(c, str))
+    combs = [c for c in cells if not isinstance(c, str)]
+
+    def one_by_one():
+        for comb in combs:
+            poll()
+            yield measure_report(target, *comb, **grid_sizes)
+
+    measured = one_by_one()
+    if len(combs) > 1:
+        try:
+            measured = iter(measure_reports(target, combs, **grid_sizes, poll=poll))
+        except Exception:
+            pass  # raised again by the earliest cell that raises on its own
     for cell in cells:
         reports.append(cell if isinstance(cell, str) else next(measured))
 
@@ -303,7 +317,8 @@ def _run_share(context: tuple, cells: list, first: int, step: int, r: int, w: in
     pickle to the pipe end w, (None, reports, "") or the _pickled_failure of
     the first cell that raised; then end the process with exit 0, never
     returning.  A worker whose sweep process `owner` is gone (killed where it
-    could not clean up) ends before its next cell."""
+    could not clean up) ends within its current build, pair's pass or scan
+    level (_sweep_cells)."""
     try:
         os.close(r)
         reports = []

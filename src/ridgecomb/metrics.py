@@ -309,9 +309,10 @@ def _cube(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tupl
     return norm, sup
 
 
-def _stacked_scan(target, scans) -> list[float]:
+def _stacked_scan(target, scans, poll=None) -> list[float]:
     """The max of |target - comb| seen by the scan from each (comb, starts,
-    windows) of scans, all pairs' starts scanned together.
+    windows) of scans, all pairs' starts scanned together, calling poll, if
+    given, before each level.
 
     Each level evaluates the target once on all probes, each pair's rows
     starting at a multiple of _ROW_GROUP and taken as a call of their own
@@ -332,6 +333,8 @@ def _stacked_scan(target, scans) -> list[float]:
                  for c in combs)
 
     def fn(probes):
+        if poll is not None:
+            poll()
         if shared:
             vals = polynomial_part(probes, first.b0, first.a0, first.A0)
         else:
@@ -457,17 +460,21 @@ def measure_report(target, comb, m: int, method: str, seed: int,
 
 
 def measure_reports(target, cells, l2_nodes: int | None = None,
-                    linf_grid: int | None = None) -> list[ErrorReport]:
+                    linf_grid: int | None = None, *, poll=None) -> list[ErrorReport]:
     """measure_report of each (comb, m, method, seed) of cells, in order.
 
     Each pair gets its own pass, in order: the checks, then its line norms,
     or on the Gauss-Lobatto set its L2, maximum and scan starts.  The scans
     of all the pairs off a line then run as one (_stacked_scan), each pair's
-    probe values with the bits of a scan of that pair alone.
+    probe values with the bits of a scan of that pair alone.  poll, when
+    given, is called with no arguments before each pair's pass and each scan
+    level, so that a caller can end a long batch.
     """
     n, per_axis = _size(target, l2_nodes), _size(target, linf_grid)
     norms, scans = [], []
     for comb, *_ in cells:
+        if poll is not None:
+            poll()
         line = _checked_line(target, comb, "measure_report", l2_nodes=n, linf_grid=per_axis)
         if line is not None:
             pieces = _line_pieces(comb, line)
@@ -481,7 +488,7 @@ def measure_reports(target, cells, l2_nodes: int | None = None,
         scans.append((len(norms), comb, starts, windows))
         norms.append((l2, linf))
     if scans:
-        for (i, *_), sup in zip(scans, _stacked_scan(target, [s[1:] for s in scans])):
+        for (i, *_), sup in zip(scans, _stacked_scan(target, [s[1:] for s in scans], poll)):
             norms[i] = (norms[i][0], max(norms[i][1], sup))
     return [ErrorReport(m=int(m), method=method, seed=int(seed), l2=l2, linf=linf,
                         terms=comb.term_count, sparsity=comb.inner_sparsity_max)

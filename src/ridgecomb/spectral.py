@@ -187,42 +187,23 @@ class SpectralMeasure:
     def size(self) -> int:
         return self.omegas.shape[0]
 
-    def evaluate_batch(self, points: np.ndarray, calls=None) -> np.ndarray:
+    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """f at each row of points (n, d).
 
         The rows go in blocks of at most _EVAL_BLOCK_ELEMS row x frequency
         entries, so memory stays bounded whatever J.  Each block does an
         unblocked call's operations.
-
-        `calls`, when given, lists ascending disjoint row ranges (lo, hi),
-        each lo a multiple of _ROW_GROUP: each range then gets the bits of
-        evaluate_batch(points[lo:hi]), and the other rows 0.  Nearby ranges
-        share one product with the frequencies; each range takes its cosines
-        and its product with the magnitudes on its own rows, because that
-        matrix-vector product sums the last rows of a call in another order.
         """
         points = np.asarray(points, dtype=float)
-        n = points.shape[0]
         step = max(_ROW_GROUP, _EVAL_BLOCK_ELEMS // self.size // _ROW_GROUP * _ROW_GROUP)
-        # every range's blocks, as a call on the range alone takes them
-        blocks = [(b, min(b + step, hi)) for lo, hi in ([(0, n)] if calls is None else calls)
-                  for b in range(lo, hi, step)]
-        out = np.empty(n) if calls is None else np.zeros(n)
-        buf = np.empty((min(step, n), self.size))
-        i = 0
-        while i < len(blocks):
-            # the blocks that end within step rows of this one's start share one product
-            lo, j = blocks[i][0], i + 1
-            while j < len(blocks) and blocks[j][1] - lo <= step:
-                j += 1
-            hi = blocks[j - 1][1]
-            Z = np.matmul(points[lo:hi], self.omegas.T, out=buf[:hi - lo])
-            for a, b in blocks[i:j]:
-                z = Z[a - lo:b - lo]
-                z += self.phases
-                np.cos(z, out=z)
-                np.matmul(z, self.mags, out=out[a:b])
-            i = j
+        out = np.empty(points.shape[0])
+        buf = np.empty((min(step, points.shape[0]), self.size))
+        for lo in range(0, points.shape[0], step):
+            blk = points[lo:lo + step]
+            Z = np.matmul(blk, self.omegas.T, out=buf[:blk.shape[0]])
+            Z += self.phases
+            np.cos(Z, out=Z)
+            np.matmul(Z, self.mags, out=out[lo:lo + blk.shape[0]])
         return out
 
     def evaluate_tensor(self, axis: np.ndarray) -> np.ndarray:
@@ -360,11 +341,9 @@ class TargetFunction:
 
     def evaluate_calls(self, points: np.ndarray, calls) -> np.ndarray:
         """evaluate_batch(points[lo:hi]) in rows lo:hi, for each (lo, hi) of
-        calls, and 0 in the other rows; calls as SpectralMeasure.evaluate_batch
-        takes them.  A target built from a measure evaluates several calls in
-        one pass of the measure; otherwise each goes through evaluate_batch."""
-        if self.measure is not None and len(calls) > 1:
-            return self.measure.evaluate_batch(points, calls)
+        calls, and 0 in the other rows.  Each range is a call of its own,
+        because a matrix-vector product sums the last rows of a call in
+        another order than the same rows inside a longer one."""
         out = np.zeros(len(points))
         for lo, hi in calls:
             out[lo:hi] = self.evaluate_batch(points[lo:hi])

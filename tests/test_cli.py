@@ -831,6 +831,56 @@ class TestRateSweep:
             proc.kill()
             proc.wait()
 
+    def test_workers_of_a_killed_sweep_stop_within_a_scan_level(self, tmp_path):
+        # cube pairs: a worker measures its whole share as one batch, whose
+        # stacked scan is made to take 0.5 s a level, 8 s in all.  Killed
+        # with SIGKILL, the sweep process leaves the worker to end by itself
+        # at its next scan level
+        spec = tmp_path / "two.json"
+        spec.write_text(json.dumps(TWO_FREQUENCY))
+        child = """if True:
+            import os, sys, time
+            from pathlib import Path
+            from ridgecomb import cli
+            from ridgecomb.spectral import TargetFunction
+            sweep, evaluate_calls = os.getpid(), TargetFunction.evaluate_calls
+
+            def slow(self, points, calls):
+                if os.getpid() != sweep and len(calls) > 1:
+                    if not os.path.exists(sys.argv[1]):
+                        Path(sys.argv[1] + ".tmp").write_text(str(os.getpid()))
+                        os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+                    time.sleep(0.5)
+                return evaluate_calls(self, points, calls)
+
+            TargetFunction.evaluate_calls = slow
+            cli.main(["rate-sweep", "--target", "cosine-sum:" + sys.argv[3], "--s", "3",
+                      "--methods", "iid", "--m", "2,4,8", "--seeds", "10", "--m0", "2",
+                      "--workers", "2", "--out", sys.argv[2]])
+        """
+        pid_file = tmp_path / "worker.pid"
+        proc = subprocess.Popen([sys.executable, "-c", child, str(pid_file), str(tmp_path / "s"),
+                                 str(spec)], env=_src_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists() and time.monotonic() < deadline:
+                assert proc.poll() is None
+                time.sleep(0.05)
+            worker = int(pid_file.read_text())
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 4
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not _running(worker)
+        finally:
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
+            proc.kill()
+            proc.wait()
+
     @pytest.mark.parametrize("command", ["build", "rate-sweep"])
     def test_each_cell_is_measured_once_through_measure_report(self, command, tmp_path,
                                                                monkeypatch):

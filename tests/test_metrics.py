@@ -646,25 +646,26 @@ class TestStackedScan:
         cells = [(build_iid(rep, 16, tgt, seed=seed), 16, "iid", seed) for seed in range(5)]
         measure_report(tgt, *cells[0])  # keeps the residual on the point set
         batch, single = [], []
-        evaluate, measure_evaluate = TargetFunction.evaluate_batch, SpectralMeasure.evaluate_batch
+        evaluate, evaluate_calls = TargetFunction.evaluate_batch, TargetFunction.evaluate_calls
 
         def counting(self, points):
             single.append(len(points))
             return evaluate(self, points)
 
-        def counting_measure(self, points, calls=None):
+        def counting_calls(self, points, calls):
             batch.append(calls)
-            return measure_evaluate(self, points, calls)
+            return evaluate_calls(self, points, calls)
 
         monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
-        monkeypatch.setattr(SpectralMeasure, "evaluate_batch", counting_measure)
+        monkeypatch.setattr(TargetFunction, "evaluate_calls", counting_calls)
         measure_reports(tgt, cells)
-        assert single == []
         assert len(batch) == _SCAN_PASSES * 3 * _SCAN_LEVELS
         rows = _REFINE_TOP * _SCAN_SAMPLES
         for calls in batch:
             assert [hi - lo for lo, hi in calls] == [rows] * len(cells)
             assert all(lo % spectral._ROW_GROUP == 0 for lo, _ in calls)
+        # each pair's rows are a call of their own, and none is made outside a level
+        assert single == [rows] * len(cells) * len(batch)
 
     def test_no_pair_makes_an_empty_list(self):
         rep, tgt = cosine_target(2)

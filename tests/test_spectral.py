@@ -213,25 +213,6 @@ class TestBlockedEvaluation:
         monkeypatch.setattr(spectral, "_EVAL_BLOCK_ELEMS", 100 * J)  # 64-row blocks
         assert np.array_equal(meas.evaluate_batch(pts), unblocked(pts))
 
-    @pytest.mark.parametrize("J", [3, 12, 400, 2000])
-    def test_each_call_range_gets_the_bits_of_its_own_call(self, J):
-        # the row ranges of a stacked scan level, each at a multiple of
-        # _ROW_GROUP: a matrix-vector product sums the last rows of a call in
-        # another order, so each range must be contracted on its own.  At
-        # J = 2000 the last range takes two blocks
-        meas = gaussian_spectrum(J, 3)
-        pts = np.random.default_rng(J).uniform(-1.0, 1.0, size=(1500, 3))
-        calls = [(0, 330), (384, 714), (768, 1400)]
-        got = meas.evaluate_batch(pts, calls)
-        outside = np.ones(pts.shape[0], dtype=bool)
-        for lo, hi in calls:
-            assert np.array_equal(got[lo:hi], meas.evaluate_batch(pts[lo:hi]))
-            outside[lo:hi] = False
-        assert not got[outside].any()
-        # a target built from the measure takes the ranges the same way
-        target = TargetFunction.from_measure(meas)
-        assert np.array_equal(target.evaluate_calls(pts, calls), got)
-
     def test_peak_memory_stays_bounded_as_the_point_count_grows(self):
         # at J = 2000 an unblocked call on 2^14 points would hold a 256 MiB matrix
         meas = gaussian_spectrum(2000, 3)
