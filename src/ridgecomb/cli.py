@@ -258,7 +258,8 @@ def _sweep_cells(context: tuple, cells: list, reports: list, owner: int | None =
     so the earliest failing cell's is raised, with reports holding the
     results before it.  With owner, the pid of a forked worker's sweep
     process, the worker ends once that process is gone: it looks before each
-    build, each pair's pass and each scan level of a batch.
+    build, each pair's pass, each target call of a batch's line norms (a
+    refinement round, say) and each scan level.
     """
     rep, target, resolved, grid_sizes = context
 
@@ -317,8 +318,8 @@ def _run_share(context: tuple, cells: list, first: int, step: int, r: int, w: in
     pickle to the pipe end w, (None, reports, "") or the _pickled_failure of
     the first cell that raised; then end the process with exit 0, never
     returning.  A worker whose sweep process `owner` is gone (killed where it
-    could not clean up) ends within its current build, pair's pass or scan
-    level (_sweep_cells)."""
+    could not clean up) ends within its current build, pair's pass,
+    refinement round or scan level (_sweep_cells)."""
     try:
         os.close(r)
         reports = []

@@ -15,9 +15,12 @@ builders copy from it.  Every combination measured takes a copy of it and
 subtracts its terms in place; a target built from a measure computes its
 values there from per-axis factors, and each term is evaluated only on the
 coordinates it uses.  measure_reports measures a batch of pairs on one
-target: each pair gets its own pass on the point set, and the scans of the
-batch run as one, so each scan level makes one target call for all of them,
-with every value the bits of a scan of the pair alone.
+target.  The norms of its pairs on the line are taken as one: one target call
+for all their L2 nodes, one for their edges and one per refinement round,
+with each pair's sum, maximum and pieces kept its own.  The pairs off it each
+get their own pass on the point set, and their scans run as one, so each scan
+level makes one target call for all of them.  Each pair's rows are a call of
+their own, so every value has the bits of the pair measured alone.
 """
 
 from __future__ import annotations
@@ -150,15 +153,35 @@ def l2_error(target, comb, nodes: int | None = None) -> float:
     line = _checked_line(target, comb, "l2_error", l2_nodes=n)
     if line is None:
         return _cube(target, comb, n, True, None)[0]
-    return _line_l2(target, line, *_line_pieces(comb, line))
+    return _line_l2(target, line, [_line_pieces(comb, line)])[0]
 
 
-def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray) -> np.ndarray:
-    """target - comb at x(p) = p sign(u), where u . x = p, with p in piece k of C.
+def _joined(arrays, axis: int = 0) -> np.ndarray:
+    """np.concatenate(arrays, axis), or the one array itself, not a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
-    The target goes through evaluate_batch; comb is its piece polynomial.
+
+def _calls(counts, rows: int) -> list:
+    """The row range of each pair with a nonzero count, in order: counts[i]
+    pieces of pair i, rows rows a piece, stacked with no gap."""
+    calls, lo = [], 0
+    for c in counts:
+        if c:
+            calls.append((lo, lo + c * rows))
+            lo += c * rows
+    return calls
+
+
+def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray, calls, poll) -> np.ndarray:
+    """target - comb at x(p) = p sign(u), where u . x = p, with p in piece k of
+    C; comb is its piece polynomial.
+
+    poll, if given, is called first.  The target goes through evaluate_calls:
+    each (lo, hi) of calls, one pair's rows of p.ravel(), is a call of its own.
     """
-    g = target.evaluate_batch(p.reshape(-1, 1) * np.sign(line[0])).reshape(p.shape)
+    if poll is not None:
+        poll()
+    g = target.evaluate_calls(p.reshape(-1, 1) * np.sign(line[0]), calls).reshape(p.shape)
     return g - (C[0, k] + p * (C[1, k] + p * C[2, k]))
 
 
@@ -202,45 +225,71 @@ def _density(u: np.ndarray, p: np.ndarray):
     return (z @ np.prod(signs, axis=1)) / (math.factorial(c.size - 1) * np.prod(2.0 * c))
 
 
-def _line_l2(target, line, edges: np.ndarray, C: np.ndarray) -> float:
-    """L2 on the line, from comb's _line_pieces: the integral of (target -
-    comb)^2 rho by composite Gauss-Legendre, exact for comb^2 rho, whose
-    degree is at most 7."""
-    p, w = panel_rule(edges, _LINE_NODES)
-    p, w = p.reshape(-1, _LINE_NODES), w.reshape(-1, _LINE_NODES)
-    diff = _line_diff(target, line, C, np.arange(p.shape[0])[:, None], p)
-    return float(np.sqrt(np.sum(w * _density(line[0], p) * diff * diff)))
+def _line_l2(target, line, pieces, poll=None) -> list[float]:
+    """L2 on the line of each comb's _line_pieces (edges, C) of pieces: the
+    integral of (target - comb)^2 rho by composite Gauss-Legendre, exact for
+    comb^2 rho, whose degree is at most 7.  All pairs' panel nodes make one
+    target call (_line_diff), and each pair's sum is taken on its own rows."""
+    nodes, weights = zip(*(panel_rule(edges, _LINE_NODES) for edges, _ in pieces))
+    counts = [C.shape[1] for _, C in pieces]
+    p = _joined(nodes).reshape(-1, _LINE_NODES)
+    w = _joined(weights).reshape(p.shape)
+    del nodes, weights
+    C = _joined([C for _, C in pieces], 1)[:, :, None]  # piece i on row i of p
+    diff = _line_diff(target, line, C, slice(None), p, _calls(counts, _LINE_NODES), poll)
+    terms = w * _density(line[0], p) * diff * diff
+    ends = np.cumsum(counts)
+    return [float(np.sqrt(np.sum(terms[hi - c:hi]))) for c, hi in zip(counts, ends)]
 
 
-def _line_linf(target, line, edges: np.ndarray, C: np.ndarray) -> float:
-    """max |target - comb| on the line, from comb's _line_pieces: every edge is
-    sampled, then each piece whose bound can still beat the running maximum
-    by _SUP_RTOL is split in _SUP_SPLIT and sampled again.
+def _line_linf(target, line, pieces, poll=None) -> list[float]:
+    """max |target - comb| on the line of each comb's _line_pieces (edges, C)
+    of pieces: every edge is sampled, then each piece whose bound can still
+    beat its pair's running maximum by _SUP_RTOL is split in _SUP_SPLIT and
+    sampled again.
 
     On a piece |h''| <= max c_j sum mag_j c_j + 2 |C[2]|, so |h| there is at
     most its larger end value plus that bound times width^2 / 8.  Near a
     smooth maximum this keeps a few pieces alive, where a Lipschitz bound
-    would keep more the finer they get.
+    would keep more the finer they get.  The pairs' pieces sit in one set of
+    arrays, ordered by pair, each with its index k into the joined C and its
+    owner; each round's samples of all pairs make one target call.
     """
     _, cmax, lip = line
-    h = np.abs(_line_diff(target, line, C, np.minimum(np.arange(edges.size), C.shape[1] - 1),
-                          edges))
-    best = float(h.max())
-    k, lo, hi, hlo, hhi = np.arange(C.shape[1]), edges[:-1], edges[1:], h[:-1], h[1:]
+    counts = np.array([C.shape[1] for _, C in pieces])
+    size = counts + 1  # edges per pair
+    edges = _joined([e for e, _ in pieces])
+    C = _joined([C for _, C in pieces], 1)
+    owner = np.repeat(np.arange(counts.size), size)
+    # edge i of a pair starts its piece i; its last edge ends its last piece
+    k = np.arange(edges.size) - owner
+    last = np.cumsum(size) - 1
+    k[last] -= 1
+    h = np.abs(_line_diff(target, line, C, k, edges, _calls(size, 1), poll))
+    # each pair's last edge is owned by a last, sentinel pair whose maximum is
+    # infinite, so no piece from it to the next pair's first edge is kept
+    best = np.append(np.maximum.reduceat(h, last - counts), math.inf)
+    owner[last] = counts.size
+    lo, hi, hlo, hhi, k, owner = edges[:-1], edges[1:], h[:-1], h[1:], k[:-1], owner[:-1]
     frac = np.linspace(0.0, 1.0, _SUP_SPLIT + 1)
     for _ in range(_SUP_ROUNDS):
         curv = cmax * lip + 2.0 * np.abs(C[2, k])
-        keep = np.maximum(hlo, hhi) + curv * (hi - lo) ** 2 / 8.0 > best * (1.0 + _SUP_RTOL)
+        keep = (np.maximum(hlo, hhi) + curv * (hi - lo) ** 2 / 8.0
+                > best[owner] * (1.0 + _SUP_RTOL))
         if not keep.any():
             break
-        k, lo, hi = k[keep, None], lo[keep, None], hi[keep, None]
+        k, lo, hi, owner = k[keep, None], lo[keep, None], hi[keep, None], owner[keep]
         q = lo + (hi - lo) * frac
-        hq = np.abs(_line_diff(target, line, C, k, q[:, 1:-1]))
-        best = max(best, float(hq.max()))
+        live = np.bincount(owner, minlength=best.size)
+        hq = np.abs(_line_diff(target, line, C, k, q[:, 1:-1],
+                               _calls(live, _SUP_SPLIT - 1), poll))
+        at = np.flatnonzero(live)
+        top = np.maximum.reduceat(hq.max(axis=1), np.cumsum(live[at]) - live[at])
+        best[at] = np.where(top > best[at], top, best[at])  # max(best, top), a NaN top kept out
         hq = np.column_stack([hlo[keep], hq, hhi[keep]])
         k, lo, hi = np.repeat(k.ravel(), _SUP_SPLIT), q[:, :-1].ravel(), q[:, 1:].ravel()
-        hlo, hhi = hq[:, :-1].ravel(), hq[:, 1:].ravel()
-    return best
+        hlo, hhi, owner = hq[:, :-1].ravel(), hq[:, 1:].ravel(), np.repeat(owner, _SUP_SPLIT)
+    return best[:-1].tolist()
 
 
 def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
@@ -279,7 +328,7 @@ def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_
     per_axis = _size(target, grid)
     line = _checked_line(target, comb, "linf_error", linf_grid=per_axis)
     if line is not None:
-        return _line_linf(target, line, *_line_pieces(comb, line))
+        return _line_linf(target, line, [_line_pieces(comb, line)])[0]
     return _cube(target, comb, per_axis, False, refine_top)[1]
 
 
@@ -294,7 +343,8 @@ def _cube_pass(target, comb, n: int | None, l2: bool, refine_top: int | None) ->
     np.abs(vals, out=vals)
     top = _top_k(vals, min(refine_top or 0, vals.size))  # ascending by value
     sup = None if refine_top is None else float(vals[top[-1]] if top.size else vals.max())
-    norm = float(np.sqrt(weights @ np.square(vals, out=vals))) if l2 else None
+    # einsum's own loop: a BLAS dot product's bits change with its thread count
+    norm = float(np.sqrt(np.einsum("i,i->", weights, np.square(vals, out=vals)))) if l2 else None
     gap = np.diff(axis, prepend=-1.0, append=1.0)
     starts = points[top]
     return norm, sup, starts, np.maximum(gap[:-1], gap[1:])[np.searchsorted(axis, starts)]
@@ -463,22 +513,24 @@ def measure_reports(target, cells, l2_nodes: int | None = None,
                     linf_grid: int | None = None, *, poll=None) -> list[ErrorReport]:
     """measure_report of each (comb, m, method, seed) of cells, in order.
 
-    Each pair gets its own pass, in order: the checks, then its line norms,
-    or on the Gauss-Lobatto set its L2, maximum and scan starts.  The scans
-    of all the pairs off a line then run as one (_stacked_scan), each pair's
-    probe values with the bits of a scan of that pair alone.  poll, when
-    given, is called with no arguments before each pair's pass and each scan
-    level, so that a caller can end a long batch.
+    Each pair gets its own pass, in order: the checks, then its line pieces,
+    or on the Gauss-Lobatto set its L2, maximum and scan starts.  The pairs
+    on the target's line then have their norms taken as one (_line_l2,
+    _line_linf), and the scans of all the pairs off it run as one
+    (_stacked_scan), each value with the bits of that pair alone.  poll, when
+    given, is called with no arguments before each pair's pass, each target
+    call of the line norms (the L2's, the edges' and each refinement
+    round's) and each scan level, so that a caller can end a long batch.
     """
     n, per_axis = _size(target, l2_nodes), _size(target, linf_grid)
-    norms, scans = [], []
+    norms, lines, scans = [], [], []
     for comb, *_ in cells:
         if poll is not None:
             poll()
         line = _checked_line(target, comb, "measure_report", l2_nodes=n, linf_grid=per_axis)
         if line is not None:
-            pieces = _line_pieces(comb, line)
-            norms.append((_line_l2(target, line, *pieces), _line_linf(target, line, *pieces)))
+            lines.append((len(norms), _line_pieces(comb, line)))
+            norms.append(None)
             continue
         shared = n == per_axis  # one point set for both norms
         l2, linf, starts, windows = _cube_pass(target, comb, n, True,
@@ -487,6 +539,11 @@ def measure_reports(target, cells, l2_nodes: int | None = None,
             _, linf, starts, windows = _cube_pass(target, comb, per_axis, False, _REFINE_TOP)
         scans.append((len(norms), comb, starts, windows))
         norms.append((l2, linf))
+    if lines:
+        at, pieces = zip(*lines)
+        l2s = _line_l2(target, target.line, pieces, poll)
+        for i, l2, linf in zip(at, l2s, _line_linf(target, target.line, pieces, poll)):
+            norms[i] = (l2, linf)
     if scans:
         for (i, *_), sup in zip(scans, _stacked_scan(target, [s[1:] for s in scans], poll)):
             norms[i] = (norms[i][0], max(norms[i][1], sup))

@@ -343,7 +343,10 @@ class TargetFunction:
         """evaluate_batch(points[lo:hi]) in rows lo:hi, for each (lo, hi) of
         calls, and 0 in the other rows.  Each range is a call of its own,
         because a matrix-vector product sums the last rows of a call in
-        another order than the same rows inside a longer one."""
+        another order than the same rows inside a longer one.  One range
+        over all rows is evaluate_batch(points) itself, with no copy."""
+        if len(calls) == 1 and tuple(calls[0]) == (0, len(points)):
+            return self.evaluate_batch(points)
         out = np.zeros(len(points))
         for lo, hi in calls:
             out[lo:hi] = self.evaluate_batch(points[lo:hi])

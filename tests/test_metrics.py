@@ -1,5 +1,6 @@
 """Error norms, rate fits, and the sanity floor."""
 
+import functools
 import gc
 import math
 import sys
@@ -566,10 +567,11 @@ def own_polynomial_part(comb):
                                         comb.v, comb.coef, comb.sign, comb.A, comb.t)
 
 
+@functools.lru_cache(maxsize=1)
 def stacked_batches():
     """(target, cells) batches of (comb, m, method, seed), each mixing pairs
     on the dense and the grouped term sum, on and off a line, with and
-    without the builders' polynomial part."""
+    without the builders' polynomial part.  Built once; the tests only read them."""
     rep3, tgt3 = cosine_target(3)
     sine = spectral_representation(sine_ridge_measure((1, 1)), 3)
     tgt_sine = target_of(sine)
@@ -594,12 +596,44 @@ def stacked_batches():
     # twelve frequencies: the last rows of a call are contracted in another order
     frequent = [(build_iid(many, m, tgt_many, seed=seed), m, "iid", seed)
                 for m, seed in ((16, 1), (64, 2), (4, 3))]
+    # d = 1, s = 2, on its line, up to the 32,772-term stratified build
+    ridge = spectral_representation(sine_ridge_measure((3,)), 2)
+    tgt_ridge = target_of(ridge)
+    d1 = [(build(ridge, m, tgt_ridge, seed=m), m, method, m)
+          for m in (2, 64, 4096) for method, build in (("iid", build_iid),
+                                                      ("stratified", stratified_build))]
+    # on the line, iid, and off it, sparse: both stacked paths in one batch
+    cube_line = spectral_representation(sine_ridge_measure((1, 1, 1)), 3)
+    tgt_mixed = target_of(cube_line)
+    mixed = [cell for m, seed in ((4, 1), (16, 2))
+             for cell in ((build_iid(cube_line, m, tgt_mixed, seed=seed), m, "iid", seed),
+                          (build_sparse(cube_line, m, 2, tgt_mixed, seed=seed), m, "sparse", seed))]
+    tgt_collinear, collinear = collinear_batch()
     return [(tgt3, cube), (tgt_sine, line), (direct_target(tgt_sine), line),
-            (no_measure, cube), (tgt_many, frequent)]
+            (no_measure, cube), (tgt_many, frequent), (tgt_ridge, d1), (tgt_mixed, mixed),
+            (tgt_collinear, collinear)]
+
+
+def stratified_build(rep, m, tgt, seed):
+    return build_stratified(rep, m, m ** (-1.0 / rep.d), "fractional", tgt, seed=seed)
+
+
+def collinear_batch():
+    """A d = 2 target of twelve frequencies +-c_j u on one line, and a batch on
+    it: a matrix-vector product over the twelve sums the last rows of a call
+    in another order than the same rows inside a longer one."""
+    u = np.array([1.0, -2.0]) / 3.0
+    omegas = np.array([(-1.0) ** j * 0.7 * (j + 1) * u for j in range(12)])
+    rep = spectral_representation(SpectralMeasure(
+        omegas=omegas, mags=np.linspace(0.3, 0.05, 12), phases=np.linspace(-2.5, 2.9, 12)), 3)
+    tgt = target_of(rep)
+    cells = [(build_iid(rep, m, tgt, seed=seed), m, "iid", seed)
+             for m, seed in ((4, 1), (16, 2), (64, 3), (300, 4))]
+    return tgt, cells + [(stratified_build(rep, 16, tgt, seed=5), 16, "stratified", 5)]
 
 
 class TestStackedScan:
-    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("case", range(8))
     def test_batches_equal_one_pair_at_a_time(self, case):
         tgt, cells = stacked_batches()[case]
         solo = [report_bits(measure_report(tgt, *cell)) for cell in cells]
@@ -611,7 +645,7 @@ class TestStackedScan:
         for (comb, *_), (_, _, _, l2, linf, _, _) in zip(cells, solo):
             assert (l2_error(tgt, comb).hex(), linf_error(tgt, comb).hex()) == (l2, linf)
 
-    @pytest.mark.parametrize("case", [0, 4])
+    @pytest.mark.parametrize("case", [0, 4, 6])
     def test_every_probe_value_keeps_its_bits(self, case, monkeypatch):
         # each scan level's values on every pair's rows, stacked and alone; on
         # twelve frequencies a target call over all rows would sum the last
@@ -670,6 +704,93 @@ class TestStackedScan:
     def test_no_pair_makes_an_empty_list(self):
         rep, tgt = cosine_target(2)
         assert measure_reports(tgt, []) == []
+
+
+def line_calls(monkeypatch):
+    """The list that gets, for each call of metrics._line_diff, its row ranges
+    and the bits of the values it gives, flat."""
+    calls = []
+    diff = metrics._line_diff
+
+    def recording(target, line, C, k, p, ranges, poll):
+        vals = diff(target, line, C, k, p, ranges, poll)
+        calls.append(([(int(lo), int(hi)) for lo, hi in ranges],
+                      vals.ravel().view(np.int64).copy()))
+        return vals
+
+    monkeypatch.setattr(metrics, "_line_diff", recording)
+    return calls
+
+
+class TestStackedLine:
+    @pytest.mark.parametrize("case", [1, 5, 6, 7])
+    def test_every_line_value_keeps_its_bits(self, case, monkeypatch):
+        # each target call of the line norms (the L2's, the edges', each
+        # refinement round's) on every pair's rows, stacked and alone; on the
+        # twelve collinear frequencies a target call over all rows would sum
+        # the last rows of each pair in another order
+        tgt, cells = stacked_batches()[case]
+        calls = line_calls(monkeypatch)
+        alone = []
+        for cell in cells:
+            if _checked_line(tgt, cell[0], "-") is None:
+                continue
+            measure_report(tgt, *cell)
+            alone.append([vals for _, vals in calls])
+            calls.clear()
+        measure_reports(tgt, cells)
+        assert len(calls) == max(len(run) for run in alone)
+        for r, (ranges, vals) in enumerate(calls):
+            live = [run[r] for run in alone if len(run) > r]
+            assert [hi - lo for lo, hi in ranges] == [v.size for v in live]
+            assert np.array_equal(vals, np.concatenate(live)), r
+
+    def test_a_batch_makes_one_target_call_for_the_l2_and_one_per_round(self, monkeypatch):
+        tgt, cells = stacked_batches()[7]  # the twelve collinear frequencies
+        batch, single = [], []
+        evaluate, evaluate_calls = TargetFunction.evaluate_batch, TargetFunction.evaluate_calls
+
+        def counting(self, points):
+            single.append(len(points))
+            return evaluate(self, points)
+
+        def counting_calls(self, points, calls):
+            batch.append(calls)
+            return evaluate_calls(self, points, calls)
+
+        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
+        monkeypatch.setattr(TargetFunction, "evaluate_calls", counting_calls)
+        alone = []
+        for cell in cells:
+            measure_report(tgt, *cell)
+            alone.append(single[:])
+            assert len(batch) == len(single)  # a pair alone: one range a call
+            batch.clear()
+            single.clear()
+        measure_reports(tgt, cells)
+        # the L2, the edges and each round of the pair with the most
+        assert len(batch) == max(map(len, alone)) > 3
+        assert [sum(hi - lo for lo, hi in calls) for calls in batch] == [
+            sum(run[r] for run in alone if len(run) > r) for r in range(len(batch))]
+        # each pair's rows are a call of their own, and none is made outside one
+        assert sorted(single) == sorted(n for run in alone for n in run)
+
+    @pytest.mark.parametrize("case", [5, 6, 7])
+    def test_poll_runs_before_each_pair_and_each_target_call(self, case, monkeypatch):
+        tgt, cells = stacked_batches()[case]
+        events = []
+        evaluate_calls = TargetFunction.evaluate_calls
+
+        def counting_calls(self, points, calls):
+            events.append("call")
+            return evaluate_calls(self, points, calls)
+
+        monkeypatch.setattr(TargetFunction, "evaluate_calls", counting_calls)
+        measure_reports(tgt, cells, poll=lambda: events.append("poll"))
+        calls = events.count("call")
+        assert calls > 2  # the L2, the edges and a refinement round at least
+        assert events.count("poll") == len(cells) + calls
+        assert all(events[i - 1] == "poll" for i, e in enumerate(events) if e == "call")
 
 
 class DuckTarget:
