@@ -480,7 +480,9 @@ def cmd_rate_sweep(args: argparse.Namespace) -> int:
         seeds = range(_as_int(seeds, "seeds", 0, sys.maxsize))
     if len(seeds) < 10:
         raise UsageError(f"rate-sweep needs at least 10 seeds, got {len(seeds)}")
-    workers = _as_int(cfg.get("workers", min(4, os.cpu_count() or 1)), "workers", 1)
+    # the CPUs this process may run on, where the platform can say
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = _as_int(cfg.get("workers", min(4, cpus or 1)), "workers", 1)
     _apply_guards(ms, seeds, force, workers)
     seeds = list(seeds)
     resolved.update(methods=methods, m=ms, seeds=seeds, workers=workers)

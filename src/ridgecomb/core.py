@@ -107,21 +107,20 @@ def _atoms(sign: np.ndarray, A: np.ndarray, t: np.ndarray, s: int) -> list[Ridge
     return [RidgeAtom(sign=sg, a=a, t=tk, s=s) for sg, a, tk in zip(sign.tolist(), A, t.tolist())]
 
 
-def half_quadratic(points: np.ndarray, A0: np.ndarray) -> np.ndarray:
-    """0.5 x^T A0 x at each row x of points, accumulated one column at a time."""
-    Q = points @ A0
-    acc = Q[:, 0] * points[:, 0]
-    for j in range(1, points.shape[1]):
-        acc += Q[:, j] * points[:, j]
-    return 0.5 * acc
-
-
 def polynomial_part(points: np.ndarray, b0, a0: np.ndarray, A0: np.ndarray | None) -> np.ndarray:
     """b0 + a0 . x [+ 0.5 x^T A0 x] at each row x of points: a combination's part
-    outside its terms."""
-    out = b0 + np.matmul(points, a0[:, None])[:, 0]
-    if A0 is not None:
-        out += half_quadratic(points, A0)
+    outside its terms, elementwise in a fixed order (no BLAS), so each row's bits are its own."""
+    cols = np.ascontiguousarray(points.T)
+    out = np.full(cols.shape[1], float(b0))
+    for k, x in enumerate(cols):
+        out += a0[k] * x
+    if A0 is not None:  # 0.5 x_k sum_j A0_kj x_j, over k in order
+        for k, x in enumerate(cols):
+            row = A0[k, 0] * cols[0]
+            for j in range(1, cols.shape[0]):
+                row += A0[k, j] * cols[j]
+            row *= 0.5 * x
+            out += row
     return out
 
 
@@ -318,6 +317,11 @@ class RidgeCombination:
             if A0.shape != (d, d) or not (np.all(np.isfinite(A0))
                                           and np.allclose(A0, A0.T, atol=1e-10)):
                 raise UsageError(f"A0 must be a finite symmetric {d}x{d} matrix")
+        return cls._unchecked(d, s, b0, a0, A0, v, coef, sign, A, t)
+
+    @classmethod
+    def _unchecked(cls, d, s, b0, a0, A0, v, coef, sign, A, t) -> "RidgeCombination":
+        """A combination of checked fields, its arrays made read-only as given."""
         for arr in (a0, A0, coef, sign, A, t):
             if arr is not None:
                 arr.setflags(write=False)
@@ -411,7 +415,7 @@ class RidgeCombination:
         """Per nonempty support S of the inner vectors, in support-code order:
         (S, a combination of the terms with support S, their a_k cut to S).
 
-        A term with a = 0 is (-t)_+^(s-1) = 0 and belongs to no group.
+        Each holds checked slices.  A term with a = 0 is (-t)_+^(s-1) = 0, in no group.
         """
         nonzero = self.A != 0
         code = nonzero @ (1 << np.arange(self.d))
@@ -419,7 +423,7 @@ class RidgeCombination:
         for c in np.unique(code[code > 0]):
             idx = np.flatnonzero(code == c)
             S = np.flatnonzero(nonzero[idx[0]])
-            groups.append((S, RidgeCombination.from_arrays(
+            groups.append((S, RidgeCombination._unchecked(
                 S.size, self.s, 0.0, np.zeros(S.size), None, self.v, self.coef[idx],
                 self.sign[idx], self.A[idx][:, S], self.t[idx])))
         return tuple(groups)

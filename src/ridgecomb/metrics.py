@@ -16,11 +16,11 @@ subtracts its terms in place; a target built from a measure computes its
 values there from per-axis factors, and each term is evaluated only on the
 coordinates it uses.  measure_reports measures a batch of pairs on one
 target.  The norms of its pairs on the line are taken as one: one target call
-for all their L2 nodes, one for their edges and one per refinement round,
-with each pair's sum, maximum and pieces kept its own.  The pairs off it each
-get their own pass on the point set, and their scans run as one, so each scan
-level makes one target call for all of them.  Each pair's rows are a call of
-their own, so every value has the bits of the pair measured alone.
+for all their L2 nodes, one for their edges and one per refinement round.
+The pairs off it each get their own pass on the point set, and their scans
+run as one: a measure's values along each scan axis come from per-axis
+factors, one call a level for all pairs.  A measure's values are
+row-independent, so every value has the bits of the pair measured alone.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .core import _L1_TOL, polynomial_part
 from .errors import UsageError
 from .quadrature import MAX_RULE_POINTS, gauss_lobatto, panel_rule, tensor_grid, uniform_cube_rule
-from .spectral import _ROW_GROUP, TargetFunction
+from .spectral import TargetFunction
 
 __all__ = [
     "ErrorReport",
@@ -161,27 +161,16 @@ def _joined(arrays, axis: int = 0) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
-def _calls(counts, rows: int) -> list:
-    """The row range of each pair with a nonzero count, in order: counts[i]
-    pieces of pair i, rows rows a piece, stacked with no gap."""
-    calls, lo = [], 0
-    for c in counts:
-        if c:
-            calls.append((lo, lo + c * rows))
-            lo += c * rows
-    return calls
-
-
-def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray, calls, poll) -> np.ndarray:
+def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray, poll) -> np.ndarray:
     """target - comb at x(p) = p sign(u), where u . x = p, with p in piece k of
     C; comb is its piece polynomial.
 
-    poll, if given, is called first.  The target goes through evaluate_calls:
-    each (lo, hi) of calls, one pair's rows of p.ravel(), is a call of its own.
+    poll, if given, is called first.  A line comes from a measure, whose
+    values are row-independent, so all of p makes one evaluate_batch call.
     """
     if poll is not None:
         poll()
-    g = target.evaluate_calls(p.reshape(-1, 1) * np.sign(line[0]), calls).reshape(p.shape)
+    g = target.evaluate_batch(p.reshape(-1, 1) * np.sign(line[0])).reshape(p.shape)
     return g - (C[0, k] + p * (C[1, k] + p * C[2, k]))
 
 
@@ -216,13 +205,16 @@ def _line_pieces(comb, line) -> tuple[np.ndarray, np.ndarray]:
 
 def _density(u: np.ndarray, p: np.ndarray):
     """Density of u . x at p for x uniform on the cube: a piecewise polynomial
-    of degree (nonzero components - 1), in its truncated-power form."""
+    of degree (nonzero components - 1), in its truncated-power form, summed
+    over the cube's corners elementwise, so each value takes its own p alone."""
     c = np.abs(u[u != 0])
     if c.size == 1:
         return 0.5
     signs = tensor_grid(np.array([-1.0, 1.0]), c.size)
-    z = np.maximum(p[..., None] + signs @ c, 0.0) ** (c.size - 1)
-    return (z @ np.prod(signs, axis=1)) / (math.factorial(c.size - 1) * np.prod(2.0 * c))
+    total = 0.0
+    for shift, sign in zip((signs @ c).tolist(), np.prod(signs, axis=1).tolist()):
+        total = total + sign * np.maximum(p + shift, 0.0) ** (c.size - 1)
+    return total / (math.factorial(c.size - 1) * np.prod(2.0 * c))
 
 
 def _line_l2(target, line, pieces, poll=None) -> list[float]:
@@ -236,7 +228,7 @@ def _line_l2(target, line, pieces, poll=None) -> list[float]:
     w = _joined(weights).reshape(p.shape)
     del nodes, weights
     C = _joined([C for _, C in pieces], 1)[:, :, None]  # piece i on row i of p
-    diff = _line_diff(target, line, C, slice(None), p, _calls(counts, _LINE_NODES), poll)
+    diff = _line_diff(target, line, C, slice(None), p, poll)
     terms = w * _density(line[0], p) * diff * diff
     ends = np.cumsum(counts)
     return [float(np.sqrt(np.sum(terms[hi - c:hi]))) for c, hi in zip(counts, ends)]
@@ -265,7 +257,7 @@ def _line_linf(target, line, pieces, poll=None) -> list[float]:
     k = np.arange(edges.size) - owner
     last = np.cumsum(size) - 1
     k[last] -= 1
-    h = np.abs(_line_diff(target, line, C, k, edges, _calls(size, 1), poll))
+    h = np.abs(_line_diff(target, line, C, k, edges, poll))
     # each pair's last edge is owned by a last, sentinel pair whose maximum is
     # infinite, so no piece from it to the next pair's first edge is kept
     best = np.append(np.maximum.reduceat(h, last - counts), math.inf)
@@ -281,8 +273,7 @@ def _line_linf(target, line, pieces, poll=None) -> list[float]:
         k, lo, hi, owner = k[keep, None], lo[keep, None], hi[keep, None], owner[keep]
         q = lo + (hi - lo) * frac
         live = np.bincount(owner, minlength=best.size)
-        hq = np.abs(_line_diff(target, line, C, k, q[:, 1:-1],
-                               _calls(live, _SUP_SPLIT - 1), poll))
+        hq = np.abs(_line_diff(target, line, C, k, q[:, 1:-1], poll))
         at = np.flatnonzero(live)
         top = np.maximum.reduceat(hq.max(axis=1), np.cumsum(live[at]) - live[at])
         best[at] = np.where(top > best[at], top, best[at])  # max(best, top), a NaN top kept out
@@ -364,86 +355,102 @@ def _stacked_scan(target, scans, poll=None) -> list[float]:
     windows) of scans, all pairs' starts scanned together, calling poll, if
     given, before each level.
 
-    Each level evaluates the target once on all probes, each pair's rows
-    starting at a multiple of _ROW_GROUP and taken as a call of their own
-    (TargetFunction.evaluate_calls).  The polynomial part is computed once
-    when every combination's (b0, a0, A0) is the first one's, as the
-    builders copy the target's, and each combination's terms on its own
-    rows.  So every probe value has the bits of a scan of its pair alone.
+    A measure's phases are taken once per axis pass and its row-independent
+    values from per-axis factors (SpectralMeasure.axis_phases,
+    evaluate_steps); a directly built target is called once a level per pair.
+    The polynomial part is computed once when every combination's (b0, a0,
+    A0) is the first one's, as the builders copy the target's, and each
+    combination's terms on its own rows, so every probe value has the bits
+    of a scan of its pair alone.
     """
     combs, starts, windows = zip(*scans)
     counts = [len(x) for x in starts]
-    spans, lo = [], 0
-    for k in counts:
-        spans.append((lo, lo + k * _SCAN_SAMPLES))
-        lo += -(-k * _SCAN_SAMPLES // _ROW_GROUP) * _ROW_GROUP
-    first = combs[0]
+    ends = np.cumsum(counts) * _SCAN_SAMPLES
+    spans = [(hi - k * _SCAN_SAMPLES, hi) for k, hi in zip(counts, ends.tolist())]
+    first, meas = combs[0], target.measure
     shared = all(c.b0 == first.b0 and np.array_equal(c.a0, first.a0)
                  and (c.A0 is None if first.A0 is None else np.array_equal(c.A0, first.A0))
                  for c in combs)
 
-    def fn(probes):
+    def diff(probes):  # target - comb, with 0 for a measure's values
         if poll is not None:
             poll()
-        if shared:
-            vals = polynomial_part(probes, first.b0, first.a0, first.A0)
-        else:
-            vals = np.zeros(probes.shape[0])
+        vals = np.empty(len(probes)) if not shared else polynomial_part(
+            probes, first.b0, first.a0, first.A0)
         for comb, (lo, hi) in zip(combs, spans):
             rows = probes[lo:hi]
             if not shared:
                 vals[lo:hi] = polynomial_part(rows, comb.b0, comb.a0, comb.A0)
             if comb.term_count:
                 vals[lo:hi] += comb.outer_scale * comb._term_sum(rows)
-        vals = target.evaluate_calls(probes, spans) - vals
-        return np.abs(vals, out=vals)
+        f = 0.0 if meas is not None else np.concatenate(
+            [target.evaluate_batch(probes[lo:hi]) for lo, hi in spans])
+        return np.subtract(f, vals, out=vals)
 
-    at = slice(None)
-    if len(spans) > 1:
-        at = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-    maxima = _scan_maxima(fn, np.concatenate(starts), np.concatenate(windows), at,
-                          spans[-1][1])
+    def along(x, ax):
+        level = _probing(diff)(x, ax)
+        phases = None if meas is None else meas.axis_phases(x, ax)
+
+        def values(q, step):
+            vals = level(q, step)
+            if meas is not None:
+                vals += meas.evaluate_steps(phases, ax, q[:, 0], step, _SCAN_SAMPLES)
+            return np.abs(vals, out=vals)
+
+        return values
+
+    maxima = _scan_maxima(along, np.concatenate(starts), np.concatenate(windows))
     return np.fmax.reduceat(maxima, np.cumsum([0] + counts[:-1])).tolist()
 
 
-def _scan_maxima(fn, starts: np.ndarray, spacing, at=slice(None), size=None) -> np.ndarray:
-    """The max of fn seen by a cyclic per-axis coarse-to-fine scan from each
-    start, one per start.
+def _scan_maxima(along, starts: np.ndarray, spacing) -> np.ndarray:
+    """The max seen by a cyclic per-axis coarse-to-fine scan from each start.
 
     On each axis a start's window is its coordinate +-spacing (one number, or
     (k, d) per start and axis), within the cube.  Each level samples
-    _SCAN_SAMPLES evenly spaced points across the window, moves the start to its
-    best sample and narrows the window to +-one sample step around it.  fn maps
-    probes (size, d) to values (size,); every start's samples of a level go to
-    it in one call, start by start in the rows `at` (by default all k
-    _SCAN_SAMPLES rows), and the other rows hold 0.
+    _SCAN_SAMPLES points lo + i step across it, moves the start to its best
+    sample and narrows the window to +-step around it.  Each axis pass gets
+    from along(x, ax), x the starts (k, d), the function that maps a level's
+    samples q (k, _SCAN_SAMPLES) on axis ax and steps (k,) to their values.
     """
     x = starts.copy()
     k, d = x.shape
     spacing = np.broadcast_to(spacing, x.shape)
-    frac = np.linspace(0.0, 1.0, _SCAN_SAMPLES)
-    rows = np.arange(k)
+    rows, samples = np.arange(k), np.arange(_SCAN_SAMPLES)
     seen = np.full(k, -math.inf)
-    probes = np.zeros((k * _SCAN_SAMPLES if size is None else size, d))
     for _ in range(_SCAN_PASSES):
         for ax in range(d):
-            probes[at] = np.repeat(x, _SCAN_SAMPLES, axis=0)
+            level = along(x, ax)
             lo = np.clip(x[:, ax] - spacing[:, ax], -1.0, 1.0)
             hi = np.clip(x[:, ax] + spacing[:, ax], -1.0, 1.0)
             for _ in range(_SCAN_LEVELS):
-                q = lo[:, None] + (hi - lo)[:, None] * frac
-                probes[at, ax] = q.ravel()
-                v = fn(probes)[at].reshape(k, _SCAN_SAMPLES)
+                step = (hi - lo) / (_SCAN_SAMPLES - 1)
+                q = np.minimum(lo[:, None] + step[:, None] * samples, hi[:, None])
+                v = level(q, step)
                 np.fmax(seen, v.max(axis=1), out=seen)
                 x[:, ax] = q[rows, v.argmax(axis=1)]
-                step = (hi - lo) / (_SCAN_SAMPLES - 1)
                 lo, hi = np.maximum(lo, x[:, ax] - step), np.minimum(hi, x[:, ax] + step)
     return seen
 
 
+def _probing(fn):
+    """along for _scan_maxima from fn, which maps probes (n, d) to values (n,):
+    each start _SCAN_SAMPLES times in turn, coordinate ax at its samples."""
+    def along(x, ax):
+        probes = np.repeat(x, _SCAN_SAMPLES, axis=0)
+
+        def level(q, step):
+            probes[:, ax] = q.ravel()
+            return fn(probes).reshape(q.shape)
+
+        return level
+
+    return along
+
+
 def _scan_refine(fn, starts: np.ndarray, spacing) -> float:
     """The max of fn seen by the scan (_scan_maxima) from every start."""
-    return float(_scan_maxima(fn, starts, spacing).max())
+    return float(_scan_maxima(_probing(fn), starts, spacing).max())
 
 
 @dataclass(frozen=True)

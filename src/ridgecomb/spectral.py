@@ -10,9 +10,9 @@ closed form, samples the measures exactly by inverse CDF, and provides
 deterministic quadrature oracles and identity checks used to validate them.
 
 A target keeps its residual (the target less its polynomial part) on the
-fixed point sets of the error measurement.  On a tensor grid of one axis the
-values come from per-axis factors, cos(omega . x + phase) = Re(e^{i phase}
-prod_k e^{i omega_k x_k}), contracted over the frequencies in bounded blocks.
+fixed point sets of the error measurement.  There, and on the sup scan's axis
+lines, the values come from per-axis factors, cos(omega . x + phase) =
+Re(e^{i phase} prod_k e^{i omega_k x_k}), summed over the frequencies.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as _rng
-from .core import _L1_TOL, RidgeAtom, _atoms, half_quadratic, polynomial_part
+from .core import _L1_TOL, RidgeAtom, _atoms, polynomial_part
 from .errors import UsageError
 from .quadrature import _leggauss, panel_rule
 
@@ -131,13 +131,19 @@ def _force_unit_l1(a: np.ndarray) -> np.ndarray:
 
 # --- spectral measures and targets ---
 
-# row x frequency entries per block of SpectralMeasure.evaluate_batch, and
-# frequency x point entries per block of SpectralMeasure.evaluate_tensor; a
-# 65^3 grid at J <= 3 is one block.  Blocks of rows hold whole groups of
-# _ROW_GROUP rows, so a BLAS kernel that takes rows in groups sees each row
-# where an unblocked call puts it
+# entries per block of SpectralMeasure.evaluate_batch, evaluate_steps and
+# evaluate_tensor; a 65^3 grid at J <= 3 is one block
 _EVAL_BLOCK_ELEMS = 1 << 20
-_ROW_GROUP = 64
+
+
+def _frequency_sum(Z: np.ndarray) -> np.ndarray:
+    """Z summed over its first axis in place, its upper half added onto its lower
+    half until one row is left: each sum takes its own column, in an order set by len(Z)."""
+    n = Z.shape[0]
+    while n > 1:
+        Z[:n // 2] += Z[n - n // 2:n]
+        n -= n // 2
+    return Z[0]
 
 
 def _json_numbers(value, key: str):
@@ -188,22 +194,58 @@ class SpectralMeasure:
         return self.omegas.shape[0]
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """f at each row of points (n, d).
-
-        The rows go in blocks of at most _EVAL_BLOCK_ELEMS row x frequency
-        entries, so memory stays bounded whatever J.  Each block does an
-        unblocked call's operations.
+        """f at each row of points (n, d): per row, its phases (axis_phases),
+        their cosines times mags, then _frequency_sum.  These are elementwise
+        operations in a fixed order, with no BLAS product or reduction, so a
+        row has the same bits alone or anywhere in any batch, at any block
+        size or BLAS thread count.  Blocks of rows hold at most
+        _EVAL_BLOCK_ELEMS frequency x row entries in two arrays.
         """
         points = np.asarray(points, dtype=float)
-        step = max(_ROW_GROUP, _EVAL_BLOCK_ELEMS // self.size // _ROW_GROUP * _ROW_GROUP)
+        step = max(1, _EVAL_BLOCK_ELEMS // (2 * self.size))
         out = np.empty(points.shape[0])
-        buf = np.empty((min(step, points.shape[0]), self.size))
         for lo in range(0, points.shape[0], step):
-            blk = points[lo:lo + step]
-            Z = np.matmul(blk, self.omegas.T, out=buf[:blk.shape[0]])
-            Z += self.phases
-            np.cos(Z, out=Z)
-            np.matmul(Z, self.mags, out=out[lo:lo + blk.shape[0]])
+            z = self.axis_phases(points[lo:lo + step])
+            np.cos(z, out=z)
+            z *= self.mags[:, None]
+            out[lo:lo + z.shape[1]] = _frequency_sum(z)
+            del z  # freed before the next block's two arrays
+        return out
+
+    def axis_phases(self, x: np.ndarray, ax: int | None = None) -> np.ndarray:
+        """phase_j + sum_{k != ax} omega_jk x_k, summed in order, for each row x
+        of x (k, d), as (J, k): the phases of f on the axis-ax line through
+        the row, or at the row itself when ax is None."""
+        ks = [k for k in range(self.d) if k != ax]
+        theta = self.omegas[:, ks[0], None] * x[:, ks[0]] if ks else np.zeros((self.size, len(x)))
+        theta += self.phases[:, None]
+        for k in ks[1:]:
+            theta += self.omegas[:, k, None] * x[:, k]
+        return theta
+
+    def evaluate_steps(self, phases: np.ndarray, ax: int, lo: np.ndarray, step: np.ndarray,
+                       n: int) -> np.ndarray:
+        """f at lo + i step on axis ax, i < n, on the line of each column of
+        phases (axis_phases), as (k, n), from per-axis factors: term j at
+        sample i is Re(c_j rho_j^i), c_j = mag_j e^{i(phases_j + omega_j,ax lo)},
+        rho_j = e^{i omega_j,ax step}.  The samples are filled by doubling,
+        from `filled` on as the first ones times rho_j^filled (rho_j squared
+        in turn): 2 complex exponentials a line and frequency, not n cosines.
+        Blocks of lines hold at most _EVAL_BLOCK_ELEMS doubles.
+        """
+        w, out = self.omegas[:, ax, None], np.empty((phases.shape[1], n))
+        width = max(1, _EVAL_BLOCK_ELEMS // (2 * n * self.size))
+        for b in range(0, len(out), width):
+            cols = slice(b, b + width)
+            T = np.empty((n,) + phases[:, cols].shape, dtype=complex)
+            T[0] = self.mags[:, None] * np.exp(1j * (phases[:, cols] + w * lo[cols]))
+            rho, filled = np.exp(1j * (w * step[cols])), 1
+            while filled < n:
+                c = min(filled, n - filled)
+                np.multiply(T[:c], rho, out=T[filled:filled + c])
+                filled += c
+                rho *= rho
+            out[cols] = _frequency_sum(np.moveaxis(T.real, 1, 0)).T
         return out
 
     def evaluate_tensor(self, axis: np.ndarray) -> np.ndarray:
@@ -339,19 +381,6 @@ class TargetFunction:
                              f"{points.shape}; it must give {points.shape[:1]}")
         return vals
 
-    def evaluate_calls(self, points: np.ndarray, calls) -> np.ndarray:
-        """evaluate_batch(points[lo:hi]) in rows lo:hi, for each (lo, hi) of
-        calls, and 0 in the other rows.  Each range is a call of its own,
-        because a matrix-vector product sums the last rows of a call in
-        another order than the same rows inside a longer one.  One range
-        over all rows is evaluate_batch(points) itself, with no copy."""
-        if len(calls) == 1 and tuple(calls[0]) == (0, len(points)):
-            return self.evaluate_batch(points)
-        out = np.zeros(len(points))
-        for lo, hi in calls:
-            out[lo:hi] = self.evaluate_batch(points[lo:hi])
-        return out
-
     def _kept(self, key, compute) -> np.ndarray:
         """compute(), run once per key and kept read-only.  The lock makes a
         second thread wait for the first fill instead of reading a partial
@@ -391,10 +420,8 @@ class TargetFunction:
     def residual_batch(self, points: np.ndarray, s: int) -> np.ndarray:
         """Target minus its affine part (s=2) or affine + quadratic part (s=3)."""
         points = np.asarray(points, dtype=float)
-        out = self.evaluate_batch(points) - self.b0 - points @ self.a0
-        if s == 3:
-            out = out - half_quadratic(points, self.A0)
-        return out
+        quadratic = self.A0 if s == 3 else None
+        return self.evaluate_batch(points) - polynomial_part(points, self.b0, self.a0, quadratic)
 
 
 def _check_theta(theta) -> np.ndarray:

@@ -417,8 +417,20 @@ class TestRateSweep:
         assert main(["rate-sweep", "--target", "sine-ridge:1", "--m", "4,8,16",
                      "--seeds", "5", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (3, 3), (64, 4)])
+    def test_default_workers_follow_the_usable_cpus(self, cpus, workers, tmp_path, monkeypatch):
+        # the CPUs this process may run on, not the host's
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 128)
+        out = tmp_path / "s"
+        assert main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                     "--m", "4,8,16", "--seeds", "10", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["workers"] == workers
+
     @pytest.mark.parametrize("cpus, workers", [(None, 1), (1, 1), (2, 2), (64, 4)])
     def test_default_workers_follow_the_cpu_count(self, cpus, workers, tmp_path, monkeypatch):
+        # where the platform has no affinity call, the host's CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         out = tmp_path / "s"
         assert main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
@@ -833,27 +845,28 @@ class TestRateSweep:
 
     def test_workers_of_a_killed_sweep_stop_within_a_scan_level(self, tmp_path):
         # cube pairs: a worker measures its whole share as one batch, whose
-        # stacked scan is made to take 0.5 s a level, 8 s in all.  Killed
-        # with SIGKILL, the sweep process leaves the worker to end by itself
-        # at its next scan level
+        # stacked scan is made to take 0.5 s a level, 8 s in all (each level
+        # takes the target's values from per-axis factors, one call for the
+        # starts of all the batch's pairs).  Killed with SIGKILL, the sweep
+        # process leaves the worker to end by itself at its next scan level
         spec = tmp_path / "two.json"
         spec.write_text(json.dumps(TWO_FREQUENCY))
         child = """if True:
             import os, sys, time
             from pathlib import Path
             from ridgecomb import cli
-            from ridgecomb.spectral import TargetFunction
-            sweep, evaluate_calls = os.getpid(), TargetFunction.evaluate_calls
+            from ridgecomb.spectral import SpectralMeasure
+            sweep, evaluate_steps = os.getpid(), SpectralMeasure.evaluate_steps
 
-            def slow(self, points, calls):
-                if os.getpid() != sweep and len(calls) > 1:
+            def slow(self, phases, ax, lo, step, n):
+                if os.getpid() != sweep and phases.shape[1] > 10:  # more than one pair
                     if not os.path.exists(sys.argv[1]):
                         Path(sys.argv[1] + ".tmp").write_text(str(os.getpid()))
                         os.replace(sys.argv[1] + ".tmp", sys.argv[1])
                     time.sleep(0.5)
-                return evaluate_calls(self, points, calls)
+                return evaluate_steps(self, phases, ax, lo, step, n)
 
-            TargetFunction.evaluate_calls = slow
+            SpectralMeasure.evaluate_steps = slow
             cli.main(["rate-sweep", "--target", "cosine-sum:" + sys.argv[3], "--s", "3",
                       "--methods", "iid", "--m", "2,4,8", "--seeds", "10", "--m0", "2",
                       "--workers", "2", "--out", sys.argv[2]])

@@ -460,6 +460,28 @@ class TestEvaluationPaths:
             distinct.evaluate_batch(pts)
 
 
+class TestPolynomialPart:
+    @given(d=st.integers(min_value=1, max_value=4), n=st.integers(min_value=1, max_value=200),
+           offset=st.integers(min_value=0, max_value=70), seed=st.integers(min_value=0, max_value=2**16))
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    def test_a_row_has_the_same_bits_alone_and_in_any_batch(self, d, n, offset, seed):
+        # elementwise in a fixed order, so a row's value does not depend on
+        # where it sits in a call; the sup scan computes it once for the
+        # probes of every pair of a batch
+        gen = np.random.default_rng(seed)
+        batch = gen.uniform(-1.0, 1.0, size=(offset + n, d))
+        a0, A0 = gen.normal(size=d), gen.normal(size=(d, d))
+        for quadratic in (None, A0 + A0.T):
+            alone = np.concatenate([core.polynomial_part(row[None], 0.3, a0, quadratic)
+                                    for row in batch[offset:]])
+            got = core.polynomial_part(batch, 0.3, a0, quadratic)[offset:]
+            assert np.array_equal(got.view(np.int64), alone.view(np.int64))
+            want = 0.3 + batch[offset:] @ a0
+            if quadratic is not None:
+                want += 0.5 * np.einsum("ij,jk,ik->i", batch[offset:], quadratic, batch[offset:])
+            assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
 class TestDirections:
     @given(
         d=st.integers(min_value=1, max_value=4),

@@ -147,24 +147,31 @@ def abs_diff(target, comb):
     return lambda points: np.abs(target.evaluate_batch(points) - comb.evaluate_batch(points))
 
 
-def scan_refine_per_start(fn, pts, spacing):
+def scan_refine_per_start(fn, pts, spacing, measure=None):
     """The sup scan one start at a time, one fn call per start and level: the
-    vectorized scan's reference.  spacing is one number or one per start and axis."""
+    vectorized scan's reference.  spacing is one number or one per start and
+    axis.  With a measure, fn gives the combination at the probes and the
+    target's values come from the measure's per-axis factors for that start
+    alone, as the scan of a target built from a measure takes them."""
     seen = -math.inf
-    frac = np.linspace(0.0, 1.0, _SCAN_SAMPLES)
     for x, window in zip(pts.copy(), np.broadcast_to(spacing, pts.shape)):
         for _ in range(_SCAN_PASSES):
             for ax in range(x.size):
                 lo = min(max(x[ax] - window[ax], -1.0), 1.0)
                 hi = min(max(x[ax] + window[ax], -1.0), 1.0)
                 for _ in range(_SCAN_LEVELS):
-                    q = lo + (hi - lo) * frac
+                    step = (hi - lo) / (_SCAN_SAMPLES - 1)
+                    q = np.minimum(lo + step * np.arange(_SCAN_SAMPLES), hi)
                     probes = np.tile(x, (_SCAN_SAMPLES, 1))
                     probes[:, ax] = q
                     v = fn(probes)
+                    if measure is not None:
+                        f = measure.evaluate_steps(measure.axis_phases(x[None], ax), ax,
+                                                   np.array([lo]), np.array([step]),
+                                                   _SCAN_SAMPLES)[0]
+                        v = np.abs(f - v)
                     seen = max(seen, float(v.max()))
                     x[ax] = q[int(np.argmax(v))]
-                    step = (hi - lo) / (_SCAN_SAMPLES - 1)
                     lo, hi = max(lo, x[ax] - step), min(hi, x[ax] + step)
     return seen
 
@@ -209,14 +216,20 @@ def default_windows(d, starts):
 
 
 def linf_error_uncached(target, comb, refine_top=10):
-    """linf_error on a freshly built point set, with a full sort and the per-start scan."""
+    """linf_error on a freshly built point set, with a full sort and the
+    per-start scan, which takes a measure's values from its factors as
+    linf_error does."""
     d = target.d
     mesh = np.meshgrid(*([default_axis(d)] * d), indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
     fn = abs_diff(target, comb)
     vals = fn(points)
     top = points[np.argsort(vals)[-refine_top:]]
-    return max(float(vals.max()), scan_refine_per_start(fn, top, default_windows(d, top)))
+    windows = default_windows(d, top)
+    if target.measure is None:
+        return max(float(vals.max()), scan_refine_per_start(fn, top, windows))
+    return max(float(vals.max()), scan_refine_per_start(comb.evaluate_batch, top, windows,
+                                                        target.measure))
 
 
 def cube_l2(target, comb):
@@ -268,8 +281,9 @@ class TestCachedPointSets:
     @pytest.mark.parametrize("d", [3, 4])
     def test_target_is_evaluated_once_per_point_set(self, d, monkeypatch):
         rep, tgt = cosine_target(d)
-        sizes, axes = [], []
+        sizes, axes, lines = [], [], []
         evaluate, tensor = TargetFunction.evaluate_batch, SpectralMeasure.evaluate_tensor
+        steps = SpectralMeasure.evaluate_steps
 
         def counting(self, points):
             sizes.append(len(points))
@@ -279,14 +293,20 @@ class TestCachedPointSets:
             axes.append(len(axis))
             return tensor(self, axis)
 
+        def counting_steps(self, phases, ax, lo, step, n):
+            lines.append((phases.shape[1], n))
+            return steps(self, phases, ax, lo, step, n)
+
         monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
         monkeypatch.setattr(SpectralMeasure, "evaluate_tensor", counting_tensor)
+        monkeypatch.setattr(SpectralMeasure, "evaluate_steps", counting_steps)
         for seed in range(20):
             measure_report(tgt, build_iid(rep, 8, tgt, seed=seed), 8, "iid", seed)
-        # both norms' one point set from per-axis factors, once; only the
-        # scan's probes go through evaluate_batch
+        # both norms' one point set from per-axis factors, once, and each scan
+        # level's probes from per-axis factors too: no evaluate_batch call
         assert axes == [DEFAULT_NODES[d]]
-        assert max(sizes) == _REFINE_TOP * _SCAN_SAMPLES  # the rows of one scan level
+        assert sizes == []
+        assert lines == [(_REFINE_TOP, _SCAN_SAMPLES)] * (20 * _SCAN_PASSES * d * _SCAN_LEVELS)
 
     def test_the_memo_holds_one_residual_per_point_set(self):
         rep, tgt = cosine_target(3)
@@ -437,7 +457,7 @@ class TestLinfError:
         points = uniform_cube_rule(2, DEFAULT_NODES[2], True)[0]
         grid_max = float(abs_diff(tgt, comb)(points).max())
         assert _top_k(np.arange(5.0), 0).size == 0
-        monkeypatch.setattr("ridgecomb.metrics._scan_refine", None)  # never called
+        monkeypatch.setattr("ridgecomb.metrics._stacked_scan", None)  # never called
         # the grid values come from the kept residual, summed in another order
         assert linf_error(tgt, comb, refine_top=0) == pytest.approx(grid_max, rel=1e-13)
 
@@ -645,25 +665,30 @@ class TestStackedScan:
         for (comb, *_), (_, _, _, l2, linf, _, _) in zip(cells, solo):
             assert (l2_error(tgt, comb).hex(), linf_error(tgt, comb).hex()) == (l2, linf)
 
-    @pytest.mark.parametrize("case", [0, 4, 6])
+    @pytest.mark.parametrize("case", [0, 3, 4, 6])
     def test_every_probe_value_keeps_its_bits(self, case, monkeypatch):
-        # each scan level's values on every pair's rows, stacked and alone; on
-        # twelve frequencies a target call over all rows would sum the last
-        # rows of each pair in another order
+        # each scan level's values on every pair's rows, stacked and alone:
+        # the target's values (from factors, or per range without a measure),
+        # the shared polynomial part and each pair's terms are row-independent
         tgt, cells = stacked_batches()[case]
         runs = []
         scan = metrics._scan_maxima
 
-        def recording(fn, starts, spacing, at=slice(None), size=None):
+        def recording(along, starts, spacing):
             levels = []
             runs.append(levels)
 
-            def kept(probes):
-                vals = fn(probes)
-                levels.append(vals[at].view(np.int64).copy())
-                return vals
+            def kept(x, ax):
+                level = along(x, ax)
 
-            return scan(kept, starts, spacing, at, size)
+                def values(q, step):
+                    vals = level(q, step)
+                    levels.append(vals.view(np.int64).copy())
+                    return vals
+
+                return values
+
+            return scan(kept, starts, spacing)
 
         monkeypatch.setattr(metrics, "_scan_maxima", recording)
         for cell in cells:
@@ -675,47 +700,115 @@ class TestStackedScan:
         for level, vals in enumerate(stacked):
             assert np.array_equal(vals, np.concatenate([run[level] for run in alone]))
 
-    def test_a_batch_makes_one_target_call_per_scan_level(self, monkeypatch):
+    def test_a_measure_target_scans_a_batch_from_factors(self, monkeypatch):
+        # one phase pass per axis pass and one factor call per level for the
+        # whole batch; the target itself is never called
         rep, tgt = cosine_target(3)
         cells = [(build_iid(rep, 16, tgt, seed=seed), 16, "iid", seed) for seed in range(5)]
         measure_report(tgt, *cells[0])  # keeps the residual on the point set
-        batch, single = [], []
-        evaluate, evaluate_calls = TargetFunction.evaluate_batch, TargetFunction.evaluate_calls
+        phases, steps, single = [], [], []
+        axis_phases, evaluate_steps = SpectralMeasure.axis_phases, SpectralMeasure.evaluate_steps
+        evaluate = TargetFunction.evaluate_batch
+
+        def counting_phases(self, x, ax=None):
+            phases.append(x.shape)
+            return axis_phases(self, x, ax)
+
+        def counting_steps(self, theta, ax, lo, step, n):
+            steps.append((theta.shape, lo.shape, n))
+            return evaluate_steps(self, theta, ax, lo, step, n)
 
         def counting(self, points):
             single.append(len(points))
             return evaluate(self, points)
 
-        def counting_calls(self, points, calls):
-            batch.append(calls)
-            return evaluate_calls(self, points, calls)
+        monkeypatch.setattr(SpectralMeasure, "axis_phases", counting_phases)
+        monkeypatch.setattr(SpectralMeasure, "evaluate_steps", counting_steps)
+        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
+        measure_reports(tgt, cells)
+        starts = _REFINE_TOP * len(cells)
+        assert phases == [(starts, 3)] * (_SCAN_PASSES * 3)
+        assert steps == [((2, starts), (starts,), _SCAN_SAMPLES)] * (_SCAN_PASSES * 3 * _SCAN_LEVELS)
+        assert single == []
+
+    def test_a_directly_built_target_is_called_once_a_level_per_pair(self, monkeypatch):
+        # a directly built target's function may give a row other bits
+        # elsewhere in a call, so each pair's rows of a level are a call of
+        # their own, and none is made outside a level
+        tgt, cells = stacked_batches()[3]  # no measure
+        measure_report(tgt, *cells[0])  # keeps the residual on the point set
+        single = []
+        evaluate = TargetFunction.evaluate_batch
+
+        def counting(self, points):
+            single.append(len(points))
+            return evaluate(self, points)
 
         monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
-        monkeypatch.setattr(TargetFunction, "evaluate_calls", counting_calls)
         measure_reports(tgt, cells)
-        assert len(batch) == _SCAN_PASSES * 3 * _SCAN_LEVELS
-        rows = _REFINE_TOP * _SCAN_SAMPLES
-        for calls in batch:
-            assert [hi - lo for lo, hi in calls] == [rows] * len(cells)
-            assert all(lo % spectral._ROW_GROUP == 0 for lo, _ in calls)
-        # each pair's rows are a call of their own, and none is made outside a level
-        assert single == [rows] * len(cells) * len(batch)
+        levels = _SCAN_PASSES * 3 * _SCAN_LEVELS
+        assert single == [_REFINE_TOP * _SCAN_SAMPLES] * (len(cells) * levels)
 
     def test_no_pair_makes_an_empty_list(self):
         rep, tgt = cosine_target(2)
         assert measure_reports(tgt, []) == []
 
 
+class TestScanFactors:
+    @pytest.mark.parametrize("family", ["d2", "d3", "d4", "collinear"])
+    def test_every_factor_probe_is_near_the_direct_value(self, family, monkeypatch):
+        # each level's values from per-axis factors, against evaluate_batch at
+        # the samples lo + i step: within 64 eps sum_j mag_j
+        if family == "collinear":
+            tgt, cells = collinear_batch()
+            tgt = direct_target(tgt)  # off its line, so the cube path and the scan run
+            combs = [comb for comb, *_ in cells]
+        else:
+            d = int(family[1])
+            combs = []
+            for s in (2, 3):
+                rep, tgt = cosine_target(d, s)
+                combs += [build_iid(rep, 16, tgt, seed=seed) for seed in range(3)]
+                combs += [build_sparse(rep, 8, 1, tgt, seed=seed) for seed in range(3)]
+        meas = tgt.measure
+        bound = 64 * np.finfo(float).eps * meas.mags.sum()
+        lines, worst = [], []
+        axis_phases, evaluate_steps = SpectralMeasure.axis_phases, SpectralMeasure.evaluate_steps
+
+        def kept_phases(self, x, ax=None):
+            if ax is not None:  # not evaluate_batch's own phases
+                lines.append(x.copy())
+            return axis_phases(self, x, ax)
+
+        def checked_steps(self, phases, ax, lo, step, n):
+            vals = evaluate_steps(self, phases, ax, lo, step, n)
+            points = np.repeat(lines[-1], n, axis=0)
+            points[:, ax] = (lo[:, None] + step[:, None] * np.arange(n)).ravel()
+            worst.append(np.max(np.abs(vals.ravel() - self.evaluate_batch(points))))
+            return vals
+
+        monkeypatch.setattr(SpectralMeasure, "axis_phases", kept_phases)
+        monkeypatch.setattr(SpectralMeasure, "evaluate_steps", checked_steps)
+        for comb in combs:  # the target does not depend on s
+            measure_report(tgt, comb, 16, "iid", 0)
+        assert len(worst) >= len(combs) * _SCAN_PASSES * meas.d * _SCAN_LEVELS
+        assert max(worst) <= bound
+
+    @pytest.mark.parametrize("case", [2, 3])
+    def test_the_scan_never_reports_below_the_point_set_maximum(self, case):
+        tgt, comb = refinement_cases()[case]
+        assert linf_error(tgt, comb) >= linf_error(tgt, comb, refine_top=0)
+
+
 def line_calls(monkeypatch):
-    """The list that gets, for each call of metrics._line_diff, its row ranges
-    and the bits of the values it gives, flat."""
+    """The list that gets, for each call of metrics._line_diff, the bits of
+    the values it gives, flat."""
     calls = []
     diff = metrics._line_diff
 
-    def recording(target, line, C, k, p, ranges, poll):
-        vals = diff(target, line, C, k, p, ranges, poll)
-        calls.append(([(int(lo), int(hi)) for lo, hi in ranges],
-                      vals.ravel().view(np.int64).copy()))
+    def recording(target, line, C, k, p, poll):
+        vals = diff(target, line, C, k, p, poll)
+        calls.append(vals.ravel().view(np.int64).copy())
         return vals
 
     monkeypatch.setattr(metrics, "_line_diff", recording)
@@ -726,9 +819,9 @@ class TestStackedLine:
     @pytest.mark.parametrize("case", [1, 5, 6, 7])
     def test_every_line_value_keeps_its_bits(self, case, monkeypatch):
         # each target call of the line norms (the L2's, the edges', each
-        # refinement round's) on every pair's rows, stacked and alone; on the
-        # twelve collinear frequencies a target call over all rows would sum
-        # the last rows of each pair in another order
+        # refinement round's) on every pair's rows, stacked and alone: the
+        # target's values are row-independent, so one call for all pairs
+        # gives each row the bits of its pair alone
         tgt, cells = stacked_batches()[case]
         calls = line_calls(monkeypatch)
         alone = []
@@ -736,61 +829,73 @@ class TestStackedLine:
             if _checked_line(tgt, cell[0], "-") is None:
                 continue
             measure_report(tgt, *cell)
-            alone.append([vals for _, vals in calls])
+            alone.append(calls[:])
             calls.clear()
         measure_reports(tgt, cells)
         assert len(calls) == max(len(run) for run in alone)
-        for r, (ranges, vals) in enumerate(calls):
-            live = [run[r] for run in alone if len(run) > r]
-            assert [hi - lo for lo, hi in ranges] == [v.size for v in live]
-            assert np.array_equal(vals, np.concatenate(live)), r
+        for r, vals in enumerate(calls):
+            assert np.array_equal(vals, np.concatenate([run[r] for run in alone if len(run) > r])), r
 
     def test_a_batch_makes_one_target_call_for_the_l2_and_one_per_round(self, monkeypatch):
         tgt, cells = stacked_batches()[7]  # the twelve collinear frequencies
-        batch, single = [], []
-        evaluate, evaluate_calls = TargetFunction.evaluate_batch, TargetFunction.evaluate_calls
+        single = []
+        evaluate = TargetFunction.evaluate_batch
 
         def counting(self, points):
             single.append(len(points))
             return evaluate(self, points)
 
-        def counting_calls(self, points, calls):
-            batch.append(calls)
-            return evaluate_calls(self, points, calls)
-
         monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
-        monkeypatch.setattr(TargetFunction, "evaluate_calls", counting_calls)
         alone = []
         for cell in cells:
             measure_report(tgt, *cell)
             alone.append(single[:])
-            assert len(batch) == len(single)  # a pair alone: one range a call
-            batch.clear()
             single.clear()
         measure_reports(tgt, cells)
-        # the L2, the edges and each round of the pair with the most
-        assert len(batch) == max(map(len, alone)) > 3
-        assert [sum(hi - lo for lo, hi in calls) for calls in batch] == [
-            sum(run[r] for run in alone if len(run) > r) for r in range(len(batch))]
-        # each pair's rows are a call of their own, and none is made outside one
-        assert sorted(single) == sorted(n for run in alone for n in run)
+        # the L2, the edges and each round of the pair with the most, each
+        # one evaluate_batch call over the rows of every pair still live
+        assert max(map(len, alone)) > 3
+        assert single == [sum(run[r] for run in alone if len(run) > r)
+                          for r in range(max(map(len, alone)))]
 
     @pytest.mark.parametrize("case", [5, 6, 7])
     def test_poll_runs_before_each_pair_and_each_target_call(self, case, monkeypatch):
         tgt, cells = stacked_batches()[case]
         events = []
-        evaluate_calls = TargetFunction.evaluate_calls
+        evaluate = TargetFunction.evaluate_batch
 
-        def counting_calls(self, points, calls):
+        def counting(self, points):
             events.append("call")
-            return evaluate_calls(self, points, calls)
+            return evaluate(self, points)
 
-        monkeypatch.setattr(TargetFunction, "evaluate_calls", counting_calls)
+        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
         measure_reports(tgt, cells, poll=lambda: events.append("poll"))
         calls = events.count("call")
         assert calls > 2  # the L2, the edges and a refinement round at least
-        assert events.count("poll") == len(cells) + calls
+        # and each scan level of the pairs off the line
+        levels = _SCAN_PASSES * tgt.d * _SCAN_LEVELS * any(
+            _checked_line(tgt, c, "-") is None for c, *_ in cells)
+        assert events.count("poll") == len(cells) + calls + levels
         assert all(events[i - 1] == "poll" for i, e in enumerate(events) if e == "call")
+
+
+class TestLineDensity:
+    @pytest.mark.parametrize("u", [np.array([1.0, -2.0]) / 3.0, np.array([1.0, 1.0, 1.0]) / 3.0,
+                                   np.array([1.0, -2.0, 1.0]) / 4.0,
+                                   np.array([1.0, 3.0, 1.0, 1.0]) / 6.0])
+    @given(n=st.integers(min_value=1, max_value=60), offset=st.integers(min_value=0, max_value=9),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    def test_a_value_has_the_same_bits_alone_and_in_any_batch(self, u, n, offset, seed):
+        # one reduction over the cube's corners per value, so a value depends
+        # on its own p alone: alone, after `offset` others, and in rows of
+        # the L2's nodes per panel
+        p = np.random.default_rng(seed).uniform(-1.0, 1.0, size=4 * (offset + n))
+        alone = np.array([metrics._density(u, p[i:i + 1])[0] for i in range(p.size)])
+        flat = metrics._density(u, p[offset:])
+        panels = metrics._density(u, p.reshape(-1, 4)).ravel()
+        assert np.array_equal(flat.view(np.int64), alone[offset:].view(np.int64))
+        assert np.array_equal(panels.view(np.int64), alone.view(np.int64))
 
 
 class DuckTarget:

@@ -201,17 +201,41 @@ def gaussian_spectrum(J: int, d: int, seed: int = 0) -> SpectralMeasure:
                            phases=gen.uniform(-np.pi, np.pi, size=J))
 
 
+def collinear_spectrum() -> SpectralMeasure:
+    """Twelve frequencies +-c_j u on the line u = (1, -2)/3."""
+    u = np.array([1.0, -2.0]) / 3.0
+    return SpectralMeasure(omegas=np.array([(-1.0) ** j * 0.7 * (j + 1) * u for j in range(12)]),
+                           mags=np.linspace(0.3, 0.05, 12), phases=np.linspace(-2.5, 2.9, 12))
+
+
+# one frequency, the twelve collinear ones and a d = 2 probe-like J = 400
+ROW_SPECTRA = {"J1": gaussian_spectrum(1, 3), "collinear": collinear_spectrum(),
+               "J400": gaussian_spectrum(400, 2, seed=1)}
+
+
 class TestBlockedEvaluation:
-    @pytest.mark.parametrize("J", [1, 3, 17])
-    def test_blocks_give_the_unblocked_values(self, J, monkeypatch):
-        meas = gaussian_spectrum(J, 3)
-        pts = np.random.default_rng(1).uniform(-1.0, 1.0, size=(400, 3))
-
-        def unblocked(p):
-            return np.cos(p @ meas.omegas.T + meas.phases) @ meas.mags
-
-        monkeypatch.setattr(spectral, "_EVAL_BLOCK_ELEMS", 100 * J)  # 64-row blocks
-        assert np.array_equal(meas.evaluate_batch(pts), unblocked(pts))
+    @pytest.mark.parametrize("name", list(ROW_SPECTRA))
+    @given(n=st.integers(min_value=1, max_value=200), offset=st.integers(min_value=0, max_value=70),
+           block=st.integers(min_value=1, max_value=80), seed=st.integers(min_value=0, max_value=2**16))
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    def test_a_row_has_the_same_bits_alone_and_in_any_batch(self, name, n, offset, block, seed):
+        # each row from its own coordinates: the same bits alone, after
+        # `offset` other rows, in blocks of `block` rows and unblocked
+        meas = ROW_SPECTRA[name]
+        gen = np.random.default_rng(seed)
+        batch = gen.uniform(-1.0, 1.0, size=(offset + n + 5, meas.d))
+        rows = batch[offset:offset + n]
+        alone = np.concatenate([meas.evaluate_batch(row[None]) for row in rows])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "_EVAL_BLOCK_ELEMS", 2 * block * meas.size)
+            blocked = meas.evaluate_batch(batch)[offset:offset + n]
+        whole = meas.evaluate_batch(batch)[offset:offset + n]
+        assert np.array_equal(blocked.view(np.int64), alone.view(np.int64))
+        assert np.array_equal(whole.view(np.int64), alone.view(np.int64))
+        # and the values are the cosine sum's to rounding
+        direct = np.cos(rows @ meas.omegas.T + meas.phases) @ meas.mags
+        assert np.max(np.abs(alone - direct)) <= 64 * np.finfo(float).eps * meas.mags.sum() * (
+            1.0 + np.abs(meas.omegas).sum(axis=1).max())
 
     def test_peak_memory_stays_bounded_as_the_point_count_grows(self):
         # at J = 2000 an unblocked call on 2^14 points would hold a 256 MiB matrix
