@@ -12,14 +12,14 @@ lower bound on the true sup.  The point sets are built once per process and
 kept read-only, and a TargetFunction keeps one array on each: its residual,
 the target less the polynomial part b0 + a0 . x [+ 0.5 x^T A0 x] that the
 builders copy from it.  Every combination measured takes a copy of it and
-subtracts its terms in place; a target built from a measure computes its
-values there from per-axis factors, and each term is evaluated only on the
-coordinates it uses.  measure_reports measures a batch of pairs on one
-target.  The norms of its pairs on the line are taken as one: one target call
-for all their L2 nodes, one for their edges and one per refinement round.
+subtracts its terms in place; the target's values there come from per-axis
+factors, and each term is evaluated only on the coordinates it uses.
+measure_reports measures a batch of pairs on one target.  The norms of its
+pairs on the line are taken as one: one target call for all their L2 nodes,
+one for their edges and one per refinement round.
 The pairs off it each get their own pass on the point set, and their scans
-run as one: a measure's values along each scan axis come from per-axis
-factors, one call a level for all pairs.  A measure's values are
+run as one: the target's values along each scan axis come from per-axis
+factors, one call a level for all pairs.  The target's values are
 row-independent, so every value has the bits of the pair measured alone.
 """
 
@@ -165,8 +165,8 @@ def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray, poll) -> np.ndarra
     """target - comb at x(p) = p sign(u), where u . x = p, with p in piece k of
     C; comb is its piece polynomial.
 
-    poll, if given, is called first.  A line comes from a measure, whose
-    values are row-independent, so all of p makes one evaluate_batch call.
+    poll, if given, is called first.  The target's values are
+    row-independent, so all of p makes one evaluate_batch call.
     """
     if poll is not None:
         poll()
@@ -355,13 +355,12 @@ def _stacked_scan(target, scans, poll=None) -> list[float]:
     windows) of scans, all pairs' starts scanned together, calling poll, if
     given, before each level.
 
-    A measure's phases are taken once per axis pass and its row-independent
+    The target's phases are taken once per axis pass and its row-independent
     values from per-axis factors (SpectralMeasure.axis_phases,
-    evaluate_steps); a directly built target is called once a level per pair.
-    The polynomial part is computed once when every combination's (b0, a0,
-    A0) is the first one's, as the builders copy the target's, and each
-    combination's terms on its own rows, so every probe value has the bits
-    of a scan of its pair alone.
+    evaluate_steps).  The polynomial part is computed once when every
+    combination's (b0, a0, A0) is the first one's, as the builders copy the
+    target's, and each combination's terms on its own rows, so every probe
+    value has the bits of a scan of its pair alone.
     """
     combs, starts, windows = zip(*scans)
     counts = [len(x) for x in starts]
@@ -372,9 +371,7 @@ def _stacked_scan(target, scans, poll=None) -> list[float]:
                  and (c.A0 is None if first.A0 is None else np.array_equal(c.A0, first.A0))
                  for c in combs)
 
-    def diff(probes):  # target - comb, with 0 for a measure's values
-        if poll is not None:
-            poll()
+    def comb_values(probes):
         vals = np.empty(len(probes)) if not shared else polynomial_part(
             probes, first.b0, first.a0, first.A0)
         for comb, (lo, hi) in zip(combs, spans):
@@ -383,18 +380,17 @@ def _stacked_scan(target, scans, poll=None) -> list[float]:
                 vals[lo:hi] = polynomial_part(rows, comb.b0, comb.a0, comb.A0)
             if comb.term_count:
                 vals[lo:hi] += comb.outer_scale * comb._term_sum(rows)
-        f = 0.0 if meas is not None else np.concatenate(
-            [target.evaluate_batch(probes[lo:hi]) for lo, hi in spans])
-        return np.subtract(f, vals, out=vals)
+        return vals
 
     def along(x, ax):
-        level = _probing(diff)(x, ax)
-        phases = None if meas is None else meas.axis_phases(x, ax)
+        level = _probing(comb_values)(x, ax)
+        phases = meas.axis_phases(x, ax)
 
         def values(q, step):
-            vals = level(q, step)
-            if meas is not None:
-                vals += meas.evaluate_steps(phases, ax, q[:, 0], step, _SCAN_SAMPLES)
+            if poll is not None:
+                poll()
+            vals = meas.evaluate_steps(phases, ax, q[:, 0], step, _SCAN_SAMPLES)
+            vals -= level(q, step)
             return np.abs(vals, out=vals)
 
         return values

@@ -318,25 +318,22 @@ def v_fs(meas: SpectralMeasure, s: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class TargetFunction:
-    """A target with batch evaluation and its exact expansion data at the origin.
+    """A cosine-sum target: its spectrum and its exact expansion data at the origin.
 
-    `residual_on` keeps the target minus its polynomial part on the fixed
-    point sets that every error measurement reuses; the memo lives and dies
-    with the instance.  `measure` is the spectrum of a target built from one,
-    whose values on a tensor grid then come from per-axis factors; None for a
-    directly built target.  `line` is (u, max_j c_j, sum_j mag_j c_j), c_j =
-    ||omega_j||_1, when every nonzero frequency is +-c_j u for one unit-l1 u,
-    so the target is a ridge function of u . x; it is None otherwise and for
-    a directly built target.
+    The values come from `measure`.  `residual_on` keeps the target minus its
+    polynomial part on the fixed point sets that every error measurement
+    reuses; the memo lives and dies with the instance.  `line` is (u, max_j
+    c_j, sum_j mag_j c_j), c_j = ||omega_j||_1, when every nonzero frequency
+    is +-c_j u for one unit-l1 u, so the target is a ridge function of u . x;
+    it is None otherwise.
     """
 
     d: int
     b0: float
     a0: np.ndarray
     A0: np.ndarray
-    _fn: object
+    measure: SpectralMeasure
     line: tuple | None = None
-    measure: SpectralMeasure | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
     _memo_lock: object = field(default_factory=threading.RLock, init=False, repr=False)
 
@@ -362,24 +359,18 @@ class TargetFunction:
             u = dirs[0]
             u.setflags(write=False)
             line = (u, float(c.max()), float(meas.mags @ c))
-        return cls(d=meas.d, b0=b0, a0=a0, A0=A0, _fn=meas.evaluate_batch, line=line,
-                   measure=meas)
+        return cls(d=meas.d, b0=b0, a0=a0, A0=A0, measure=meas, line=line)
 
     @classmethod
     def from_sine_ridge(cls, theta) -> "TargetFunction":
         return cls.from_measure(sine_ridge_measure(theta))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """The target at each row of points (n, d).  UsageError when _fn gives
-        back another shape than (n,)."""
+        """The target at each row of points (n, d)."""
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.d:
             raise UsageError(f"points must have shape (n, {self.d})")
-        vals = np.asarray(self._fn(points), dtype=float)
-        if vals.shape != points.shape[:1]:
-            raise UsageError(f"the target function gave shape {vals.shape} for points of shape "
-                             f"{points.shape}; it must give {points.shape[:1]}")
-        return vals
+        return self.measure.evaluate_batch(points)
 
     def _kept(self, key, compute) -> np.ndarray:
         """compute(), run once per key and kept read-only.  The lock makes a
@@ -394,19 +385,14 @@ class TargetFunction:
         return vals
 
     def residual_on(self, key, points: np.ndarray, quadratic: bool,
-                    axis: np.ndarray | None = None) -> np.ndarray:
+                    axis: np.ndarray) -> np.ndarray:
         """The target minus its polynomial part b0 + a0 . x [+ 0.5 x^T A0 x
-        when quadratic] at the fixed point set `points`, which key must name;
-        computed once per key and kind.
-
-        `axis`, when given, says that points is tensor_grid(axis, d); a target
-        built from a measure then takes its values from per-axis factors
-        (SpectralMeasure.evaluate_tensor) instead of evaluate_batch.
+        when quadratic] at the fixed point set `points` = tensor_grid(axis,
+        d), which key must name; computed once per key and kind, the values
+        from per-axis factors (SpectralMeasure.evaluate_tensor).
         """
         def compute():
             poly = polynomial_part(points, self.b0, self.a0, self.A0 if quadratic else None)
-            if axis is None or self.measure is None:
-                return self.evaluate_batch(points) - poly
             vals = self.measure.evaluate_tensor(axis)
             vals -= poly
             return vals

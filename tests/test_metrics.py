@@ -1,5 +1,6 @@
 """Error norms, rate fits, and the sanity floor."""
 
+import dataclasses
 import functools
 import gc
 import math
@@ -48,7 +49,7 @@ from ridgecomb.metrics import (
     _scan_refine,
     _top_k,
 )
-from ridgecomb.quadrature import gauss_lobatto, panel_rule, uniform_cube_rule
+from ridgecomb.quadrature import gauss_lobatto, panel_rule, tensor_grid, uniform_cube_rule
 from ridgecomb.spectral import TargetFunction, sine_ridge_measure
 
 # closed form for || sin(pi x)/(4 pi) - x/4 || in L2([-1,1], dx/2):
@@ -62,17 +63,48 @@ def single_ramp(t: float, a: float = 1.0) -> RidgeCombination:
                             terms=((1.0, atom),))
 
 
+class CombinationMeasure:
+    """A measure double whose values are the combination c's, each evaluated
+    directly: on rows, on a tensor grid and at a scan level's samples."""
+
+    def __init__(self, c):
+        self.c = c
+
+    def evaluate_batch(self, points):
+        return self.c.evaluate_batch(points)
+
+    def evaluate_tensor(self, axis):
+        return self.c.evaluate_batch(tensor_grid(axis, self.c.d))
+
+    def axis_phases(self, x, ax=None):
+        return x.copy()  # the starts themselves
+
+    def evaluate_steps(self, starts, ax, lo, step, n):
+        probes = np.repeat(starts, n, axis=0)
+        probes[:, ax] = (lo[:, None] + step[:, None] * np.arange(n)).ravel()
+        return self.c.evaluate_batch(probes).reshape(len(starts), n)
+
+
 def comb_target(c):
-    """The combination c as a directly built TargetFunction."""
+    """The combination c as a TargetFunction, without a line."""
     A0 = np.zeros((c.d, c.d)) if c.A0 is None else c.A0
-    return TargetFunction(d=c.d, b0=c.b0, a0=c.a0, A0=A0, _fn=c.evaluate_batch)
+    return TargetFunction(d=c.d, b0=c.b0, a0=c.a0, A0=A0, measure=CombinationMeasure(c))
 
 
 def direct_target(tgt):
-    """tgt's values as a TargetFunction without a line and without kept values
-    of its own; on the tensor point sets it takes them from tgt's measure."""
-    return TargetFunction(d=tgt.d, b0=tgt.b0, a0=tgt.a0, A0=tgt.A0, _fn=tgt.evaluate_batch,
-                          measure=tgt.measure)
+    """tgt without its line and without kept values of its own."""
+    return dataclasses.replace(tgt, line=None)
+
+
+def cosine_product(w, c):
+    """The target prod_k cos(w_k (x_k - c_k)), from its spectrum of 2^(d-1)
+    frequencies (w_1, +-w_2, ..., +-w_d), each of magnitude 2^(1-d)."""
+    d = len(w)
+    signs = np.hstack([np.ones((2 ** (d - 1), 1)), tensor_grid([1.0, -1.0], d - 1)])
+    omegas = signs * w
+    return TargetFunction.from_measure(SpectralMeasure(
+        omegas=omegas, mags=np.full(len(omegas), 2.0 ** (1 - d)),
+        phases=np.angle(np.exp(-1j * (omegas @ c)))))
 
 
 class TestL2Error:
@@ -147,12 +179,11 @@ def abs_diff(target, comb):
     return lambda points: np.abs(target.evaluate_batch(points) - comb.evaluate_batch(points))
 
 
-def scan_refine_per_start(fn, pts, spacing, measure=None):
-    """The sup scan one start at a time, one fn call per start and level: the
+def scan_refine_per_start(fn, pts, spacing):
+    """The sup scan one start at a time, one fn(probes, ax, lo, step) call per
+    start and level, the probes its samples lo + i step on axis ax: the
     vectorized scan's reference.  spacing is one number or one per start and
-    axis.  With a measure, fn gives the combination at the probes and the
-    target's values come from the measure's per-axis factors for that start
-    alone, as the scan of a target built from a measure takes them."""
+    axis."""
     seen = -math.inf
     for x, window in zip(pts.copy(), np.broadcast_to(spacing, pts.shape)):
         for _ in range(_SCAN_PASSES):
@@ -164,12 +195,7 @@ def scan_refine_per_start(fn, pts, spacing, measure=None):
                     q = np.minimum(lo + step * np.arange(_SCAN_SAMPLES), hi)
                     probes = np.tile(x, (_SCAN_SAMPLES, 1))
                     probes[:, ax] = q
-                    v = fn(probes)
-                    if measure is not None:
-                        f = measure.evaluate_steps(measure.axis_phases(x[None], ax), ax,
-                                                   np.array([lo]), np.array([step]),
-                                                   _SCAN_SAMPLES)[0]
-                        v = np.abs(f - v)
+                    v = fn(probes, ax, lo, step)
                     seen = max(seen, float(v.max()))
                     x[ax] = q[int(np.argmax(v))]
                     lo, hi = max(lo, x[ax] - step), min(hi, x[ax] + step)
@@ -217,19 +243,20 @@ def default_windows(d, starts):
 
 def linf_error_uncached(target, comb, refine_top=10):
     """linf_error on a freshly built point set, with a full sort and the
-    per-start scan, which takes a measure's values from its factors as
-    linf_error does."""
-    d = target.d
+    per-start scan, which takes the target's values from its measure's
+    factors for each start alone, as linf_error does."""
+    d, meas = target.d, target.measure
     mesh = np.meshgrid(*([default_axis(d)] * d), indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
-    fn = abs_diff(target, comb)
-    vals = fn(points)
+    vals = abs_diff(target, comb)(points)
     top = points[np.argsort(vals)[-refine_top:]]
-    windows = default_windows(d, top)
-    if target.measure is None:
-        return max(float(vals.max()), scan_refine_per_start(fn, top, windows))
-    return max(float(vals.max()), scan_refine_per_start(comb.evaluate_batch, top, windows,
-                                                        target.measure))
+
+    def fn(probes, ax, lo, step):
+        f = meas.evaluate_steps(meas.axis_phases(probes[:1], ax), ax, np.array([lo]),
+                                np.array([step]), len(probes))[0]
+        return np.abs(f - comb.evaluate_batch(probes))
+
+    return max(float(vals.max()), scan_refine_per_start(fn, top, default_windows(d, top)))
 
 
 def cube_l2(target, comb):
@@ -400,7 +427,7 @@ class TestLinfError:
         windows = default_windows(d, pts)
         got = _scan_refine(fn, pts, windows)
         assert got > vals.max()
-        assert got == scan_refine_per_start(fn, pts, windows)
+        assert got == scan_refine_per_start(lambda probes, *_: fn(probes), pts, windows)
 
     @pytest.mark.parametrize("case", range(4))
     def test_equals_the_uncached_reference(self, case):
@@ -485,8 +512,7 @@ class TestLinfError:
         # lies off the sup grid; the target has no line, so the cube path runs
         c = np.array([0.1234567, -0.3141593, 0.2718282, 0.5772157])[:d]
         w = np.array([3.0, 2.0, 2.5, 1.5])[:d]
-        tgt = TargetFunction(d=d, b0=0.0, a0=np.zeros(d), A0=np.zeros((d, d)),
-                             _fn=lambda p: np.prod(np.cos(w * (p - c)), axis=1))
+        tgt = cosine_product(w, c)
         zero = make_affine(d, 2, 0.0, np.zeros(d))
         assert tgt.line is None
         assert linf_error(tgt, zero, refine_top=0) < 1.0 - 1e-6  # the grid max alone
@@ -499,8 +525,7 @@ class TestLinfError:
         # there are cut to the cube
         c = np.array([0.1234567, -0.3141593, 0.2718282, 1.2])[-d:]
         w = np.array([3.0, 2.0, 2.5, 1.0])[-d:]
-        tgt = TargetFunction(d=d, b0=0.0, a0=np.zeros(d), A0=np.zeros((d, d)),
-                             _fn=lambda p: np.prod(np.cos(w * (p - c)), axis=1))
+        tgt = cosine_product(w, c)
         zero = make_affine(d, 2, 0.0, np.zeros(d))
         assert linf_error(tgt, zero) == pytest.approx(math.cos(0.2), abs=1e-9)
 
@@ -538,15 +563,6 @@ class TestLinfError:
         starts = points[:_REFINE_TOP]
         _scan_refine(fn, starts, default_windows(d, starts))
         assert rows == [_REFINE_TOP * _SCAN_SAMPLES] * (_SCAN_PASSES * d * _SCAN_LEVELS)
-
-    def test_a_target_function_of_the_wrong_shape_is_refused(self):
-        rep, tgt = cosine_target(2)
-        comb = build_iid(rep, 12, tgt, seed=0)
-        by_rows = TargetFunction(d=2, b0=tgt.b0, a0=tgt.a0, A0=tgt.A0, _fn=lambda p: np.cos(p))
-        with pytest.raises(UsageError, match="must give"):
-            by_rows.evaluate_batch(np.zeros((5, 2)))
-        with pytest.raises(UsageError, match="must give"):
-            linf_error(by_rows, comb, grid=33)
 
     def test_oversized_grid_is_refused_before_it_is_built(self):
         # 100000^3 points would need petabytes; the cap is the tensor L2 rule's
@@ -611,8 +627,6 @@ def stacked_batches():
             (build_stratified(sine, 16, 0.25, "fractional", tgt_sine, seed=7), 16,
              "stratified", 7),
             (off_line_combination(tgt_sine, 40, 8), 40, "hand", 8)]
-    # without a measure, each call of the target goes through evaluate_batch
-    no_measure = TargetFunction(d=3, b0=tgt3.b0, a0=tgt3.a0, A0=tgt3.A0, _fn=tgt3.evaluate_batch)
     # twelve frequencies: the last rows of a call are contracted in another order
     frequent = [(build_iid(many, m, tgt_many, seed=seed), m, "iid", seed)
                 for m, seed in ((16, 1), (64, 2), (4, 3))]
@@ -630,8 +644,7 @@ def stacked_batches():
                           (build_sparse(cube_line, m, 2, tgt_mixed, seed=seed), m, "sparse", seed))]
     tgt_collinear, collinear = collinear_batch()
     return [(tgt3, cube), (tgt_sine, line), (direct_target(tgt_sine), line),
-            (no_measure, cube), (tgt_many, frequent), (tgt_ridge, d1), (tgt_mixed, mixed),
-            (tgt_collinear, collinear)]
+            (tgt_many, frequent), (tgt_ridge, d1), (tgt_mixed, mixed), (tgt_collinear, collinear)]
 
 
 def stratified_build(rep, m, tgt, seed):
@@ -653,7 +666,7 @@ def collinear_batch():
 
 
 class TestStackedScan:
-    @pytest.mark.parametrize("case", range(8))
+    @pytest.mark.parametrize("case", range(7))
     def test_batches_equal_one_pair_at_a_time(self, case):
         tgt, cells = stacked_batches()[case]
         solo = [report_bits(measure_report(tgt, *cell)) for cell in cells]
@@ -665,11 +678,11 @@ class TestStackedScan:
         for (comb, *_), (_, _, _, l2, linf, _, _) in zip(cells, solo):
             assert (l2_error(tgt, comb).hex(), linf_error(tgt, comb).hex()) == (l2, linf)
 
-    @pytest.mark.parametrize("case", [0, 3, 4, 6])
+    @pytest.mark.parametrize("case", [0, 3, 5])
     def test_every_probe_value_keeps_its_bits(self, case, monkeypatch):
         # each scan level's values on every pair's rows, stacked and alone:
-        # the target's values (from factors, or per range without a measure),
-        # the shared polynomial part and each pair's terms are row-independent
+        # the target's values from factors, the shared polynomial part and
+        # each pair's terms are row-independent
         tgt, cells = stacked_batches()[case]
         runs = []
         scan = metrics._scan_maxima
@@ -730,24 +743,6 @@ class TestStackedScan:
         assert phases == [(starts, 3)] * (_SCAN_PASSES * 3)
         assert steps == [((2, starts), (starts,), _SCAN_SAMPLES)] * (_SCAN_PASSES * 3 * _SCAN_LEVELS)
         assert single == []
-
-    def test_a_directly_built_target_is_called_once_a_level_per_pair(self, monkeypatch):
-        # a directly built target's function may give a row other bits
-        # elsewhere in a call, so each pair's rows of a level are a call of
-        # their own, and none is made outside a level
-        tgt, cells = stacked_batches()[3]  # no measure
-        measure_report(tgt, *cells[0])  # keeps the residual on the point set
-        single = []
-        evaluate = TargetFunction.evaluate_batch
-
-        def counting(self, points):
-            single.append(len(points))
-            return evaluate(self, points)
-
-        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
-        measure_reports(tgt, cells)
-        levels = _SCAN_PASSES * 3 * _SCAN_LEVELS
-        assert single == [_REFINE_TOP * _SCAN_SAMPLES] * (len(cells) * levels)
 
     def test_no_pair_makes_an_empty_list(self):
         rep, tgt = cosine_target(2)
@@ -816,7 +811,7 @@ def line_calls(monkeypatch):
 
 
 class TestStackedLine:
-    @pytest.mark.parametrize("case", [1, 5, 6, 7])
+    @pytest.mark.parametrize("case", [1, 4, 5, 6])
     def test_every_line_value_keeps_its_bits(self, case, monkeypatch):
         # each target call of the line norms (the L2's, the edges', each
         # refinement round's) on every pair's rows, stacked and alone: the
@@ -837,7 +832,7 @@ class TestStackedLine:
             assert np.array_equal(vals, np.concatenate([run[r] for run in alone if len(run) > r])), r
 
     def test_a_batch_makes_one_target_call_for_the_l2_and_one_per_round(self, monkeypatch):
-        tgt, cells = stacked_batches()[7]  # the twelve collinear frequencies
+        tgt, cells = stacked_batches()[6]  # the twelve collinear frequencies
         single = []
         evaluate = TargetFunction.evaluate_batch
 
@@ -858,7 +853,7 @@ class TestStackedLine:
         assert single == [sum(run[r] for run in alone if len(run) > r)
                           for r in range(max(map(len, alone)))]
 
-    @pytest.mark.parametrize("case", [5, 6, 7])
+    @pytest.mark.parametrize("case", [4, 5, 6])
     def test_poll_runs_before_each_pair_and_each_target_call(self, case, monkeypatch):
         tgt, cells = stacked_batches()[case]
         events = []

@@ -330,8 +330,6 @@ class TestTargetFunction:
         constant = SpectralMeasure(omegas=[[0.0, 0.0]], mags=[1.0], phases=[0.0])
         for meas in (two_atom_measure(), off_line, constant):
             assert TargetFunction.from_measure(meas).line is None
-        direct = TargetFunction(d=1, b0=0.0, a0=[0.0], A0=[[0.0]], _fn=np.sin)
-        assert direct.line is None
 
     def test_residual_removes_affine_part(self):
         tgt = target_of(exact_sine_representation((2,)))
