@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as _rng
-from .construct import build_from_config, stratified_epsilon, stratified_geometry
+from .construct import MAX_M0, build_from_config, stratified_epsilon, stratified_geometry
 from .errors import BuilderError, UsageError
 from .metrics import (
     CSV_HEADER,
@@ -162,7 +162,7 @@ def _shared_settings(cfg: dict, command: str) -> tuple[dict, dict, bool]:
     if eps != "auto" and (isinstance(epsilon, bool) or not 0 < eps < math.inf):
         raise UsageError(f"epsilon must be a positive number or 'auto', got {epsilon!r}")
     m0 = cfg.get("m0")
-    m0 = "auto" if m0 is None or m0 == "auto" else _as_int(m0, "m0", 1)
+    m0 = "auto" if m0 is None or m0 == "auto" else _as_int(m0, "m0", 1, MAX_M0)
     force = cfg.get("force", False)
     if not isinstance(force, bool):
         raise UsageError(f"force must be true or false, got {force!r}")

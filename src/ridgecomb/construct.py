@@ -463,14 +463,18 @@ def build_stratified(rep: IntegralRepresentation, m: int, epsilon: float, mode: 
 
 # --- inner-weight sparsifier ---
 
+MAX_M0 = int(np.iinfo(np.int64).max)  # the largest count numpy's multinomial draws
+
+
 @dataclass(frozen=True)
 class SparsifierConfig:
     m0: int
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.m0, (int, np.integer)) or self.m0 < 1:
-            raise UsageError(f"inner budget m0 must be a positive integer, got {self.m0}")
+        if not isinstance(self.m0, (int, np.integer)) or not 1 <= self.m0 <= MAX_M0:
+            raise UsageError(f"inner budget m0 must be an integer in [1, {MAX_M0}], "
+                             f"got {self.m0}")
 
 
 def sparsify(c: RidgeCombination, cfg: SparsifierConfig) -> RidgeCombination:

@@ -255,8 +255,9 @@ class SpectralMeasure:
         the first coordinate's factors, times mag e^{i phase}, contract over
         the frequencies with the products of the other coordinates' factors:
         J d k complex exponentials, J k^(d-1) complex products and one real
-        matrix product, against J k^d cosines in evaluate_batch, for k points
-        per axis.  The blocks hold at most
+        contraction in a fixed order, against J k^d cosines in evaluate_batch,
+        for k points per axis.  No BLAS product runs, so the values keep their
+        bits at any BLAS thread count.  The blocks hold at most
         _EVAL_BLOCK_ELEMS frequency x point entries (or one frequency), so
         memory stays bounded whatever J.
         """
@@ -272,8 +273,9 @@ class SpectralMeasure:
             tail = np.ones((E.shape[0], 1), dtype=complex)
             for j in range(1, self.d):
                 tail = (tail[:, :, None] * E[:, j, None, :]).reshape(E.shape[0], -1)
-            # Re(lead^T tail) as one real product over the stacked parts
-            out += np.vstack([lead.real, -lead.imag]).T @ np.vstack([tail.real, tail.imag])
+            # Re(lead^T tail) as one real contraction over the stacked parts
+            out += np.einsum("jk,jr->kr", np.vstack([lead.real, -lead.imag]),
+                             np.vstack([tail.real, tail.imag]))
         return out.reshape(-1)
 
     def to_json_dict(self) -> dict:

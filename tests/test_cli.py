@@ -261,6 +261,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, cfg, key", [
         (["build", "--m", "4", "--method", "sparse", "--m0", "abc"], None, "m0"),
+        (["build", "--m", "4", "--method", "sparse", "--m0", str(2**63)], None, "m0"),
         (["rate-sweep", "--m", "4,8,16", "--seeds", "abc"], None, "seeds"),
         (["rate-sweep", "--m", "4,8,16", "--seeds", "10", "--workers", "0"], None, "workers"),
         (["build"], {"m": "x"}, "m"),

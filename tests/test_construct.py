@@ -741,6 +741,11 @@ class TestSparsifier:
         with pytest.raises(UsageError):
             sparsify(comb, SparsifierConfig(m0=2))
 
+    def test_an_inner_budget_past_int64_is_refused(self):
+        assert SparsifierConfig(m0=2**63 - 1).m0 == 2**63 - 1
+        with pytest.raises(UsageError, match="m0"):
+            SparsifierConfig(m0=2**63)
+
 
 class TestConfigBuild:
     def test_auto_epsilon_schedules(self):

@@ -259,12 +259,20 @@ class TestFactoredEvaluation:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("rule", ["gauss", "grid"])  # the L2 rule's axis, the sup grid's
     def test_factors_give_the_direct_values(self, d, J, rule):
-        meas = gaussian_spectrum(J, d, seed=J)
         axis = np.polynomial.legendre.leggauss(64)[0] if rule == "gauss" else np.linspace(-1, 1, 65)
+        self.check_factors(gaussian_spectrum(J, d, seed=J), axis, d)
+
+    @pytest.mark.parametrize("J", [1, 3, 400])
+    def test_factors_give_the_direct_values_at_d4(self, J):
+        # on the axis of the 27^4 Gauss-Lobatto set that d = 4 pairs are measured on
+        self.check_factors(gaussian_spectrum(J, 4, seed=J), quadrature.gauss_lobatto(27)[0], 4)
+
+    @staticmethod
+    def check_factors(meas, axis, d):
         vals = meas.evaluate_tensor(axis)
         assert vals.shape == (axis.size**d,)
         # every point up to 2^18 point x frequency pairs, else 2^18 / J of them at random
-        rows = np.arange(vals.size)
+        rows, J = np.arange(vals.size), meas.size
         if vals.size * J > 2**18:
             rows = np.random.default_rng(d).choice(vals.size, 2**18 // J, replace=False)
         direct = meas.evaluate_batch(quadrature.tensor_grid(axis, d)[rows])
