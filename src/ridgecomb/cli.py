@@ -28,6 +28,7 @@ import select
 import signal
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from .construct import MAX_M0, build_from_config, stratified_epsilon, stratified
 from .errors import BuilderError, UsageError
 from .metrics import (
     CSV_HEADER,
+    MAX_D,
     check_grid_sizes,
     fit_rate,
     l2_error,
@@ -58,7 +60,6 @@ from .quadrature import panel_rule
 from .spectral import verify_ramp_identity, verify_square_identity
 from .targets import catalog_entries, resolve_target
 
-MAX_D = 4  # the largest d the error metrics measure; --force does not lift it
 DESK_MAX_M = 4096
 DESK_MAX_SEEDS = 50
 DESK_MAX_WORKERS = 32
@@ -66,6 +67,7 @@ SEED_MAX = 2**64 - 1
 # a batch of sweep cells measured together ends at this many cells or stored terms
 _BATCH_CELLS = 256
 _BATCH_TERMS = 1 << 16
+_WATCH_S = 0.05  # how often a forked sweep worker checks that its sweep process lives
 METHODS = ("iid", "stratified", "sparse")
 MODES = ("signed", "fractional")
 
@@ -247,7 +249,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 # --- rate sweep ---
 
-def _sweep_cells(context: tuple, cells: list, reports: list, owner: int | None = None) -> None:
+def _sweep_cells(context: tuple, cells: list, reports: list) -> None:
     """Append to reports the result of each (method, m, seed) of cells, in
     order, for the sweep whose (rep, target, resolved, grid_sizes) is
     context: its report, or the message of the BuilderError that stopped its
@@ -256,21 +258,12 @@ def _sweep_cells(context: tuple, cells: list, reports: list, owner: int | None =
 
     An exception at cell j is raised after the cells before j are measured,
     so the earliest failing cell's is raised, with reports holding the
-    results before it.  With owner, the pid of a forked worker's sweep
-    process, the worker ends once that process is gone: it looks before each
-    build, each pair's pass, each target call of a batch's line norms (a
-    refinement round, say) and each scan level.
+    results before it.
     """
     rep, target, resolved, grid_sizes = context
-
-    def poll() -> None:
-        if owner is not None and os.getppid() != owner:
-            os._exit(1)
-
     pending, terms = [], 0
     try:
         for method, m, seed in cells:
-            poll()
             try:
                 comb = build_from_config(rep, target, _builder_config(resolved, method, m, seed))
             except BuilderError as exc:
@@ -279,33 +272,26 @@ def _sweep_cells(context: tuple, cells: list, reports: list, owner: int | None =
             pending.append((comb, m, method, seed))
             terms += comb.term_count
             if len(pending) >= _BATCH_CELLS or terms >= _BATCH_TERMS:
-                _measure(target, grid_sizes, pending, reports, poll)
+                _measure(target, grid_sizes, pending, reports)
                 terms = 0
     except Exception:
-        _measure(target, grid_sizes, pending, reports, poll)
+        _measure(target, grid_sizes, pending, reports)
         raise
-    _measure(target, grid_sizes, pending, reports, poll)
+    _measure(target, grid_sizes, pending, reports)
 
 
-def _measure(target, grid_sizes: dict, pending: list, reports: list, poll) -> None:
+def _measure(target, grid_sizes: dict, pending: list, reports: list) -> None:
     """Move the results of the pending cells, each a (comb, m, method, seed)
     or a builder message, to reports in order.  Several combinations are
-    measured as one batch (measure_reports, calling poll between its steps),
-    one on its own by measure_report.  If a batch raises, its combinations
-    are measured one by one, so that the first cell that raises on its own
-    raises here."""
+    measured as one batch (measure_reports), one on its own by
+    measure_report.  If a batch raises, its combinations are measured one by
+    one, so that the first cell that raises on its own raises here."""
     cells, pending[:] = pending[:], []
     combs = [c for c in cells if not isinstance(c, str)]
-
-    def one_by_one():
-        for comb in combs:
-            poll()
-            yield measure_report(target, *comb, **grid_sizes)
-
-    measured = one_by_one()
+    measured = (measure_report(target, *comb, **grid_sizes) for comb in combs)
     if len(combs) > 1:
         try:
-            measured = iter(measure_reports(target, combs, **grid_sizes, poll=poll))
+            measured = iter(measure_reports(target, combs, **grid_sizes))
         except Exception:
             pass  # raised again by the earliest cell that raises on its own
     for cell in cells:
@@ -318,13 +304,13 @@ def _run_share(context: tuple, cells: list, first: int, step: int, r: int, w: in
     pickle to the pipe end w, (None, reports, "") or the _pickled_failure of
     the first cell that raised; then end the process with exit 0, never
     returning.  A worker whose sweep process `owner` is gone (killed where it
-    could not clean up) ends within its current build, pair's pass,
-    refinement round or scan level (_sweep_cells)."""
+    could not clean up) ends within _WATCH_S, wherever it is (_watch)."""
     try:
         os.close(r)
+        threading.Thread(target=_watch, args=(owner,), daemon=True).start()
         reports = []
         try:
-            _sweep_cells(context, cells[first::step], reports, owner)
+            _sweep_cells(context, cells[first::step], reports)
             data = pickle.dumps((None, reports, ""))
         except BaseException as exc:  # raised again in the sweep process
             data = _pickled_failure(first + len(reports) * step, exc)
@@ -333,6 +319,14 @@ def _run_share(context: tuple, cells: list, first: int, step: int, r: int, w: in
         os._exit(0)
     finally:
         os._exit(1)
+
+
+def _watch(owner: int) -> None:
+    """End this process with exit 1 once its parent is no longer owner: an
+    orphaned worker is re-parented, so its getppid() changes."""
+    while os.getppid() == owner:
+        time.sleep(_WATCH_S)
+    os._exit(1)
 
 
 def _pickled_failure(index: int, exc: BaseException) -> bytes:
@@ -611,13 +605,14 @@ def _verify_packing(seed: int) -> list[dict]:
 def _verify_sampler_fit(seed: int) -> list[dict]:
     target, rep = resolve_target("sine-ridge:1", 2, seed=seed)
     ms = [16, 64, 256, 1024]
+    # 20 build seeds from seed on, wrapping past SEED_MAX so that every seed works
+    build_seeds = [(seed + sd) % (SEED_MAX + 1) for sd in range(20)]
     means = []
     envelope_ok = True
     for m in ms:
         errs = []
-        for sd in range(20):
-            comb = build_from_config(rep, target,
-                                     {"method": "iid", "m": m, "seed": seed + sd})
+        for build_seed in build_seeds:
+            comb = build_from_config(rep, target, {"method": "iid", "m": m, "seed": build_seed})
             errs.append(l2_error(target, comb))
         mean = float(np.mean(errs))
         means.append((m, mean))
@@ -706,7 +701,8 @@ def make_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seeds", help="comma list of seeds, or a bare count")
     ps.add_argument("--workers", type=int,
                     help="cells run at once, in worker processes forked after the "
-                         "first cell (default: 4, or the CPU count if lower)")
+                         "first cell (default: 4, or the number of CPUs this process "
+                         "may run on if fewer)")
     ps.set_defaults(func=cmd_rate_sweep)
 
     pv = sub.add_parser("verify", help="run a fixed-tolerance check suite")

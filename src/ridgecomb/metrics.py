@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_NODES = {1: 257, 2: 129, 3: 41, 4: 27}
+MAX_D = max(DEFAULT_NODES)  # the largest d the metrics measure
 _LINE_NODES = 4  # Gauss-Legendre nodes per panel: exact to degree 7 >= 2(s-1) + d - 1
 _LINE_MESH = 0.1  # panel width cap times the target's largest ||omega_j||_1
 _LINE_MIN_DENSITY_SCALE = 1e-4
@@ -104,7 +105,8 @@ def check_grid_sizes(d: int, l2_nodes: int | None = None, linf_grid: int | None 
     """UsageError unless each given per-axis size is at least 2 and its point set
     at dimension d holds at most MAX_RULE_POINTS points.
 
-    The CLI calls this before it builds, and l2_error and linf_error on each call.
+    The CLI calls this before it builds, and l2_error, linf_error and
+    measure_reports on each call (_checked_line).
     """
     for key, n in (("l2_nodes", l2_nodes), ("linf_grid", linf_grid)):
         if n is not None and not (n >= 2 and n**d <= MAX_RULE_POINTS):
@@ -124,8 +126,8 @@ def _checked_line(target, comb, name: str, **sizes):
         raise UsageError(f"target must be a TargetFunction, got {type(target).__name__}")
     if target.d != comb.d:
         raise UsageError(f"dimension mismatch: target d={target.d}, combination d={comb.d}")
-    if target.d > 4:
-        raise UsageError(f"{name} supports d <= 4, got d={target.d}")
+    if target.d > MAX_D:
+        raise UsageError(f"{name} supports d <= {MAX_D}, got d={target.d}")
     check_grid_sizes(target.d, **sizes)
     line = target.line
     if line is None:
@@ -161,15 +163,10 @@ def _joined(arrays, axis: int = 0) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
-def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray, poll) -> np.ndarray:
+def _line_diff(target, line, C: np.ndarray, k, p: np.ndarray) -> np.ndarray:
     """target - comb at x(p) = p sign(u), where u . x = p, with p in piece k of
-    C; comb is its piece polynomial.
-
-    poll, if given, is called first.  The target's values are
-    row-independent, so all of p makes one evaluate_batch call.
-    """
-    if poll is not None:
-        poll()
+    C; comb is its piece polynomial.  The target's values are
+    row-independent, so all of p makes one evaluate_batch call."""
     g = target.evaluate_batch(p.reshape(-1, 1) * np.sign(line[0])).reshape(p.shape)
     return g - (C[0, k] + p * (C[1, k] + p * C[2, k]))
 
@@ -217,7 +214,7 @@ def _density(u: np.ndarray, p: np.ndarray):
     return total / (math.factorial(c.size - 1) * np.prod(2.0 * c))
 
 
-def _line_l2(target, line, pieces, poll=None) -> list[float]:
+def _line_l2(target, line, pieces) -> list[float]:
     """L2 on the line of each comb's _line_pieces (edges, C) of pieces: the
     integral of (target - comb)^2 rho by composite Gauss-Legendre, exact for
     comb^2 rho, whose degree is at most 7.  All pairs' panel nodes make one
@@ -228,13 +225,13 @@ def _line_l2(target, line, pieces, poll=None) -> list[float]:
     w = _joined(weights).reshape(p.shape)
     del nodes, weights
     C = _joined([C for _, C in pieces], 1)[:, :, None]  # piece i on row i of p
-    diff = _line_diff(target, line, C, slice(None), p, poll)
+    diff = _line_diff(target, line, C, slice(None), p)
     terms = w * _density(line[0], p) * diff * diff
     ends = np.cumsum(counts)
     return [float(np.sqrt(np.sum(terms[hi - c:hi]))) for c, hi in zip(counts, ends)]
 
 
-def _line_linf(target, line, pieces, poll=None) -> list[float]:
+def _line_linf(target, line, pieces) -> list[float]:
     """max |target - comb| on the line of each comb's _line_pieces (edges, C)
     of pieces: every edge is sampled, then each piece whose bound can still
     beat its pair's running maximum by _SUP_RTOL is split in _SUP_SPLIT and
@@ -257,7 +254,7 @@ def _line_linf(target, line, pieces, poll=None) -> list[float]:
     k = np.arange(edges.size) - owner
     last = np.cumsum(size) - 1
     k[last] -= 1
-    h = np.abs(_line_diff(target, line, C, k, edges, poll))
+    h = np.abs(_line_diff(target, line, C, k, edges))
     # each pair's last edge is owned by a last, sentinel pair whose maximum is
     # infinite, so no piece from it to the next pair's first edge is kept
     best = np.append(np.maximum.reduceat(h, last - counts), math.inf)
@@ -273,7 +270,7 @@ def _line_linf(target, line, pieces, poll=None) -> list[float]:
         k, lo, hi, owner = k[keep, None], lo[keep, None], hi[keep, None], owner[keep]
         q = lo + (hi - lo) * frac
         live = np.bincount(owner, minlength=best.size)
-        hq = np.abs(_line_diff(target, line, C, k, q[:, 1:-1], poll))
+        hq = np.abs(_line_diff(target, line, C, k, q[:, 1:-1]))
         at = np.flatnonzero(live)
         top = np.maximum.reduceat(hq.max(axis=1), np.cumsum(live[at]) - live[at])
         best[at] = np.where(top > best[at], top, best[at])  # max(best, top), a NaN top kept out
@@ -350,10 +347,9 @@ def _cube(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tupl
     return norm, sup
 
 
-def _stacked_scan(target, scans, poll=None) -> list[float]:
+def _stacked_scan(target, scans) -> list[float]:
     """The max of |target - comb| seen by the scan from each (comb, starts,
-    windows) of scans, all pairs' starts scanned together, calling poll, if
-    given, before each level.
+    windows) of scans, all pairs' starts scanned together.
 
     The target's phases are taken once per axis pass and its row-independent
     values from per-axis factors (SpectralMeasure.axis_phases,
@@ -387,8 +383,6 @@ def _stacked_scan(target, scans, poll=None) -> list[float]:
         phases = meas.axis_phases(x, ax)
 
         def values(q, step):
-            if poll is not None:
-                poll()
             vals = meas.evaluate_steps(phases, ax, q[:, 0], step, _SCAN_SAMPLES)
             vals -= level(q, step)
             return np.abs(vals, out=vals)
@@ -513,23 +507,18 @@ def measure_report(target, comb, m: int, method: str, seed: int,
 
 
 def measure_reports(target, cells, l2_nodes: int | None = None,
-                    linf_grid: int | None = None, *, poll=None) -> list[ErrorReport]:
+                    linf_grid: int | None = None) -> list[ErrorReport]:
     """measure_report of each (comb, m, method, seed) of cells, in order.
 
     Each pair gets its own pass, in order: the checks, then its line pieces,
     or on the Gauss-Lobatto set its L2, maximum and scan starts.  The pairs
     on the target's line then have their norms taken as one (_line_l2,
     _line_linf), and the scans of all the pairs off it run as one
-    (_stacked_scan), each value with the bits of that pair alone.  poll, when
-    given, is called with no arguments before each pair's pass, each target
-    call of the line norms (the L2's, the edges' and each refinement
-    round's) and each scan level, so that a caller can end a long batch.
+    (_stacked_scan), each value with the bits of that pair alone.
     """
     n, per_axis = _size(target, l2_nodes), _size(target, linf_grid)
     norms, lines, scans = [], [], []
     for comb, *_ in cells:
-        if poll is not None:
-            poll()
         line = _checked_line(target, comb, "measure_report", l2_nodes=n, linf_grid=per_axis)
         if line is not None:
             lines.append((len(norms), _line_pieces(comb, line)))
@@ -544,11 +533,11 @@ def measure_reports(target, cells, l2_nodes: int | None = None,
         norms.append((l2, linf))
     if lines:
         at, pieces = zip(*lines)
-        l2s = _line_l2(target, target.line, pieces, poll)
-        for i, l2, linf in zip(at, l2s, _line_linf(target, target.line, pieces, poll)):
+        l2s = _line_l2(target, target.line, pieces)
+        for i, l2, linf in zip(at, l2s, _line_linf(target, target.line, pieces)):
             norms[i] = (l2, linf)
     if scans:
-        for (i, *_), sup in zip(scans, _stacked_scan(target, [s[1:] for s in scans], poll)):
+        for (i, *_), sup in zip(scans, _stacked_scan(target, [s[1:] for s in scans])):
             norms[i] = (norms[i][0], max(norms[i][1], sup))
     return [ErrorReport(m=int(m), method=method, seed=int(seed), l2=l2, linf=linf,
                         terms=comb.term_count, sparsity=comb.inner_sparsity_max)

@@ -895,6 +895,51 @@ class TestRateSweep:
             proc.kill()
             proc.wait()
 
+    def test_a_worker_stuck_in_one_build_ends_soon_after_its_sweep_is_killed(self, tmp_path):
+        # one build sleeps 60 s in a worker; SIGKILL leaves the sweep process
+        # no chance to kill it, and the worker must not wait for the build
+        # (or any later step) to end before it ends itself
+        child = """if True:
+            import os, sys, time
+            from pathlib import Path
+            from ridgecomb import cli
+            build = cli.build_from_config
+
+            def stuck(rep, target, bcfg):
+                if (bcfg["m"], bcfg["seed"]) == (8, 3):
+                    Path(sys.argv[1] + ".tmp").write_text(str(os.getpid()))
+                    os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+                    time.sleep(60)
+                return build(rep, target, bcfg)
+
+            cli.build_from_config = stuck
+            cli.main(["rate-sweep", "--target", "sine-ridge:1", "--methods", "iid",
+                      "--m", "4,8,16", "--seeds", "10", "--workers", "2",
+                      "--out", sys.argv[2]])
+        """
+        pid_file = tmp_path / "worker.pid"
+        proc = subprocess.Popen([sys.executable, "-c", child, str(pid_file), str(tmp_path / "s")],
+                                env=_src_env(), stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL)
+        worker = None
+        try:
+            deadline = time.monotonic() + 60
+            while not pid_file.exists() and time.monotonic() < deadline:
+                assert proc.poll() is None
+                time.sleep(0.05)
+            worker = int(pid_file.read_text())
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 2
+            while _running(worker) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(worker)
+        finally:
+            if worker is not None and _running(worker):
+                os.kill(worker, signal.SIGKILL)
+            proc.kill()
+            proc.wait()
+
     @pytest.mark.parametrize("command", ["build", "rate-sweep"])
     def test_each_cell_is_measured_once_through_measure_report(self, command, tmp_path,
                                                                monkeypatch):
@@ -943,6 +988,20 @@ class TestVerify:
         assert main(["verify", "sampler-fit", "--out", str(out)]) == 0
         doc = json.loads((out / "verify_sampler_fit.json").read_text())
         assert doc["pass"] is True
+
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_sampler_fit_at_the_largest_seed(self, how, tmp_path, monkeypatch):
+        # its 20 build seeds run past 2^64 - 1, where they wrap to 0, 1, ...
+        out, seed = tmp_path / "v", 2**64 - 1
+        argv = ["verify", "sampler-fit", "--out", str(out)]
+        if how == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            monkeypatch.setenv("RIDGE_SEED", str(seed))
+        assert main(argv) in (0, 1)
+        doc = json.loads((out / "verify_sampler_fit.json").read_text())
+        assert doc["seed"] == seed and len(doc["checks"]) == 2
 
 
 class TestColdStart:

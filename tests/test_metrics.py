@@ -801,8 +801,8 @@ def line_calls(monkeypatch):
     calls = []
     diff = metrics._line_diff
 
-    def recording(target, line, C, k, p, poll):
-        vals = diff(target, line, C, k, p, poll)
+    def recording(target, line, C, k, p):
+        vals = diff(target, line, C, k, p)
         calls.append(vals.ravel().view(np.int64).copy())
         return vals
 
@@ -852,26 +852,6 @@ class TestStackedLine:
         assert max(map(len, alone)) > 3
         assert single == [sum(run[r] for run in alone if len(run) > r)
                           for r in range(max(map(len, alone)))]
-
-    @pytest.mark.parametrize("case", [4, 5, 6])
-    def test_poll_runs_before_each_pair_and_each_target_call(self, case, monkeypatch):
-        tgt, cells = stacked_batches()[case]
-        events = []
-        evaluate = TargetFunction.evaluate_batch
-
-        def counting(self, points):
-            events.append("call")
-            return evaluate(self, points)
-
-        monkeypatch.setattr(TargetFunction, "evaluate_batch", counting)
-        measure_reports(tgt, cells, poll=lambda: events.append("poll"))
-        calls = events.count("call")
-        assert calls > 2  # the L2, the edges and a refinement round at least
-        # and each scan level of the pairs off the line
-        levels = _SCAN_PASSES * tgt.d * _SCAN_LEVELS * any(
-            _checked_line(tgt, c, "-") is None for c, *_ in cells)
-        assert events.count("poll") == len(cells) + calls + levels
-        assert all(events[i - 1] == "poll" for i, e in enumerate(events) if e == "call")
 
 
 class TestLineDensity:
