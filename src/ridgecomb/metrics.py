@@ -54,7 +54,7 @@ _LINE_NODES = 4  # Gauss-Legendre nodes per panel: exact to degree 7 >= 2(s-1) +
 _LINE_MESH = 0.1  # panel width cap times the target's largest ||omega_j||_1
 _LINE_MIN_DENSITY_SCALE = 1e-4
 _SUP_RTOL, _SUP_SPLIT, _SUP_ROUNDS = 1e-13, 4, 40
-_REFINE_TOP = 10  # grid points each refinement starts from
+_REFINE_TOP = 10  # point set nodes each scan starts from
 _TOP_BLOCK = 256  # values per block maximum of _top_k
 # the scan: per axis, _SCAN_SAMPLES points across the window, _SCAN_LEVELS
 # times, the window shrinking to +-one sample step around the best; each axis
@@ -103,18 +103,19 @@ def _diff_on(target, comb, key, points: np.ndarray, axis: np.ndarray) -> np.ndar
 
 def check_grid_sizes(d: int, l2_nodes: int | None = None, linf_grid: int | None = None):
     """UsageError unless each given per-axis size is at least 2 and its point set
-    at dimension d holds at most MAX_RULE_POINTS points.
+    at dimension d holds at most MAX_RULE_POINTS points; linf_grid is checked
+    first, so linf_error, which takes both sizes from its grid, names it.
 
     The CLI calls this before it builds, and l2_error, linf_error and
     measure_reports on each call (_checked_line).
     """
-    for key, n in (("l2_nodes", l2_nodes), ("linf_grid", linf_grid)):
+    for key, n in (("linf_grid", linf_grid), ("l2_nodes", l2_nodes)):
         if n is not None and not (n >= 2 and n**d <= MAX_RULE_POINTS):
             raise UsageError(f"{key} must be at least 2 and give at most {MAX_RULE_POINTS} "
                              f"points at d={d}, got {n} ({n}^{d} points)")
 
 
-def _checked_line(target, comb, name: str, **sizes):
+def _checked_line(target, comb, **sizes):
     """Check the pair and the grid sizes; then the pair's common line, or None.
 
     The line is the target's (u, max c_j, sum mag_j c_j) when every distinct
@@ -127,7 +128,7 @@ def _checked_line(target, comb, name: str, **sizes):
     if target.d != comb.d:
         raise UsageError(f"dimension mismatch: target d={target.d}, combination d={comb.d}")
     if target.d > MAX_D:
-        raise UsageError(f"{name} supports d <= {MAX_D}, got d={target.d}")
+        raise UsageError(f"the error metrics support d <= {MAX_D}, got d={target.d}")
     check_grid_sizes(target.d, **sizes)
     line = target.line
     if line is None:
@@ -152,9 +153,9 @@ def _size(target, n) -> int | None:
 def l2_error(target, comb, nodes: int | None = None) -> float:
     """||target - comb|| in L2 of the uniform probability measure on the cube."""
     n = _size(target, nodes)
-    line = _checked_line(target, comb, "l2_error", l2_nodes=n)
+    line = _checked_line(target, comb, l2_nodes=n)
     if line is None:
-        return _cube(target, comb, n, True, None)[0]
+        return _cube_pass(target, comb, n)[0]
     return _line_l2(target, line, [_line_pieces(comb, line)])[0]
 
 
@@ -287,10 +288,8 @@ def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
     the k-th largest block maximum can hold one of them (k values reach it),
     so a partial sort of those blocks and the last partial one finds them.  A
     tie at the k-th value falls back to the full sort, so the chosen set is
-    always the full sort's.  k = 0 gives none.
+    always the full sort's.
     """
-    if k == 0:
-        return np.zeros(0, dtype=np.intp)
     n, nb = vals.size, vals.size // _TOP_BLOCK
     if nb > k:
         maxima = vals[:nb * _TOP_BLOCK].reshape(nb, _TOP_BLOCK).max(axis=1)
@@ -307,44 +306,30 @@ def _top_k(vals: np.ndarray, k: int) -> np.ndarray:
     return top[np.argsort(vals[top])]
 
 
-def linf_error(target, comb, grid: int | None = None, refine_top: int = _REFINE_TOP) -> float:
-    """Sup-norm estimate: exact to _SUP_RTOL on the pair's common line; otherwise
-    the max over the point set raised by a coarse-to-fine scan from its
-    refine_top best points (0: that max alone), never below that max."""
-    if refine_top < 0:
-        raise UsageError(f"refine_top must be nonnegative, got {refine_top}")
-    per_axis = _size(target, grid)
-    line = _checked_line(target, comb, "linf_error", linf_grid=per_axis)
-    if line is not None:
-        return _line_linf(target, line, [_line_pieces(comb, line)])[0]
-    return _cube(target, comb, per_axis, False, refine_top)[1]
+def linf_error(target, comb, grid: int | None = None) -> float:
+    """Sup-norm estimate, measure_report's linf with both sizes grid: exact to
+    _SUP_RTOL on the pair's common line; otherwise the max over the point set
+    raised by a coarse-to-fine scan from its best nodes, never below that max."""
+    n = _size(target, grid)
+    return _norms(target, [comb], n, n)[0][1]
 
 
-def _cube_pass(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tuple:
-    """The per-pair pass on the n^d Gauss-Lobatto set, off a line: (L2 if l2,
-    the set's maximum unless refine_top is None; else None, the scan's starts
-    (k, d), their windows (k, d)).  The starts are the refine_top best nodes,
-    each window the larger gap from a start's node to a neighbour."""
+def _cube_pass(target, comb, n: int) -> tuple:
+    """The per-pair pass on the n^d Gauss-Lobatto set, off a line: (L2, the
+    set's maximum, the scan's starts (k, d), their windows (k, d)).  The
+    starts are the _REFINE_TOP best nodes, each window the larger gap from a
+    start's node to a neighbour."""
     axis, key = gauss_lobatto(n)[0], ("lobatto", n)
     points, weights = uniform_cube_rule(target.d, n, True)
     vals = _diff_on(target, comb, key, points, axis)
     np.abs(vals, out=vals)
-    top = _top_k(vals, min(refine_top or 0, vals.size))  # ascending by value
-    sup = None if refine_top is None else float(vals[top[-1]] if top.size else vals.max())
+    top = _top_k(vals, min(_REFINE_TOP, vals.size))  # ascending by value
+    sup = float(vals[top[-1]])
     # einsum's own loop: a BLAS dot product's bits change with its thread count
-    norm = float(np.sqrt(np.einsum("i,i->", weights, np.square(vals, out=vals)))) if l2 else None
+    norm = float(np.sqrt(np.einsum("i,i->", weights, np.square(vals, out=vals))))
     gap = np.diff(axis, prepend=-1.0, append=1.0)
     starts = points[top]
     return norm, sup, starts, np.maximum(gap[:-1], gap[1:])[np.searchsorted(axis, starts)]
-
-
-def _cube(target, comb, n: int | None, l2: bool, refine_top: int | None) -> tuple:
-    """(L2 if l2, the sup unless refine_top is None; else None) off a line: the
-    per-pair pass, its maximum raised by the scan from its starts."""
-    norm, sup, starts, windows = _cube_pass(target, comb, n, l2, refine_top)
-    if starts.size:
-        sup = max(sup, _stacked_scan(target, [(comb, starts, windows)])[0])
-    return norm, sup
 
 
 def _stacked_scan(target, scans) -> list[float]:
@@ -508,27 +493,35 @@ def measure_report(target, comb, m: int, method: str, seed: int,
 
 def measure_reports(target, cells, l2_nodes: int | None = None,
                     linf_grid: int | None = None) -> list[ErrorReport]:
-    """measure_report of each (comb, m, method, seed) of cells, in order.
+    """measure_report of each (comb, m, method, seed) of cells, in order."""
+    norms = _norms(target, [comb for comb, *_ in cells], _size(target, l2_nodes),
+                   _size(target, linf_grid))
+    return [ErrorReport(m=int(m), method=method, seed=int(seed), l2=l2, linf=linf,
+                        terms=comb.term_count, sparsity=comb.inner_sparsity_max)
+            for (comb, m, method, seed), (l2, linf) in zip(cells, norms)]
+
+
+def _norms(target, combs, n: int | None, per_axis: int | None) -> list[tuple]:
+    """(L2, sup) of each comb of combs against target, in order: the L2 on n
+    nodes per axis, the sup on per_axis.
 
     Each pair gets its own pass, in order: the checks, then its line pieces,
-    or on the Gauss-Lobatto set its L2, maximum and scan starts.  The pairs
-    on the target's line then have their norms taken as one (_line_l2,
-    _line_linf), and the scans of all the pairs off it run as one
-    (_stacked_scan), each value with the bits of that pair alone.
+    or on the Gauss-Lobatto set its L2, maximum and scan starts (one pass
+    when n == per_axis, else one on each set).  The pairs on the target's
+    line then have their norms taken as one (_line_l2, _line_linf), and the
+    scans of all the pairs off it run as one (_stacked_scan), each value
+    with the bits of that pair alone.
     """
-    n, per_axis = _size(target, l2_nodes), _size(target, linf_grid)
     norms, lines, scans = [], [], []
-    for comb, *_ in cells:
-        line = _checked_line(target, comb, "measure_report", l2_nodes=n, linf_grid=per_axis)
+    for comb in combs:
+        line = _checked_line(target, comb, l2_nodes=n, linf_grid=per_axis)
         if line is not None:
             lines.append((len(norms), _line_pieces(comb, line)))
             norms.append(None)
             continue
-        shared = n == per_axis  # one point set for both norms
-        l2, linf, starts, windows = _cube_pass(target, comb, n, True,
-                                               _REFINE_TOP if shared else None)
-        if not shared:
-            _, linf, starts, windows = _cube_pass(target, comb, per_axis, False, _REFINE_TOP)
+        l2, linf, starts, windows = _cube_pass(target, comb, n)
+        if per_axis != n:
+            _, linf, starts, windows = _cube_pass(target, comb, per_axis)
         scans.append((len(norms), comb, starts, windows))
         norms.append((l2, linf))
     if lines:
@@ -539,6 +532,4 @@ def measure_reports(target, cells, l2_nodes: int | None = None,
     if scans:
         for (i, *_), sup in zip(scans, _stacked_scan(target, [s[1:] for s in scans])):
             norms[i] = (norms[i][0], max(norms[i][1], sup))
-    return [ErrorReport(m=int(m), method=method, seed=int(seed), l2=l2, linf=linf,
-                        terms=comb.term_count, sparsity=comb.inner_sparsity_max)
-            for (comb, m, method, seed), (l2, linf) in zip(cells, norms)]
+    return norms

@@ -45,7 +45,7 @@ from ridgecomb.metrics import (
     DEFAULT_NODES,
     ErrorReport,
     _checked_line,
-    _cube,
+    _diff_on,
     _scan_refine,
     _top_k,
 )
@@ -241,7 +241,7 @@ def default_windows(d, starts):
     return windows
 
 
-def linf_error_uncached(target, comb, refine_top=10):
+def linf_error_uncached(target, comb):
     """linf_error on a freshly built point set, with a full sort and the
     per-start scan, which takes the target's values from its measure's
     factors for each start alone, as linf_error does."""
@@ -249,7 +249,7 @@ def linf_error_uncached(target, comb, refine_top=10):
     mesh = np.meshgrid(*([default_axis(d)] * d), indexing="ij")
     points = np.stack([g.ravel() for g in mesh], axis=1)
     vals = abs_diff(target, comb)(points)
-    top = points[np.argsort(vals)[-refine_top:]]
+    top = points[np.argsort(vals)[-_REFINE_TOP:]]
 
     def fn(probes, ax, lo, step):
         f = meas.evaluate_steps(meas.axis_phases(probes[:1], ax), ax, np.array([lo]),
@@ -260,14 +260,23 @@ def linf_error_uncached(target, comb, refine_top=10):
 
 
 def cube_l2(target, comb):
-    """l2_error at its default rule, always on the d-dimensional path."""
-    return _cube(target, comb, DEFAULT_NODES.get(target.d), True, None)[0]
+    """l2_error at its default rule, always on the d-dimensional path: the
+    target's values through a target without a line."""
+    return l2_error(direct_target(target), comb)
 
 
 def cube_linf(target, comb):
     """linf_error at its default grid, always on the d-dimensional path: the
     target's values through a target without a line."""
     return linf_error(direct_target(target), comb)
+
+
+def set_max(target, comb):
+    """The max of |target - comb| over the default Gauss-Lobatto set, unscanned."""
+    n = DEFAULT_NODES[target.d]
+    points = uniform_cube_rule(target.d, n, True)[0]
+    return float(np.abs(_diff_on(target, comb, ("lobatto", n), points,
+                                 gauss_lobatto(n)[0])).max())
 
 
 def cosine_target(d, s=3):
@@ -478,21 +487,6 @@ class TestLinfError:
         c = single_ramp(0.3)
         assert linf_error(comb_target(c), c) == 0.0
 
-    def test_refine_top_zero_is_the_grid_max(self, monkeypatch):
-        rep, tgt = cosine_target(2)
-        comb = build_iid(rep, 16, tgt, seed=0)
-        points = uniform_cube_rule(2, DEFAULT_NODES[2], True)[0]
-        grid_max = float(abs_diff(tgt, comb)(points).max())
-        assert _top_k(np.arange(5.0), 0).size == 0
-        monkeypatch.setattr("ridgecomb.metrics._stacked_scan", None)  # never called
-        # the grid values come from the kept residual, summed in another order
-        assert linf_error(tgt, comb, refine_top=0) == pytest.approx(grid_max, rel=1e-13)
-
-    def test_negative_refine_top_is_refused(self):
-        rep, tgt = cosine_target(2)
-        with pytest.raises(UsageError, match="refine_top"):
-            linf_error(tgt, build_iid(rep, 16, tgt, seed=0), refine_top=-1)
-
     def test_parallel_ramp_pair_hits_threshold_gap(self):
         # sup |(x-0.2)_+ - (x-0.5)_+| = 0.3, attained on [0.5, 1]
         got = linf_error(comb_target(single_ramp(0.2)), single_ramp(0.5))
@@ -515,7 +509,7 @@ class TestLinfError:
         tgt = cosine_product(w, c)
         zero = make_affine(d, 2, 0.0, np.zeros(d))
         assert tgt.line is None
-        assert linf_error(tgt, zero, refine_top=0) < 1.0 - 1e-6  # the grid max alone
+        assert set_max(tgt, zero) < 1.0 - 1e-6
         assert linf_error(tgt, zero) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -708,7 +702,7 @@ class TestStackedScan:
             measure_report(tgt, *cell)
         measure_reports(tgt, cells)
         *alone, stacked = runs
-        assert len(alone) == sum(_checked_line(tgt, c, "-") is None for c, *_ in cells)
+        assert len(alone) == sum(_checked_line(tgt, c) is None for c, *_ in cells)
         assert len(stacked) == _SCAN_PASSES * tgt.d * _SCAN_LEVELS
         for level, vals in enumerate(stacked):
             assert np.array_equal(vals, np.concatenate([run[level] for run in alone]))
@@ -792,7 +786,7 @@ class TestScanFactors:
     @pytest.mark.parametrize("case", [2, 3])
     def test_the_scan_never_reports_below_the_point_set_maximum(self, case):
         tgt, comb = refinement_cases()[case]
-        assert linf_error(tgt, comb) >= linf_error(tgt, comb, refine_top=0)
+        assert linf_error(tgt, comb) >= set_max(tgt, comb)
 
 
 def line_calls(monkeypatch):
@@ -821,7 +815,7 @@ class TestStackedLine:
         calls = line_calls(monkeypatch)
         alone = []
         for cell in cells:
-            if _checked_line(tgt, cell[0], "-") is None:
+            if _checked_line(tgt, cell[0]) is None:
                 continue
             measure_report(tgt, *cell)
             alone.append(calls[:])
@@ -957,7 +951,7 @@ class TestLinePath:
     @pytest.mark.parametrize("m", [2, 64, 4096])
     def test_d1_l2_matches_a_kink_aware_rule(self, s, method, m):
         tgt, comb = sine_pair((3,), s, method, m)
-        assert _checked_line(tgt, comb, "l2_error") is not None
+        assert _checked_line(tgt, comb) is not None
         assert l2_error(tgt, comb) == pytest.approx(kink_aware_l2(tgt, comb), rel=1e-9)
 
     @pytest.mark.parametrize("theta", [(3,), (1, 1), (2, 1), (1, 2, 1)])
@@ -966,7 +960,7 @@ class TestLinePath:
     def test_sup_is_never_below_the_grid_and_refinement(self, theta, s, method):
         for seed, m in ((0, 4), (1, 16), (2, 64)):
             tgt, comb = sine_pair(theta, s, method, m, seed=seed)
-            assert _checked_line(tgt, comb, "linf_error") is not None
+            assert _checked_line(tgt, comb) is not None
             assert linf_error(tgt, comb) >= cube_linf(tgt, comb) * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("theta", [(1,), (1, 1), (2, 1), (1, 2, 1), (1, 3, 1, 1)])
@@ -975,7 +969,7 @@ class TestLinePath:
         # kink-free, so the tensor rule is exact to rounding and checks the density of u . x
         tgt = target_of(spectral_representation(sine_ridge_measure(theta), s))
         comb = make_affine(tgt.d, s, tgt.b0, tgt.a0, tgt.A0 if s == 3 else None)
-        assert _checked_line(tgt, comb, "l2_error") is not None
+        assert _checked_line(tgt, comb) is not None
         points, weights = uniform_cube_rule(tgt.d, 64 if tgt.d <= 3 else 24)
         diff = tgt.evaluate_batch(points) - comb.evaluate_batch(points)
         want = math.sqrt(float(np.sum(weights * diff * diff)))
@@ -993,7 +987,7 @@ class TestLinePath:
         for m in (4, 64):
             for comb in (build_iid(rep, m, tgt, seed=m),
                          build_stratified(rep, m, m**-0.5, "fractional", tgt, seed=m)):
-                assert _checked_line(tgt, comb, "linf_error") is not None
+                assert _checked_line(tgt, comb) is not None
                 assert linf_error(tgt, comb) >= cube_linf(tgt, comb) * (1.0 - 1e-12)
 
     def test_pairs_off_a_line_take_the_cube_path(self):
@@ -1009,7 +1003,7 @@ class TestLinePath:
         ]
         assert sparse_tgt.line is not None and sine_tgt.line is not None
         for tgt, comb in pairs:
-            assert _checked_line(tgt, comb, "l2_error") is None
+            assert _checked_line(tgt, comb) is None
             assert l2_error(tgt, comb) == cube_l2(tgt, comb)
             assert linf_error(tgt, comb) == cube_linf(tgt, comb)
 
@@ -1117,7 +1111,7 @@ class TestReport:
         if pair.startswith("affine"):
             comb = make_affine(tgt.d, 3, tgt.b0, tgt.a0, tgt.A0)
         else:
-            assert (_checked_line(tgt, comb, "measure_report") is None) == (pair != "line")
+            assert (_checked_line(tgt, comb) is None) == (pair != "line")
         rpt = measure_report(tgt, comb, 16, "iid", 3)
         fields = rpt.csv_row().split(",")
         assert len(fields) == len(CSV_HEADER.split(","))
@@ -1175,4 +1169,14 @@ class TestReport:
         for measure in (lambda: l2_error(duck, comb), lambda: linf_error(duck, comb),
                         lambda: measure_report(duck, comb, 16, "iid", 3)):
             with pytest.raises(UsageError, match="must be a TargetFunction, got DuckTarget"):
+                measure()
+
+    def test_a_target_above_d4_is_refused(self):
+        # the tensor point sets stop at d = 4 (DEFAULT_NODES), whatever the size
+        rep, tgt = cosine_target(5)
+        comb = build_iid(rep, 16, tgt, seed=3)
+        for measure in (lambda: l2_error(tgt, comb), lambda: linf_error(tgt, comb),
+                        lambda: l2_error(tgt, comb, nodes=3), lambda: linf_error(tgt, comb, grid=3),
+                        lambda: measure_report(tgt, comb, 16, "iid", 3)):
+            with pytest.raises(UsageError, match=r"support d <= 4, got d=5"):
                 measure()
