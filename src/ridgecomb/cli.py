@@ -41,6 +41,7 @@ from .metrics import (
     CSV_HEADER,
     MAX_D,
     check_grid_sizes,
+    check_line_rule,
     fit_rate,
     l2_error,
     lower_bound_floor,
@@ -193,6 +194,7 @@ def _resolve(resolved: dict, seed: int, grid_sizes: dict):
     if target.d > MAX_D:
         raise UsageError(f"d={target.d} exceeds d <= {MAX_D}, the most the error metrics measure")
     check_grid_sizes(target.d, **grid_sizes)
+    check_line_rule(target)
     return target, rep
 
 

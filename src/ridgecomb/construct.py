@@ -252,9 +252,16 @@ def _check_cell_count(plan: StratifiedPlan, n_dirs: int):
 
 
 def stratified_geometry(rep: IntegralRepresentation, epsilon) -> StratifiedPlan:
-    """rep's cell geometry at epsilon, with no cells, after the MAX_CELLS check."""
+    """rep's cell geometry at epsilon, with no cells, after the MAX_CELLS
+    checks: on the cells its directions could reach, and on the breakpoints
+    of its threshold pieces (_threshold_pieces), each component's bin edges
+    and the zeros of its law, fewer than one per pi of its u-range plus five."""
     plan = _empty_plan(rep.d, rep.s, epsilon)
     _check_cell_count(plan, rep.dirs.shape[0])
+    pieces = rep.c.size * (plan.n_t + 1) + float(np.sum(rep.c / np.pi + 5.0))
+    if pieces > MAX_CELLS:
+        raise UsageError(f"the threshold pieces would number up to {pieces:.4g}, more than "
+                         f"{MAX_CELLS}: the largest ||omega||_1 is {rep.c.max():.6g}")
     return plan
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "l2_error",
     "linf_error",
     "check_grid_sizes",
+    "check_line_rule",
     "fit_rate",
     "lower_bound_floor",
     "measure_report",
@@ -115,8 +116,22 @@ def check_grid_sizes(d: int, l2_nodes: int | None = None, linf_grid: int | None 
                              f"points at d={d}, got {n} ({n}^{d} points)")
 
 
+def check_line_rule(target):
+    """UsageError when target has a line (TargetFunction.line) whose panel rule,
+    _LINE_NODES nodes on each panel of _line_pieces' mesh, would hold more
+    than MAX_RULE_POINTS nodes.  The CLI calls this before it builds, and
+    l2_error, linf_error and measure_reports on each call (_checked_line)."""
+    if target.line is not None:
+        cmax = target.line[1]
+        nodes = _LINE_NODES * np.ceil(2.0 * cmax / _LINE_MESH)  # inf for an infinite cmax
+        if nodes > MAX_RULE_POINTS:
+            raise UsageError(f"the target's line rule would hold {nodes:.4g} nodes at its "
+                             f"largest ||omega||_1 of {cmax:.6g}, more than {MAX_RULE_POINTS}")
+
+
 def _checked_line(target, comb, **sizes):
-    """Check the pair and the grid sizes; then the pair's common line, or None.
+    """Check the pair, the grid sizes and the line rule; then the pair's
+    common line, or None.
 
     The line is the target's (u, max c_j, sum mag_j c_j) when every distinct
     row of comb.A is +-u, a0 is parallel to u and A0 is lambda u u^T, each
@@ -130,6 +145,7 @@ def _checked_line(target, comb, **sizes):
     if target.d > MAX_D:
         raise UsageError(f"the error metrics support d <= {MAX_D}, got d={target.d}")
     check_grid_sizes(target.d, **sizes)
+    check_line_rule(target)
     line = target.line
     if line is None:
         return None

@@ -168,8 +168,9 @@ class SpectralMeasure:
             omegas = omegas[:, None]
         mags = np.array(self.mags, dtype=float, copy=True)
         phases = np.array(self.phases, dtype=float, copy=True)
-        if omegas.ndim != 2 or omegas.shape[0] < 1:
-            raise UsageError("omegas must be a (J, d) array with J >= 1")
+        if omegas.ndim != 2 or omegas.shape[0] < 1 or omegas.shape[1] < 1:
+            raise UsageError(f"omegas must be a (J, d) array with J >= 1 and d >= 1, "
+                             f"got shape {omegas.shape}")
         J = omegas.shape[0]
         if mags.shape != (J,) or phases.shape != (J,):
             raise UsageError("mags and phases must both have shape (J,)")
@@ -464,15 +465,19 @@ class IntegralRepresentation:
 def spectral_representation(meas: SpectralMeasure, s: int, seed: int = 0) -> IntegralRepresentation:
     """Build the samplable representation of a cosine-sum target for order s."""
     law = threshold_law(s)
-    c_all = np.abs(meas.omegas).sum(axis=1)
-    keep = c_all > 0  # zero frequencies carry no sampling weight for s >= 1
-    js = np.repeat(np.nonzero(keep)[0], 2)
-    zs = np.tile(np.array([1, -1]), keep.sum())
-    c = c_all[js]
-    ph = zs * meas.phases[js]
-    W = (law.F(ph + c) - law.F(ph)) / c if js.size else np.zeros(0)
-    weights = meas.mags[js] * c**s * W
-    v = float(weights.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        c_all = np.abs(meas.omegas).sum(axis=1)
+        keep = c_all > 0  # zero frequencies carry no sampling weight for s >= 1
+        js = np.repeat(np.nonzero(keep)[0], 2)
+        zs = np.tile(np.array([1, -1]), keep.sum())
+        c = c_all[js]
+        ph = zs * meas.phases[js]
+        W = (law.F(ph + c) - law.F(ph)) / c if js.size else np.zeros(0)
+        weights = meas.mags[js] * c**s * W
+        v = float(weights.sum())
+    if not math.isfinite(v):
+        raise UsageError(f"the measure's order-{s} spectral norm v is {v}: its omega "
+                         f"entries are too large")
     moment = v_fs(meas, s)
     assert v <= 2.0 * moment + 1e-9 * max(moment, 1.0)
     probs = weights / v if v > 0 else weights  # v == 0 only when no component is kept

@@ -41,11 +41,15 @@ def resolve_target(spec: str, s: int, seed: int = 0):
             f"target spec must look like 'sine-ridge:1,1' or 'cosine-sum:file.json', got {spec!r}"
         )
     kind, _, rest = spec.partition(":")
+    # the representation first: it refuses a spectrum whose norm overflows
+    # before from_measure computes with it
     if kind == "sine-ridge":
         meas = sine_ridge_measure(_parse_theta(rest))
+        rep = spectral_representation(meas, s, seed=seed)
     elif kind == "cosine-sum":
         try:
             meas = SpectralMeasure.load(rest)
+            rep = spectral_representation(meas, s, seed=seed)
         except OSError as exc:
             raise UsageError(f"could not read measure file {rest}: {exc.strerror}") from exc
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -54,7 +58,7 @@ def resolve_target(spec: str, s: int, seed: int = 0):
             raise UsageError(f"invalid measure file {rest}: {exc}") from exc
     else:
         raise UsageError(f"unknown target kind {kind!r}; run the catalog command for options")
-    return TargetFunction.from_measure(meas), spectral_representation(meas, s, seed=seed)
+    return TargetFunction.from_measure(meas), rep
 
 
 def catalog_entries() -> list[dict]:

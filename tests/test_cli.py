@@ -363,10 +363,15 @@ class TestExitCodes:
         ({"omega": [3.0], "mag": 0.5, "phase": 0.5}, "dim"),  # with "dim": 1.7
         ([{"omega": [3.0], "mag": 0.5, "phase": 0.5},  # a list is the whole atom list
           {"omega": [3.0], "mag": 0.2, "phase": 0.1}], "frequency"),
+        ({"omega": [], "mag": 0.5, "phase": 0.5}, "omega"),  # with "dim": 0
+        # spectral norms that overflow: v is NaN, and +inf
+        ({"omega": [1e308, 1e308], "mag": 0.5, "phase": 0.5}, "omega"),
+        ([{"omega": [1e200, 3e200], "mag": 0.5, "phase": 0.5},
+          {"omega": [-2e200, 1e200], "mag": 0.2, "phase": 0.1}], "omega"),
     ])
     def test_bad_measure_file_names_its_field(self, atom, field, tmp_path, capsys):
-        dim = 1.7 if field == "dim" else 1
         atoms = atom if isinstance(atom, list) else [atom]
+        dim = 1.7 if field == "dim" else len(atoms[0]["omega"])
         (tmp_path / "m.json").write_text(json.dumps({"dim": dim, "atoms": atoms}))
         assert main(["build", "--target", f"cosine-sum:{tmp_path / 'm.json'}", "--m", "8",
                      "--out", str(tmp_path / "o")]) == 2
@@ -374,6 +379,24 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error: ") and field in err[0]
         # the JSON parsed, so the line names a failed check, not a parse error
         assert "invalid measure file" in err[0] and "could not parse" not in err[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["build", "rate-sweep"])
+    @pytest.mark.parametrize("method", ["iid", "stratified"])
+    @pytest.mark.parametrize("theta", ["1000000", "99999999999999999999"])
+    def test_a_line_rule_over_the_cap_exits_2_before_the_build(self, command, method, theta,
+                                                              tmp_path, monkeypatch, capsys):
+        # 4 nodes on each of 2 pi theta / 0.1 panels: 2.5e8 and 2.5e22 of them
+        def refuse(*args):
+            raise AssertionError("the build ran")
+
+        monkeypatch.setattr(cli, "build_from_config", refuse)
+        grid = (["--method", method, "--m", "4096"] if command == "build"
+                else ["--methods", method, "--m", "4,8,16", "--seeds", "10"])
+        assert main([command, "--target", f"sine-ridge:{theta}", *grid,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: the target's line rule")
         assert not (tmp_path / "o").exists()
 
     def test_unparsable_measure_file_says_so(self, tmp_path, capsys):

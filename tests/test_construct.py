@@ -519,6 +519,19 @@ class TestOneArrayPass:
         with pytest.raises(UsageError, match="choose a larger epsilon"):
             build_stratified(rep, 16, over, "signed", target_of(rep))
 
+    @pytest.mark.parametrize("theta", [10**7, 99999999999999999999])
+    def test_threshold_pieces_over_the_cap_are_refused(self, theta):
+        # the law's zeros: about 2 theta on sin(pi theta x)'s two components,
+        # over MAX_CELLS at 1e7 and past int64 at 1e20
+        rep = exact_sine_representation((theta,))
+        for build in (lambda: stratified_geometry(rep, 0.1),
+                      lambda: build_stratified(rep, 16, 0.1, "signed", target_of(rep))):
+            with pytest.raises(UsageError, match="threshold pieces"):
+                build()
+        # about 2e6 zeros at 1e6 are under the cap: the geometry is theta's alone
+        under = stratified_geometry(exact_sine_representation((10**6,)), 0.1)
+        assert under.n_t == stratified_geometry(exact_sine_representation((1,)), 0.1).n_t
+
     @given(meas=spectra(), s=st.sampled_from([2, 3]),
            scale=st.floats(min_value=1.0, max_value=4.0))
     @settings(derandomize=True, deadline=None, max_examples=60)

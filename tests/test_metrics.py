@@ -1180,3 +1180,13 @@ class TestReport:
                         lambda: measure_report(tgt, comb, 16, "iid", 3)):
             with pytest.raises(UsageError, match=r"support d <= 4, got d=5"):
                 measure()
+
+    @pytest.mark.parametrize("theta", [(10**6,), (400000, 600000)])
+    def test_a_line_rule_over_the_cap_is_refused(self, theta):
+        # 4 nodes on each of 2 pi 10^6 / 0.1 panels of the line
+        tgt = TargetFunction.from_sine_ridge(theta)
+        comb = make_affine(tgt.d, 2, tgt.b0, tgt.a0)
+        for measure in (lambda: l2_error(tgt, comb), lambda: linf_error(tgt, comb),
+                        lambda: measure_report(tgt, comb, 16, "iid", 3)):
+            with pytest.raises(UsageError, match="line rule would hold 2.513e"):
+                measure()

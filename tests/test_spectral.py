@@ -192,6 +192,9 @@ class TestSpectralMeasure:
             SpectralMeasure(omegas=np.array([[1.0], [1.0]]),
                             mags=np.array([1.0, 2.0]),
                             phases=np.array([0.0, 0.1]))  # duplicate frequency
+        with pytest.raises(UsageError, match="d >= 1"):
+            SpectralMeasure(omegas=np.zeros((1, 0)), mags=np.array([1.0]),
+                            phases=np.array([0.0]))  # no coordinates
 
 
 def gaussian_spectrum(J: int, d: int, seed: int = 0) -> SpectralMeasure:
@@ -375,6 +378,15 @@ class TestRepresentations:
             assert 0 < rep.v <= 2 * v_fs(meas, s) + 1e-9
         rep3 = spectral_representation(meas, 3)
         assert rep3.residual_scale == pytest.approx(rep3.v / 2)
+
+    @pytest.mark.parametrize("omegas", [[[1e308, 1e308]], [[1e200, 3e200], [-2e200, 1e200]]])
+    def test_an_overflowing_spectral_norm_is_refused(self, omegas):
+        # ||omega||_1 overflows (v is NaN), or c^s does (v is inf)
+        meas = SpectralMeasure(omegas=np.array(omegas), mags=np.full(len(omegas), 0.5),
+                               phases=np.zeros(len(omegas)))
+        for s in (2, 3):
+            with pytest.raises(UsageError, match="omega entries are too large"):
+                spectral_representation(meas, s)
 
     def test_constant_measure_has_zero_scale(self):
         meas = SpectralMeasure(omegas=np.array([[0.0, 0.0]]),
